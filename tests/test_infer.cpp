@@ -4,7 +4,7 @@
 // The load-bearing properties, each pinned here:
 //   - hard evidence only ever SHRINKS the certified bracket (the
 //     stopping rule's soundness reduces to this monotonicity);
-//   - soft (noisy-threshold) evidence and priors never move the bracket;
+//   - priors never move the bracket;
 //   - with a uniform posterior and free reboots the acquisition is the
 //     bisection median — the scheme degenerates to the mode it replaces;
 //   - the probe sequence of an adaptive sweep is a pure function of the
@@ -12,6 +12,9 @@
 //     5-worker run, probe for probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -61,24 +64,20 @@ TEST(BoundaryPosterior, SoftEvidenceAndPriorsNeverMoveTheBracket) {
     posterior.restrict_leq(11);
     const std::uint64_t lo = posterior.hard_lo();
     const std::uint64_t hi = posterior.hard_hi();
-    posterior.observe_clean_noisy(9, 1.25);
-    posterior.observe_clean_noisy(4, 1.25);
     posterior.recenter(5, 0.45, 1e-9);
     EXPECT_EQ(posterior.hard_lo(), lo);
     EXPECT_EQ(posterior.hard_hi(), hi);
-    // A hammered soft prior must not starve still-possible steps: the
-    // floor keeps every bracket step reachable by hard evidence.
-    for (int i = 0; i < 200; ++i) posterior.observe_clean_noisy(9, 1.25);
+    // A prior must not starve still-possible steps: the floor keeps
+    // every bracket step reachable by hard evidence.
     posterior.restrict_geq(10);
     EXPECT_EQ(posterior.hard_lo(), 10u);
     EXPECT_EQ(posterior.hard_hi(), 11u);
-    EXPECT_THROW(posterior.observe_clean_noisy(5, 0.0), ConfigError);
     EXPECT_THROW(posterior.recenter(5, 1.5, 1e-9), ConfigError);
     EXPECT_THROW(posterior.recenter(5, 0.5, 0.0), ConfigError);
 }
 
 // PROP: for ANY consistent observation sequence (hard evidence derived
-// from a hidden truth, arbitrary soft evidence and re-priors mixed in),
+// from a hidden truth, arbitrary re-priors and draws mixed in),
 // the certified bracket never widens, always contains the truth, and
 // certification is permanent.
 TEST(PropPosterior, ObservationsNeverWidenTheCertifiedBracket) {
@@ -93,7 +92,7 @@ TEST(PropPosterior, ObservationsNeverWidenTheCertifiedBracket) {
         std::uint64_t hi = posterior.hard_hi();
         for (int op = 0; op < 60; ++op) {
             const std::uint64_t s = 1 + rng.uniform_below(support);
-            switch (rng.uniform_below(4)) {
+            switch (rng.uniform_below(3)) {
                 case 0:  // truthful hard evidence about step s
                     if (truth <= s)
                         posterior.restrict_leq(s);
@@ -101,12 +100,9 @@ TEST(PropPosterior, ObservationsNeverWidenTheCertifiedBracket) {
                         posterior.restrict_geq(s + 1);
                     break;
                 case 1:
-                    if (s < truth) posterior.observe_clean_noisy(s, 1.25);
-                    break;
-                case 2:
                     posterior.recenter(s, 0.45, 1e-9);
                     break;
-                case 3:
+                case 2:
                     (void)posterior.sample(rng);
                     break;
             }
@@ -150,12 +146,107 @@ TEST(Acquisition, RebootSurchargeDriftsProbesShallow) {
     EXPECT_LE(select_crash_probe(posterior, config, 3, rng), 3u);
 }
 
+/// The acquisition as first written: every informative candidate scored
+/// through crash_probe_score (an O(W) p_leq each), no early exit.  The
+/// fast path must return the same step and consume the same draws.
+std::uint64_t reference_crash_probe(const BoundaryPosterior& posterior, double reboot_cost,
+                                    std::uint64_t max_step, Rng& rng) {
+    const std::uint64_t lo = posterior.hard_lo();
+    const std::uint64_t hi = std::min(posterior.hard_hi() - 1, max_step);
+    constexpr double kTieTolerance = 1e-12;
+    double best = -1.0;
+    std::vector<std::uint64_t> plateau;
+    for (std::uint64_t s = lo; s <= hi; ++s) {
+        const double score = crash_probe_score(posterior, s, reboot_cost);
+        if (score > best + kTieTolerance) {
+            best = score;
+            plateau.assign(1, s);
+        } else if (score >= best - kTieTolerance) {
+            plateau.push_back(s);
+        }
+    }
+    return plateau[rng.uniform_below(plateau.size())];
+}
+
+/// recenter() as first written: one std::pow per bracket step, then the
+/// in-order renormalization.  Returns the weights of steps 1 .. support.
+std::vector<double> reference_recenter(const BoundaryPosterior& posterior,
+                                       std::uint64_t support, std::uint64_t center,
+                                       double decay, double floor) {
+    std::vector<double> w(support, 0.0);
+    double total = 0.0;
+    for (std::uint64_t b = posterior.hard_lo(); b <= posterior.hard_hi(); ++b) {
+        const double dist =
+            b > center ? static_cast<double>(b - center) : static_cast<double>(center - b);
+        w[b - 1] = floor + std::pow(decay, dist);
+        total += w[b - 1];
+    }
+    for (std::uint64_t b = posterior.hard_lo(); b <= posterior.hard_hi(); ++b)
+        w[b - 1] /= total;
+    return w;
+}
+
+// PROP: the linear-time acquisition (one cumulative pass with an early
+// exit) selects exactly the probe the all-candidates reference selects
+// and leaves the Rng in exactly the same state, over seeded posteriors
+// reshaped by random priors and truthful hard evidence; and the
+// table-driven recenter is bit-equal to one std::pow per step.
+TEST(PropAcquisition, LinearScanMatchesTheFullReference) {
+    constexpr std::uint64_t kSeedRoot = 0xACC'5CA7'2026;
+    constexpr double kRebootCosts[] = {0.0, 0.5, 4.0, 10.0};
+    std::uint64_t selections = 0;
+    for (std::uint64_t trial = 0; trial < 2000; ++trial) {
+        Rng rng(mix_seed(kSeedRoot, trial));
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const std::uint64_t support = 2 + rng.uniform_below(301);
+        const std::uint64_t truth = 1 + rng.uniform_below(support);
+        BoundaryPosterior posterior(support);
+        const int ops = 1 + static_cast<int>(rng.uniform_below(8));
+        for (int op = 0; op < ops && !posterior.certified(); ++op) {
+            const std::uint64_t s = 1 + rng.uniform_below(support);
+            switch (rng.uniform_below(3)) {
+                case 0: {
+                    const double decay = rng.uniform(0.05, 0.95);
+                    const double floor = rng.uniform_below(2) == 0 ? 1e-9 : rng.uniform(1e-6, 0.1);
+                    const std::vector<double> expected =
+                        reference_recenter(posterior, support, s, decay, floor);
+                    posterior.recenter(s, BoundaryPosterior::decay_powers(decay, support), floor);
+                    for (std::uint64_t b = 1; b <= support; ++b)
+                        ASSERT_EQ(std::bit_cast<std::uint64_t>(posterior.weight(b)),
+                                  std::bit_cast<std::uint64_t>(expected[b - 1]))
+                            << "step " << b << " center " << s;
+                    break;
+                }
+                case 1:
+                    if (truth <= s) posterior.restrict_leq(s);
+                    break;
+                case 2:
+                    if (truth >= s) posterior.restrict_geq(s);
+                    break;
+            }
+            if (posterior.certified()) break;
+            const std::uint64_t max_step =
+                posterior.hard_lo() + rng.uniform_below(support - posterior.hard_lo() + 1);
+            const double reboot_cost = kRebootCosts[rng.uniform_below(4)];
+            AcquisitionConfig config;
+            config.reboot_cost = reboot_cost;
+            const std::uint64_t draw_seed = rng.next_u64();
+            Rng fast_rng(draw_seed);
+            Rng reference_rng(draw_seed);
+            ASSERT_EQ(select_crash_probe(posterior, config, max_step, fast_rng),
+                      reference_crash_probe(posterior, reboot_cost, max_step, reference_rng))
+                << "support " << support << " bracket [" << posterior.hard_lo() << ", "
+                << posterior.hard_hi() << "] max_step " << max_step << " cost " << reboot_cost;
+            ASSERT_EQ(fast_rng.state_fingerprint(), reference_rng.state_fingerprint());
+            ++selections;
+        }
+    }
+    EXPECT_GT(selections, 2000u);
+}
+
 TEST(AdaptivePlanner, RejectsInvalidConfigurationsEagerly) {
     AcquisitionConfig bad;
     bad.reboot_cost = -1.0;
-    EXPECT_THROW((void)adaptive_planner(bad), ConfigError);
-    bad = {};
-    bad.onset_tau = 0.0;
     EXPECT_THROW((void)adaptive_planner(bad), ConfigError);
     bad = {};
     bad.prior_decay = 1.0;
