@@ -1,11 +1,16 @@
 // google-benchmark micro-costs of the hot paths: everything the polling
-// kthread touches per wakeup, plus the physics kernels the simulator
-// evaluates per slice.
+// kthread touches per wakeup, the physics kernels the simulator
+// evaluates per slice, and the adaptive planner at the paper's 1 mV
+// resolution (where a quadratic acquisition scan would show first).
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
 #include <memory>
 
+#include "infer/acquisition.hpp"
+#include "infer/adaptive_planner.hpp"
+#include "infer/boundary_posterior.hpp"
+#include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/polling_module.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "sim/thermal.hpp"
@@ -142,6 +147,32 @@ void BM_CharacterizeCell(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CharacterizeCell);
+
+void BM_SelectCrashProbe(benchmark::State& state) {
+    // A 1 mV column's support (300 steps + "no crash"), with the prior
+    // recentred mid-support the way an interpolation prediction does.
+    constexpr std::uint64_t kSupport = 301;
+    infer::BoundaryPosterior posterior(kSupport);
+    const infer::AcquisitionConfig config;
+    posterior.recenter(kSupport / 2, config.prior_decay, config.prior_floor);
+    Rng rng(0x5E1EC7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            infer::select_crash_probe(posterior, config, kSupport - 1, rng));
+}
+BENCHMARK(BM_SelectCrashProbe);
+
+void BM_AdaptivePlan1mv(benchmark::State& state) {
+    // One cold Comet Lake adaptive map at 1 mV: planner plus cell probes.
+    plugvolt::ParallelCharacterizerConfig config;
+    config.cell.offset_step = Millivolts{1.0};
+    config.mode = plugvolt::SweepMode::Adaptive;
+    config.workers = 1;
+    config.planner = infer::adaptive_planner();
+    plugvolt::ParallelCharacterizer sweep(sim::cometlake_i7_10510u(), config);
+    for (auto _ : state) benchmark::DoNotOptimize(sweep.characterize());
+}
+BENCHMARK(BM_AdaptivePlan1mv)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
