@@ -65,7 +65,9 @@ int main(int argc, char** argv) {
          {resilience::CommitMode::Append, resilience::CommitMode::AtomicRewrite}) {
         resilience::JournalOptions options;
         options.mode = mode;
-        resilience::SweepJournal journal(path, engine.journal_header(), options);
+        std::remove(path.c_str());
+        resilience::SweepJournal journal =
+            resilience::SweepJournal::open(path, engine.config_hash(), options);
         const bench::Stopwatch watch;
         const plugvolt::SafeStateMap map = engine.characterize(journal);
         const double ms = watch.elapsed_ms();
@@ -91,8 +93,9 @@ int main(int argc, char** argv) {
 
     // The payoff: kill the sweep after half its rows, then resume.
     {
-        resilience::SweepJournal journal(path, engine.journal_header(),
-                                         resilience::JournalOptions{});
+        std::remove(path.c_str());
+        resilience::SweepJournal journal =
+            resilience::SweepJournal::open(path, engine.config_hash());
         const std::uint64_t kill_after = profile.frequency_table().size() / 2;
         std::uint64_t delivered = 0;
         try {
@@ -106,9 +109,9 @@ int main(int argc, char** argv) {
         }
 
         resilience::SweepJournal recovered =
-            resilience::SweepJournal::resume(path, resilience::JournalOptions{});
+            resilience::SweepJournal::open(path, engine.config_hash());
         const bench::Stopwatch watch;
-        const plugvolt::SafeStateMap map = engine.resume(recovered);
+        const plugvolt::SafeStateMap map = engine.characterize(recovered);
         const double ms = watch.elapsed_ms();
         if (plugvolt::state_hash(map) != fresh_hash) {
             std::fprintf(stderr, "FATAL: resumed map diverged from fresh map\n");

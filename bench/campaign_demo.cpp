@@ -313,22 +313,9 @@ int main(int argc, char** argv) {
     bench::Stopwatch sharded_watch;
     campaign::CampaignReport report;
     if (journal_path != nullptr) {
-        // CampaignJournal is not movable (it owns a mutex), so fresh and
-        // resumed journals each run in their own branch.
-        const auto journaled_run = [&](campaign::CampaignJournal& journal) {
-            report = engine.run(journal);
-        };
-        if (file_exists(journal_path)) {
-            campaign::CampaignJournal journal =
-                campaign::CampaignJournal::resume(journal_path);
-            journaled_run(journal);
-        } else {
-            campaign::CampaignJournal journal(
-                journal_path,
-                campaign::CampaignJournalHeader{1, engine.config_hash(), config.seed,
-                                                n_cells});
-            journaled_run(journal);
-        }
+        campaign::CampaignJournal journal =
+            campaign::CampaignJournal::open(journal_path, engine.config_hash());
+        report = engine.run(journal);
         const campaign::CampaignRunStats& stats = engine.run_stats();
         std::printf("journal %s: %" PRIu64 " cell(s) adopted, %" PRIu64
                     " executed, %" PRIu64 " retry attempt(s) fast-forwarded\n",

@@ -527,57 +527,30 @@ CampaignCellResult CampaignEngine::run_cell(const CellSpec& spec,
 
 CampaignReport CampaignEngine::run(
     const std::function<void(const CampaignCellResult&)>& progress) {
-    // Characterize every profile up front, serially: the sharded cells
-    // below only ever read the cache, so no lock is needed.
-    prepare_maps();
-
-    const std::vector<CellSpec> specs = cells();
-    CampaignReport report;
-    report.seed = config_.seed;
-    report.n_attacks = config_.attacks.size();
-    report.n_defenses = config_.defenses.size();
-    report.n_profiles = config_.profiles.size();
-    report.cells.reserve(specs.size());
-
-    if (config_.workers <= 1) {
-        // The single-thread reference execution: cells inline, in order.
-        for (const CellSpec& spec : specs) {
-            report.cells.push_back(run_cell(spec));
-            if (progress) progress(report.cells.back());
-        }
-        return report;
-    }
-
-    ThreadPool pool(config_.workers);
-    std::vector<std::future<CampaignCellResult>> futures;
-    futures.reserve(specs.size());
-    for (const CellSpec& spec : specs)
-        futures.push_back(pool.submit([this, spec] { return run_cell(spec); }));
-    for (auto& future : futures) {
-        report.cells.push_back(future.get());  // rethrows worker exceptions
-        if (progress) progress(report.cells.back());
-    }
-    return report;
+    return run_cube(nullptr, progress);
 }
 
 CampaignReport CampaignEngine::run(
     CampaignJournal& journal,
     const std::function<void(const CampaignCellResult&)>& progress) {
-    const std::vector<CellSpec> specs = cells();
-    const CampaignJournalHeader& header = journal.header();
-    if (header.config_hash != config_hash())
-        throw JournalError("campaign journal belongs to a different configuration");
-    if (header.seed != config_.seed) throw JournalError("campaign journal seed mismatch");
-    if (header.cells != specs.size())
-        throw JournalError("campaign journal cube size mismatch");
+    return run_cube(&journal, progress);
+}
 
+CampaignReport CampaignEngine::run_cube(
+    CampaignJournal* journal,
+    const std::function<void(const CampaignCellResult&)>& progress) {
+    const std::vector<CellSpec> specs = cells();
     run_stats_ = {};
     FlatMap<std::uint64_t, CampaignCellResult> adopted;
-    {
-        std::vector<CampaignCellResult> done = journal.cells();
-        for (CampaignCellResult& cell : done) {
+    AttemptSink sink;
+    if (journal != nullptr) {
+        resilience::require_identity(journal->identity(),
+                                     {CampaignJournal::kFormat, config_hash()},
+                                     "campaign journal");
+        for (CampaignCellResult& cell : journal->cells()) {
             const std::uint64_t index = cell.spec.index;
-            if (index >= specs.size()) throw JournalError("journaled cell outside the cube");
+            if (index >= specs.size())
+                throw JournalError("journaled cell outside the cube");
             const CellSpec& expect = specs[index];
             if (cell.spec.attack != expect.attack || cell.spec.defense != expect.defense ||
                 cell.spec.profile_index != expect.profile_index ||
@@ -586,8 +559,13 @@ CampaignReport CampaignEngine::run(
                                    " does not match the cube enumeration");
             adopted[index] = std::move(cell);
         }
+        sink = [journal](const CellSpec& s, unsigned failed) {
+            journal->commit_attempt(s.index, failed);
+        };
     }
 
+    // Characterize every profile up front, serially: the sharded cells
+    // below only ever read the cache, so no lock is needed.
     prepare_maps();
     CampaignReport report;
     report.seed = config_.seed;
@@ -596,57 +574,51 @@ CampaignReport CampaignEngine::run(
     report.n_profiles = config_.profiles.size();
     report.cells.reserve(specs.size());
 
-    const AttemptSink sink = [&journal](const CellSpec& s, unsigned failed) {
-        journal.commit_attempt(s.index, failed);
-    };
     // Write-ahead ordering: a fresh cell becomes durable BEFORE progress
     // observes it, so a crash between the two re-runs nothing and a
     // consumer never sees a cell the journal could lose.
     const auto deliver = [&](CampaignCellResult&& cell, bool fresh) {
-        if (fresh) journal.commit_cell(cell);
+        if (fresh && journal != nullptr) journal->commit_cell(cell);
         report.cells.push_back(std::move(cell));
         if (progress) progress(report.cells.back());
     };
+    const auto adopt = [&](const CellSpec& spec) {
+        const auto it = adopted.find(spec.index);
+        if (it == adopted.end()) return false;
+        ++run_stats_.cells_adopted;
+        deliver(std::move(it->second), false);
+        return true;
+    };
+    // A fresh cell resumes past the attempts journaled as dead.
+    const auto start_attempt = [&](const CellSpec& spec) {
+        const unsigned start =
+            journal != nullptr ? journal->attempts_failed(spec.index) : 0;
+        run_stats_.attempts_fast_forwarded += start;
+        ++run_stats_.cells_executed;
+        return start;
+    };
 
     if (config_.workers <= 1) {
-        for (const CellSpec& spec : specs) {
-            const auto it = adopted.find(spec.index);
-            if (it != adopted.end()) {
-                ++run_stats_.cells_adopted;
-                deliver(std::move(it->second), false);
-                continue;
-            }
-            const unsigned start = journal.attempts_failed(spec.index);
-            run_stats_.attempts_fast_forwarded += start;
-            ++run_stats_.cells_executed;
-            deliver(run_cell(spec, start, sink), true);
-        }
+        // The single-thread reference execution: cells inline, in order.
+        for (const CellSpec& spec : specs)
+            if (!adopt(spec)) deliver(run_cell(spec, start_attempt(spec), sink), true);
         return report;
     }
 
-    // Sharded resume: only the missing cells enter the pool; collection
-    // stays in enumeration order, so commit order (and the journal's
-    // cell-frame order) is deterministic even though attempt frames from
-    // workers may interleave freely — replay keys every frame by index.
+    // Only the missing cells enter the pool; collection stays in
+    // enumeration order, so commit order (and the journal's cell-frame
+    // order) is deterministic even though attempt frames from workers
+    // may interleave freely — replay keys every frame by index.
     ThreadPool pool(config_.workers);
     std::vector<std::future<CampaignCellResult>> futures(specs.size());
     for (const CellSpec& spec : specs) {
         if (adopted.contains(spec.index)) continue;
-        const unsigned start = journal.attempts_failed(spec.index);
-        run_stats_.attempts_fast_forwarded += start;
-        ++run_stats_.cells_executed;
+        const unsigned start = start_attempt(spec);
         futures[spec.index] =
             pool.submit([this, spec, start, &sink] { return run_cell(spec, start, sink); });
     }
-    for (const CellSpec& spec : specs) {
-        const auto it = adopted.find(spec.index);
-        if (it != adopted.end()) {
-            ++run_stats_.cells_adopted;
-            deliver(std::move(it->second), false);
-        } else {
-            deliver(futures[spec.index].get(), true);  // rethrows worker exceptions
-        }
-    }
+    for (const CellSpec& spec : specs)  // get() rethrows worker exceptions
+        if (!adopt(spec)) deliver(futures[spec.index].get(), true);
     return report;
 }
 

@@ -181,7 +181,7 @@ struct CampaignCellResult {
 struct CampaignReport;  // report.hpp
 class CampaignJournal;  // journal.hpp
 
-/// Per-run resume accounting (what run(journal) adopted vs executed).
+/// Per-run resume accounting (what run() adopted vs executed).
 struct CampaignRunStats {
     std::uint64_t cells_executed = 0;
     std::uint64_t cells_adopted = 0;
@@ -223,14 +223,13 @@ public:
     /// Run the cube against a cell-granular WAL: journaled cells are
     /// adopted verbatim (bit-identical by per-cell purity), journaled
     /// dead-attempt counts fast-forward each cell's retry stream, and
-    /// every fresh cell is committed BEFORE `progress` sees it.  The
-    /// journal's header must match this engine (config_hash, seed, cube
-    /// size) or JournalError is thrown.
+    /// every fresh cell is committed BEFORE `progress` sees it.  Throws
+    /// ConfigError unless the journal's identity matches config_hash().
     [[nodiscard]] CampaignReport run(
         CampaignJournal& journal,
         const std::function<void(const CampaignCellResult&)>& progress = {});
 
-    /// Accounting for the most recent run(journal) call.
+    /// Accounting for the most recent run() call.
     [[nodiscard]] const CampaignRunStats& run_stats() const { return run_stats_; }
 
     /// Execute one cell bit-exactly (the --replay path).  Pure function
@@ -257,6 +256,12 @@ private:
     /// Ensure every profile map exists (serially, on the calling
     /// thread) so sharded cells only ever read the cache.
     void prepare_maps();
+
+    /// Both run() overloads: `journal` may be null (nothing adopted,
+    /// nothing committed).
+    [[nodiscard]] CampaignReport run_cube(
+        CampaignJournal* journal,
+        const std::function<void(const CampaignCellResult&)>& progress);
 
     CampaignConfig config_;
     std::vector<std::unique_ptr<plugvolt::SafeStateMap>> maps_;

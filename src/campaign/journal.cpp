@@ -4,12 +4,10 @@
 #include <utility>
 
 #include "trace/trace.hpp"
-#include "util/error.hpp"
 
 namespace pv::campaign {
 namespace {
 
-constexpr std::uint8_t kHeaderKind = 1;
 constexpr std::uint8_t kCellKind = 2;
 constexpr std::uint8_t kAttemptKind = 3;
 
@@ -20,30 +18,6 @@ using resilience::put_str;
 using resilience::put_u32;
 using resilience::put_u64;
 using resilience::put_u8;
-
-std::string encode_header_payload(const CampaignJournalHeader& header) {
-    std::string payload;
-    put_u32(payload, header.version);
-    put_u64(payload, header.config_hash);
-    put_u64(payload, header.seed);
-    put_u64(payload, header.cells);
-    return payload;
-}
-
-CampaignJournalHeader decode_header_payload(std::string_view payload) {
-    PayloadReader r(payload);
-    CampaignJournalHeader header;
-    header.version = r.u32();
-    header.config_hash = r.u64();
-    header.seed = r.u64();
-    header.cells = r.u64();
-    if (!r.ok() || !r.exhausted())
-        throw JournalError("malformed campaign journal header payload");
-    if (header.version != 1)
-        throw JournalError("unsupported campaign journal version " +
-                           std::to_string(header.version));
-    return header;
-}
 
 void encode_metrics(std::string& payload, const trace::MetricsSnapshot& metrics) {
     put_u32(payload, static_cast<std::uint32_t>(metrics.size()));
@@ -95,21 +69,6 @@ bool decode_attempt_payload(std::string_view payload, std::uint64_t& cell_index,
     cell_index = r.u64();
     attempts_failed = r.u32();
     return r.ok() && r.exhausted();
-}
-
-FrameLog::Kinds journal_kinds() {
-    return FrameLog::Kinds{kHeaderKind, {kCellKind, kAttemptKind}};
-}
-
-bool validate_frame(std::uint8_t kind, std::string_view payload) {
-    if (kind == kHeaderKind) return true;  // header decode errors throw in resume
-    if (kind == kAttemptKind) {
-        std::uint64_t index = 0;
-        std::uint32_t failed = 0;
-        return decode_attempt_payload(payload, index, failed);
-    }
-    CampaignCellResult cell;
-    return decode_cell_payload(payload, cell);
 }
 
 }  // namespace
@@ -203,32 +162,35 @@ bool decode_cell_payload(std::string_view payload, CampaignCellResult& cell) {
     return r.ok() && r.exhausted();
 }
 
-CampaignJournal::CampaignJournal(std::string path, CampaignJournalHeader header,
-                                 resilience::JournalOptions options)
-    : log_(std::move(path), journal_kinds(), encode_header_payload(header), options),
-      header_(header) {}
+CampaignJournal::CampaignJournal(resilience::FrameLog&& log,
+                                 std::vector<CampaignCellResult>&& cells,
+                                 FlatMap<std::uint64_t, std::uint32_t>&& attempts)
+    : log_(std::move(log)), cells_(std::move(cells)), attempts_(std::move(attempts)) {}
 
-CampaignJournal::CampaignJournal(resilience::FrameLog&& log) : log_(std::move(log)) {
-    header_ = decode_header_payload(log_.header_payload());
-    for (const FrameLog::Frame& f : log_.frames()) {
-        if (f.kind == kCellKind) {
+CampaignJournal CampaignJournal::open(const std::string& path, std::uint64_t config_hash,
+                                      resilience::JournalOptions options) {
+    // Each frame decodes once, here; a frame whose CRC collided with
+    // garbage fails its decode and starts the torn tail.
+    std::vector<CampaignCellResult> cells;
+    FlatMap<std::uint64_t, std::uint32_t> attempts;
+    const auto adopt = [&](std::uint8_t kind, std::string_view payload) {
+        if (kind == kCellKind) {
             CampaignCellResult cell;
-            (void)decode_cell_payload(f.payload, cell);  // validated during replay
-            cells_.push_back(std::move(cell));
-        } else {
-            std::uint64_t index = 0;
-            std::uint32_t failed = 0;
-            decode_attempt_payload(f.payload, index, failed);
-            std::uint32_t& slot = attempts_[index];
-            slot = std::max(slot, failed);
+            if (!decode_cell_payload(payload, cell)) return false;
+            cells.push_back(std::move(cell));
+            return true;
         }
-    }
-}
-
-CampaignJournal CampaignJournal::resume(const std::string& path,
-                                        resilience::JournalOptions options) {
-    return CampaignJournal(
-        FrameLog::resume(path, journal_kinds(), options, validate_frame));
+        std::uint64_t index = 0;
+        std::uint32_t failed = 0;
+        if (!decode_attempt_payload(payload, index, failed)) return false;
+        std::uint32_t& slot = attempts[index];
+        slot = std::max(slot, failed);
+        return true;
+    };
+    FrameLog log = FrameLog::open(path, FrameLog::Kinds{{kCellKind, kAttemptKind}},
+                                  resilience::LogIdentity{kFormat, config_hash}, options,
+                                  adopt);
+    return CampaignJournal(std::move(log), std::move(cells), std::move(attempts));
 }
 
 void CampaignJournal::commit_cell(const CampaignCellResult& cell) {
@@ -247,6 +209,11 @@ void CampaignJournal::commit_attempt(std::uint64_t cell_index,
     slot = std::max(slot, attempts_failed);
 }
 
+resilience::LogIdentity CampaignJournal::identity() const {
+    MutexLock lock(mutex_);
+    return log_.identity();
+}
+
 std::vector<CampaignCellResult> CampaignJournal::cells() const {
     MutexLock lock(mutex_);
     return cells_;
@@ -256,36 +223,6 @@ std::uint32_t CampaignJournal::attempts_failed(std::uint64_t cell_index) const {
     MutexLock lock(mutex_);
     const auto it = attempts_.find(cell_index);
     return it == attempts_.end() ? 0 : it->second;
-}
-
-bool CampaignJournal::tail_dropped() const {
-    MutexLock lock(mutex_);
-    return log_.tail_dropped();
-}
-
-std::string CampaignJournal::path() const {
-    MutexLock lock(mutex_);
-    return log_.path();
-}
-
-std::uint64_t CampaignJournal::commits() const {
-    MutexLock lock(mutex_);
-    return log_.commits();
-}
-
-std::uint64_t CampaignJournal::bytes_written() const {
-    MutexLock lock(mutex_);
-    return log_.bytes_written();
-}
-
-std::uint64_t CampaignJournal::logical_bytes() const {
-    MutexLock lock(mutex_);
-    return log_.logical_bytes();
-}
-
-std::uint64_t CampaignJournal::io_retries() const {
-    MutexLock lock(mutex_);
-    return log_.io_retries();
 }
 
 }  // namespace pv::campaign

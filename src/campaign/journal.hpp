@@ -7,10 +7,13 @@
 // the WAL to CELL granularity on the shared CRC framing (FrameLog):
 //
 //   file    := header-frame (cell-frame | attempt-frame)*
-//   header  := version:u32  config_hash:u64  seed:u64  cells:u64  (kind 1)
+//   header  := LogIdentity{CampaignJournal::kFormat, config_hash}   (kind 1)
 //   cell    := the full CampaignCellResult, bit-exact (doubles as bit
 //              patterns, metrics snapshot included)              (kind 2)
 //   attempt := cell_index:u64  attempts_failed:u32               (kind 3)
+//
+// The config_hash (CampaignEngine::config_hash) already covers the seed
+// and every cube axis, so the header carries nothing else.
 //
 // A cell frame is committed when the cell completes (write-ahead:
 // BEFORE the engine reports it); a resumed run adopts journaled cells
@@ -45,21 +48,7 @@
 
 namespace pv::campaign {
 
-/// Identity of the campaign a journal belongs to.  `config_hash` is
-/// CampaignEngine::config_hash(); resume refuses a journal whose hash
-/// does not match (adopting cells run under a different cube, tuning or
-/// fault plan would silently corrupt the report).
-struct CampaignJournalHeader {
-    std::uint32_t version = 1;
-    std::uint64_t config_hash = 0;
-    std::uint64_t seed = 0;
-    std::uint64_t cells = 0;  ///< cube size, |attacks|·|defenses|·|profiles|
-
-    friend bool operator==(const CampaignJournalHeader&,
-                           const CampaignJournalHeader&) = default;
-};
-
-/// Cell-result codec, exposed for the round-trip property tests.  The
+/// Cell-result codec, exposed for the round-trip tests.  The
 /// payload carries every field campaign::fingerprint() mixes, doubles
 /// as bit patterns — decode(encode(cell)) has an equal fingerprint.
 [[nodiscard]] std::string encode_cell_payload(const CampaignCellResult& cell);
@@ -71,15 +60,17 @@ struct CampaignJournalHeader {
 /// from pool workers); the read accessors snapshot under the same lock.
 class CampaignJournal {
 public:
-    /// Start a fresh journal at `path` (truncating any previous file).
-    CampaignJournal(std::string path, CampaignJournalHeader header,
-                    resilience::JournalOptions options = {});
+    static constexpr std::uint32_t kFormat = 3;
 
-    /// Reopen an existing journal: replay its cells and attempt counts,
-    /// scrub any torn tail, and position for further commits.  Throws
-    /// JournalError when the file has no valid header.
-    [[nodiscard]] static CampaignJournal resume(const std::string& path,
-                                                resilience::JournalOptions options = {});
+    /// Open the journal at `path` for the campaign whose config_hash()
+    /// is `config_hash`: a fresh journal when the file is absent,
+    /// otherwise its cells and attempt counts (FrameLog::open — identity
+    /// checked before replay, torn tail scrubbed).  Throws ConfigError on
+    /// an identity mismatch, JournalError when the file has no valid
+    /// header.
+    [[nodiscard]] static CampaignJournal open(const std::string& path,
+                                              std::uint64_t config_hash,
+                                              resilience::JournalOptions options = {});
 
     /// Make one completed cell durable (write-ahead: the engine commits
     /// BEFORE reporting the cell).
@@ -90,26 +81,19 @@ public:
     /// journaled value wins on replay).
     void commit_attempt(std::uint64_t cell_index, std::uint32_t attempts_failed);
 
-    [[nodiscard]] const CampaignJournalHeader& header() const { return header_; }
+    [[nodiscard]] resilience::LogIdentity identity() const;
 
     /// Completed cells durable in this journal, in commit order.
     [[nodiscard]] std::vector<CampaignCellResult> cells() const;
     /// Journaled dead-attempt count for one cell (0 when none recorded).
     [[nodiscard]] std::uint32_t attempts_failed(std::uint64_t cell_index) const;
 
-    [[nodiscard]] bool tail_dropped() const;
-    [[nodiscard]] std::string path() const;
-    [[nodiscard]] std::uint64_t commits() const;
-    [[nodiscard]] std::uint64_t bytes_written() const;
-    [[nodiscard]] std::uint64_t logical_bytes() const;
-    [[nodiscard]] std::uint64_t io_retries() const;
-
 private:
-    explicit CampaignJournal(resilience::FrameLog&& log);  // resume body
+    CampaignJournal(resilience::FrameLog&& log, std::vector<CampaignCellResult>&& cells,
+                    FlatMap<std::uint64_t, std::uint32_t>&& attempts);
 
     mutable Mutex mutex_;
     resilience::FrameLog log_ PV_GUARDED_BY(mutex_);
-    CampaignJournalHeader header_;  // immutable after construction
     std::vector<CampaignCellResult> cells_ PV_GUARDED_BY(mutex_);
     FlatMap<std::uint64_t, std::uint32_t> attempts_ PV_GUARDED_BY(mutex_);
 };

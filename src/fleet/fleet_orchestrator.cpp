@@ -124,15 +124,6 @@ std::uint64_t FleetOrchestrator::config_hash() const {
     return h.digest();
 }
 
-resilience::JournalHeader FleetOrchestrator::journal_header() const {
-    resilience::JournalHeader header;
-    header.config_hash = config_hash();
-    header.seed = config_.sweep.seed;
-    header.sweep_floor_mv = config_.sweep.cell.sweep_floor.value();
-    header.system_name = lot_.base().name + " fleet";
-    return header;
-}
-
 plugvolt::SafeStateMap FleetOrchestrator::characterize_unit(std::uint64_t unit_id) const {
     plugvolt::ParallelCharacterizer sweeper(lot_.unit_profile(unit_id),
                                             unit_sweep_config(unit_id));
@@ -145,11 +136,6 @@ PopulationEnvelope FleetOrchestrator::characterize(const UnitProgress& progress)
 
 PopulationEnvelope FleetOrchestrator::characterize(resilience::SweepJournal& journal,
                                                    const UnitProgress& progress) {
-    return run_fleet(&journal, progress);
-}
-
-PopulationEnvelope FleetOrchestrator::resume(resilience::SweepJournal& journal,
-                                             const UnitProgress& progress) {
     return run_fleet(&journal, progress);
 }
 
@@ -167,9 +153,9 @@ PopulationEnvelope FleetOrchestrator::run_fleet(resilience::SweepJournal* journa
     std::vector<std::vector<resilience::RowRecord>> adopted(units);
     std::uint64_t journal_bytes_base = 0;
     if (journal != nullptr) {
-        if (journal->header().config_hash != config_hash())
-            throw ConfigError(
-                "journal config_hash does not match this fleet's configuration");
+        resilience::require_identity(
+            journal->identity(), {resilience::SweepJournal::kFormat, config_hash()},
+            "fleet journal");
         journal_bytes_base = journal->bytes_written();
         for (const resilience::RowRecord& rec : journal->rows()) {
             const std::uint64_t unit = rec.row_index / stride_;

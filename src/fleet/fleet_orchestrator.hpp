@@ -85,16 +85,12 @@ public:
     [[nodiscard]] PopulationEnvelope characterize(const UnitProgress& progress = {});
 
     /// Journaled fleet run; adopts journaled rows, commits fresh rows
-    /// write-ahead.  Throws ConfigError when the journal's config_hash
-    /// does not match, JournalError when a row does not belong to this
-    /// fleet.
+    /// write-ahead — on a journal recovered after a crash this IS the
+    /// resume path.  Throws ConfigError when the journal's identity does
+    /// not match config_hash(), JournalError when a row does not belong
+    /// to this fleet.
     [[nodiscard]] PopulationEnvelope characterize(resilience::SweepJournal& journal,
                                                   const UnitProgress& progress = {});
-
-    /// Semantic alias of the journaled characterize() for recovery call
-    /// sites.
-    [[nodiscard]] PopulationEnvelope resume(resilience::SweepJournal& journal,
-                                            const UnitProgress& progress = {});
 
     /// One unit characterized cold (no warm start, no fleet) — the
     /// reference the differential tests compare fleet maps against.
@@ -115,10 +111,8 @@ public:
     /// lot (base profile + jitter config), unit count, and the per-unit
     /// sweep protocol — NOT pool widths, warm_start, or the envelope
     /// statistics config (the journal stores raw rows, not envelopes).
+    /// A fleet journal is SweepJournal::open(path, config_hash()).
     [[nodiscard]] std::uint64_t config_hash() const;
-
-    /// Header for a fresh fleet journal.
-    [[nodiscard]] resilience::JournalHeader journal_header() const;
 
     /// Counters of the last characterize() call.
     [[nodiscard]] const FleetStats& stats() const { return stats_; }

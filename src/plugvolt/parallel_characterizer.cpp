@@ -24,6 +24,51 @@ namespace {
 /// keeps the fault stream independent of the machine's own RNG stream.
 constexpr std::uint64_t kFaultSeedTag = 0xFA'5EED;
 
+/// Frequency-order row delivery, shared by every execution strategy.
+struct RowDelivery {
+    SafeStateMap& map;
+    SweepStats& stats;
+    const std::function<void(const resilience::RowRecord&)>& commit;
+    const std::function<void(const FreqCharacterization&)>& progress;
+
+    /// A row adopted verbatim from the journal.
+    void adopted(const resilience::RowRecord& rec) const {
+        ++stats.rows_resumed;
+        add(FreqCharacterization{
+            .freq = Megahertz{rec.freq_mhz},
+            .onset = Millivolts{rec.onset_mv},
+            .crash = Millivolts{rec.crash_mv},
+            .fault_free = rec.fault_free,
+        });
+    }
+
+    /// A freshly computed row and its probe cost.  Committed BEFORE the
+    /// progress callback: if the process dies anywhere past this point
+    /// the row is already durable, which is what makes kill-at-any-point
+    /// + resume == uninterrupted.
+    void fresh(std::size_t i, const FreqCharacterization& row, std::uint64_t cells,
+               std::uint64_t crashes) const {
+        if (commit) {
+            commit(resilience::RowRecord{
+                .row_index = i,
+                .freq_mhz = row.freq.value(),
+                .onset_mv = row.onset.value(),
+                .crash_mv = row.crash.value(),
+                .fault_free = row.fault_free,
+                .cells = cells,
+                .crashes = crashes,
+            });
+            ++stats.journal_commits;
+        }
+        add(row);
+    }
+
+    void add(const FreqCharacterization& row) const {
+        map.add(row);
+        if (progress) progress(row);
+    }
+};
+
 }  // namespace
 
 const char* to_string(SweepMode mode) {
@@ -345,27 +390,12 @@ std::uint64_t ParallelCharacterizer::config_hash() const {
     return h.digest();
 }
 
-resilience::JournalHeader ParallelCharacterizer::journal_header() const {
-    resilience::JournalHeader header;
-    header.config_hash = config_hash();
-    header.seed = config_.seed;
-    header.sweep_floor_mv = config_.cell.sweep_floor.value();
-    header.system_name = profile_.name;
-    return header;
-}
-
 SafeStateMap ParallelCharacterizer::characterize(
     const std::function<void(const FreqCharacterization&)>& progress) {
     return run_sweep(nullptr, progress);
 }
 
 SafeStateMap ParallelCharacterizer::characterize(
-    resilience::SweepJournal& journal,
-    const std::function<void(const FreqCharacterization&)>& progress) {
-    return run_sweep(&journal, progress);
-}
-
-SafeStateMap ParallelCharacterizer::resume(
     resilience::SweepJournal& journal,
     const std::function<void(const FreqCharacterization&)>& progress) {
     return run_sweep(&journal, progress);
@@ -398,9 +428,9 @@ SafeStateMap ParallelCharacterizer::run_sweep(
     FlatMap<std::uint64_t, resilience::RowRecord> done;
     std::uint64_t journal_bytes_base = 0;
     if (journal != nullptr) {
-        if (journal->header().config_hash != config_hash())
-            throw ConfigError(
-                "journal config_hash does not match this sweep's configuration");
+        resilience::require_identity(
+            journal->identity(), {resilience::SweepJournal::kFormat, config_hash()},
+            "sweep journal");
         journal_bytes_base = journal->bytes_written();
         for (const resilience::RowRecord& rec : journal->rows()) {
             if (rec.row_index >= table.size() ||
@@ -469,19 +499,11 @@ SafeStateMap ParallelCharacterizer::run_rows(
     }
 
     SafeStateMap map(profile_.name, config_.cell.sweep_floor);
+    const RowDelivery deliver{map, stats_, commit, progress};
     for (std::size_t i = 0; i < table.size(); ++i) {
         ++stats_.rows;
         if (const auto it = done.find(i); it != done.end()) {
-            const resilience::RowRecord& rec = it->second;
-            const FreqCharacterization row{
-                .freq = Megahertz{rec.freq_mhz},
-                .onset = Millivolts{rec.onset_mv},
-                .crash = Millivolts{rec.crash_mv},
-                .fault_free = rec.fault_free,
-            };
-            ++stats_.rows_resumed;
-            map.add(row);
-            if (progress) progress(row);
+            deliver.adopted(it->second);
             continue;
         }
         RowOutcome outcome =
@@ -491,23 +513,7 @@ SafeStateMap ParallelCharacterizer::run_rows(
         stats_.cells_evaluated += outcome.cells;
         stats_.crash_probes += outcome.crashes;
         stats_.msr_retries += outcome.retries;
-        if (commit) {
-            // Commit BEFORE the progress callback: if the process dies
-            // anywhere past this point the row is already durable, which
-            // is what makes kill-at-any-point + resume == uninterrupted.
-            commit(resilience::RowRecord{
-                .row_index = i,
-                .freq_mhz = outcome.row.freq.value(),
-                .onset_mv = outcome.row.onset.value(),
-                .crash_mv = outcome.row.crash.value(),
-                .fault_free = outcome.row.fault_free,
-                .cells = outcome.cells,
-                .crashes = outcome.crashes,
-            });
-            ++stats_.journal_commits;
-        }
-        map.add(outcome.row);
-        if (progress) progress(outcome.row);
+        deliver.fresh(i, outcome.row, outcome.cells, outcome.crashes);
     }
     for (const auto& worker : workers) stats_.env_faults += worker->env_faults();
     return map;
@@ -608,19 +614,11 @@ SafeStateMap ParallelCharacterizer::run_adaptive(
     }
 
     SafeStateMap map(profile_.name, config_.cell.sweep_floor);
+    const RowDelivery deliver{map, stats_, commit, progress};
     for (std::size_t i = 0; i < table.size(); ++i) {
         ++stats_.rows;
         if (const auto it = done.find(i); it != done.end()) {
-            const resilience::RowRecord& rec = it->second;
-            const FreqCharacterization row{
-                .freq = Megahertz{rec.freq_mhz},
-                .onset = Millivolts{rec.onset_mv},
-                .crash = Millivolts{rec.crash_mv},
-                .fault_free = rec.fault_free,
-            };
-            ++stats_.rows_resumed;
-            map.add(row);
-            if (progress) progress(row);
+            deliver.adopted(it->second);
             continue;
         }
         const PlannedRow& planned = plan[i];
@@ -646,23 +644,9 @@ SafeStateMap ParallelCharacterizer::run_adaptive(
             row.onset = row.crash;  // faults and crash within one step
         }
         if (row_cells[i] == 0) ++stats_.rows_interpolated;
-        if (commit) {
-            // Same write-ahead contract as the other modes; cells == 0
-            // doubles as the interpolated-row marker a resumed plan reads
-            // back through ctx.adopted.
-            commit(resilience::RowRecord{
-                .row_index = i,
-                .freq_mhz = row.freq.value(),
-                .onset_mv = row.onset.value(),
-                .crash_mv = row.crash.value(),
-                .fault_free = row.fault_free,
-                .cells = row_cells[i],
-                .crashes = row_crashes[i],
-            });
-            ++stats_.journal_commits;
-        }
-        map.add(row);
-        if (progress) progress(row);
+        // cells == 0 doubles as the interpolated-row marker a resumed
+        // plan reads back through ctx.adopted.
+        deliver.fresh(i, row, row_cells[i], row_crashes[i]);
     }
     stats_.cells_evaluated = probe_log_.size();
     for (const ProbeLogEntry& entry : probe_log_)

@@ -216,14 +216,8 @@ public:
     /// so calling this on a journal recovered after a crash IS the
     /// resume path, and the result is cell-identical to an
     /// uninterrupted sweep.  Throws ConfigError when the journal's
-    /// config_hash does not match this sweep's configuration.
+    /// identity does not match this sweep's config_hash().
     [[nodiscard]] SafeStateMap characterize(
-        resilience::SweepJournal& journal,
-        const std::function<void(const FreqCharacterization&)>& progress = {});
-
-    /// Semantic alias of the journaled characterize() for the recovery
-    /// call site: resume a sweep from a journal recovered off disk.
-    [[nodiscard]] SafeStateMap resume(
         resilience::SweepJournal& journal,
         const std::function<void(const FreqCharacterization&)>& progress = {});
 
@@ -244,11 +238,8 @@ public:
     /// Fingerprint of everything that determines sweep RESULTS (profile,
     /// frequency table, cell protocol, seed, mode, refine window, fault
     /// plan — NOT worker count).  A journal is only resumable into a
-    /// sweep with the same hash.
+    /// sweep with the same hash: SweepJournal::open(path, config_hash()).
     [[nodiscard]] std::uint64_t config_hash() const;
-
-    /// Header for a fresh journal of this sweep.
-    [[nodiscard]] resilience::JournalHeader journal_header() const;
 
     /// Counters of the last characterize() call.
     [[nodiscard]] const SweepStats& stats() const { return stats_; }

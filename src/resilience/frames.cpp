@@ -16,6 +16,30 @@ namespace {
 
 constexpr char kMagic0 = 'P';
 constexpr char kMagic1 = 'V';
+constexpr std::uint8_t kHeaderKind = 1;
+
+std::string encode_identity(const LogIdentity& identity) {
+    std::string payload;
+    put_u32(payload, identity.format);
+    put_u64(payload, identity.config_hash);
+    return payload;
+}
+
+/// A payload that is not exactly an identity reads as format 0, which no
+/// log type uses, so it fails every identity check.
+LogIdentity decode_identity(std::string_view payload) {
+    PayloadReader r(payload);
+    LogIdentity identity;
+    identity.format = r.u32();
+    identity.config_hash = r.u64();
+    if (!r.ok() || !r.exhausted()) return {};
+    return identity;
+}
+
+std::string describe(const LogIdentity& identity) {
+    return "format " + std::to_string(identity.format) + ", config_hash " +
+           std::to_string(identity.config_hash);
+}
 
 }  // namespace
 
@@ -104,32 +128,55 @@ const char* to_string(CommitMode mode) {
     return "?";
 }
 
-FrameLog::FrameLog(std::string path, Kinds kinds, const std::string& header_payload,
-                   JournalOptions options)
-    : path_(std::move(path)),
-      kinds_(std::move(kinds)),
-      options_(options),
-      header_payload_(header_payload) {
+void require_identity(const LogIdentity& stored, const LogIdentity& expected,
+                      const std::string& log) {
+    if (stored == expected) return;
+    throw ConfigError(log + " belongs to a different " +
+                      (stored.format == expected.format ? "configuration" : "log format") +
+                      " (" + describe(stored) + "; expected " + describe(expected) + ")");
+}
+
+FrameLog::FrameLog(std::string path, Kinds kinds, JournalOptions options)
+    : path_(std::move(path)), kinds_(std::move(kinds)), options_(options) {
     options_.io_retry.validate();
+}
+
+FrameLog FrameLog::open(const std::string& path, Kinds kinds, const LogIdentity& identity,
+                        JournalOptions options, const FrameValidator& validate) {
+    FrameLog log(path, std::move(kinds), options);
+    if (file_exists(path))
+        log.replay(&identity, validate);
+    else
+        log.create(identity);
+    return log;
+}
+
+FrameLog FrameLog::resume(const std::string& path, Kinds kinds, JournalOptions options,
+                          const FrameValidator& validate) {
+    FrameLog log(path, std::move(kinds), options);
+    log.replay(nullptr, validate);
+    return log;
+}
+
+void FrameLog::create(const LogIdentity& identity) {
     // The initial image is written unconditionally (creating the log is
     // the caller's decision to start a run, not a mid-run commit),
     // atomically in both modes so a half-written header can never exist.
-    content_ = encode_frame(kinds_.header, header_payload_);
+    identity_ = identity;
+    content_ = encode_frame(kHeaderKind, encode_identity(identity_));
     atomic_write_file(path_, content_);
     bytes_written_ += content_.size();
 }
 
-FrameLog::FrameLog(std::string path, Kinds kinds, JournalOptions options,
-                   const FrameValidator& validate)
-    : path_(std::move(path)), kinds_(std::move(kinds)), options_(options) {
-    options_.io_retry.validate();
+void FrameLog::replay(const LogIdentity* expected, const FrameValidator& validate) {
     const std::string bytes = read_file(path_);
     const ScannedFrame head = scan_frame(bytes);
-    if (!head.valid || head.kind != kinds_.header)
+    if (!head.valid || head.kind != kHeaderKind)
         throw JournalError("no valid header frame in " + path_);
-    if (validate && !validate(head.kind, head.payload))
-        throw JournalError("malformed header frame in " + path_);
-    header_payload_ = std::string(head.payload);
+    identity_ = decode_identity(head.payload);
+    // Identity first: a log of another type or run must be refused before
+    // its records are decoded or its tail is scrubbed.
+    if (expected != nullptr) require_identity(identity_, *expected, path_);
     std::size_t pos = head.size;
     while (pos < bytes.size()) {
         const ScannedFrame f = scan_frame(std::string_view(bytes).substr(pos));
@@ -150,11 +197,6 @@ FrameLog::FrameLog(std::string path, Kinds kinds, JournalOptions options,
         atomic_write_file(path_, content_);
         bytes_written_ += content_.size();
     }
-}
-
-FrameLog FrameLog::resume(const std::string& path, Kinds kinds, JournalOptions options,
-                          const FrameValidator& validate) {
-    return FrameLog(path, std::move(kinds), options, validate);
 }
 
 void FrameLog::write_frame(const std::string& frame_bytes) {

@@ -10,11 +10,19 @@
 //   frame := magic:u16 ('P','V')  kind:u8  payload_len:u32  crc:u32  payload
 //
 // `FrameLog` is the generic append-only write-ahead log over that
-// framing: one header frame whose payload identifies the producer, then
-// any number of record frames.  Replay stops at the first frame that is
-// torn (bad magic/length/CRC), has an unexpected kind, or fails the
-// caller's payload validator — everything after is a crash artifact and
-// is scrubbed from the file so later appends cannot land after garbage.
+// framing: one header frame whose payload is the log's identity, then
+// any number of record frames.
+//
+//   header := format:u32  config_hash:u64                       (kind 1)
+//
+// `format` names the log type (sweep journal, campaign journal, job
+// WAL); `config_hash` is the producing run's configuration fingerprint.
+// Every log opens through FrameLog::open, which creates an absent file
+// and resumes an existing one — checking the stored identity BEFORE any
+// byte of the file moves.  Replay stops at the first frame that is torn
+// (bad magic/length/CRC), has an unexpected kind, or fails the caller's
+// payload validator — everything after is a crash artifact and is
+// scrubbed from the file so later appends cannot land after garbage.
 //
 // Two commit modes (the write-amplification trade bench_recovery
 // measures):
@@ -89,6 +97,26 @@ struct ScannedFrame {
 
 [[nodiscard]] ScannedFrame scan_frame(std::string_view bytes);
 
+/// Who wrote a log: the log type and the producing run's configuration.
+/// This is the whole header payload of every log.
+struct LogIdentity {
+    /// One constant per log type.  0 is no type: a header payload that
+    /// does not decode as an identity reads as format 0.  1 is no type
+    /// either — it was the version field of every pre-identity header,
+    /// so files in that format are refused as mismatches.
+    std::uint32_t format = 0;
+    std::uint64_t config_hash = 0;
+
+    friend bool operator==(const LogIdentity&, const LogIdentity&) = default;
+};
+
+/// The one identity guard, shared by FrameLog::open and every engine
+/// that is handed a journal.  Throws ConfigError naming `log` unless
+/// `stored == expected`: adopting records written under another format
+/// or configuration would silently corrupt the run.
+void require_identity(const LogIdentity& stored, const LogIdentity& expected,
+                      const std::string& log);
+
 enum class CommitMode { Append, AtomicRewrite };
 
 [[nodiscard]] const char* to_string(CommitMode mode);
@@ -117,28 +145,36 @@ public:
         friend bool operator==(const Frame&, const Frame&) = default;
     };
 
-    /// The frame-kind contract of one log format.  `accepted` lists the
+    /// The frame-kind contract of one log format (the header frame is
+    /// always kind 1).  `accepted` lists the
     /// record kinds replay trusts; a CRC-valid frame of any other kind
     /// is treated as a torn tail (a crash can tear exactly at a frame
     /// boundary and leave bytes that happen to scan).  Empty = any kind.
     struct Kinds {
-        std::uint8_t header = 1;
         std::vector<std::uint8_t> accepted{};
     };
 
-    /// Replay-time payload check: return false to treat the frame (and
-    /// everything after it) as a torn tail.
+    /// Replay-time record check, called once per record frame in file
+    /// order: decode the payload (typed logs keep the decoded record
+    /// here, so each frame is decoded once) or return false to treat the
+    /// frame and everything after it as a torn tail.
     using FrameValidator = std::function<bool(std::uint8_t kind, std::string_view payload)>;
 
-    /// Start a fresh log at `path` (truncating any previous file).  The
-    /// header image is written atomically in both modes so a
-    /// half-written header can never exist.
-    FrameLog(std::string path, Kinds kinds, const std::string& header_payload,
-             JournalOptions options = {});
+    /// Open the log at `path` for the run `identity` describes.  An absent
+    /// file is created holding only the header frame, written atomically
+    /// in both modes so a half-written header can never exist.  An
+    /// existing file is resumed: its stored identity is checked first —
+    /// a mismatch throws ConfigError and leaves the file byte-for-byte
+    /// unchanged — then its record frames replay through `validate` and
+    /// any torn tail is scrubbed.  Throws JournalError when an existing
+    /// file has no valid header frame.
+    [[nodiscard]] static FrameLog open(const std::string& path, Kinds kinds,
+                                       const LogIdentity& identity,
+                                       JournalOptions options = {},
+                                       const FrameValidator& validate = {});
 
-    /// Reopen an existing log: replay its frames, scrub any torn tail
-    /// from the file, and position for further appends.  Throws
-    /// JournalError when the file has no valid header frame.
+    /// Resume an existing log whatever its identity (for readers that
+    /// only inspect frames); otherwise as open().
     [[nodiscard]] static FrameLog resume(const std::string& path, Kinds kinds,
                                          JournalOptions options = {},
                                          const FrameValidator& validate = {});
@@ -148,25 +184,27 @@ public:
     /// io_retry budget, then throws JournalError.
     void append(std::uint8_t kind, const std::string& payload);
 
-    [[nodiscard]] const std::string& header_payload() const { return header_payload_; }
+    [[nodiscard]] const LogIdentity& identity() const { return identity_; }
     /// Record frames durable in this log (replayed + appended), in
     /// commit order; the header frame is not included.
     [[nodiscard]] const std::vector<Frame>& frames() const { return frames_; }
-    /// True when resume() dropped a torn tail.
+    /// True when opening dropped a torn tail.
     [[nodiscard]] bool tail_dropped() const { return tail_dropped_; }
-    [[nodiscard]] const std::string& path() const { return path_; }
-    [[nodiscard]] const JournalOptions& options() const { return options_; }
 
     /// I/O accounting: logical log size vs bytes actually written
-    /// (write amplification), commits and fault retries.
-    [[nodiscard]] std::uint64_t commits() const { return commits_; }
+    /// (write amplification) and fault retries.
     [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
     [[nodiscard]] std::uint64_t logical_bytes() const { return content_.size(); }
     [[nodiscard]] std::uint64_t io_retries() const { return io_retries_; }
 
 private:
-    FrameLog(std::string path, Kinds kinds, JournalOptions options,
-             const FrameValidator& validate);  // resume body
+    FrameLog(std::string path, Kinds kinds, JournalOptions options);
+
+    /// Write the header-only image of a fresh log.
+    void create(const LogIdentity& identity);
+    /// Load an existing log; `expected` (may be null) is checked before
+    /// any record is read or any byte rewritten.
+    void replay(const LogIdentity* expected, const FrameValidator& validate);
 
     /// Write `frame` durably per the commit mode, retrying injected
     /// faults; appends to content_ on success.
@@ -175,7 +213,7 @@ private:
     std::string path_;
     Kinds kinds_;
     JournalOptions options_;
-    std::string header_payload_;
+    LogIdentity identity_;
     std::vector<Frame> frames_;
     std::string content_;  // the valid byte image (logical log)
     bool tail_dropped_ = false;

@@ -3,23 +3,11 @@
 #include <utility>
 
 #include "trace/trace.hpp"
-#include "util/error.hpp"
 
 namespace pv::resilience {
 namespace {
 
-constexpr std::uint8_t kHeaderKind = 1;
 constexpr std::uint8_t kRowKind = 2;
-
-std::string encode_header_payload(const JournalHeader& header) {
-    std::string payload;
-    put_u32(payload, header.version);
-    put_u64(payload, header.config_hash);
-    put_u64(payload, header.seed);
-    put_f64(payload, header.sweep_floor_mv);
-    put_str(payload, header.system_name);
-    return payload;
-}
 
 std::string encode_row_payload(const RowRecord& record) {
     std::string payload;
@@ -31,23 +19,6 @@ std::string encode_row_payload(const RowRecord& record) {
     put_u64(payload, record.cells);
     put_u64(payload, record.crashes);
     return payload;
-}
-
-/// Decode a header payload; throws JournalError on a malformed or
-/// unsupported header (the journal cannot be used at all in that case).
-JournalHeader decode_header_payload(std::string_view payload) {
-    PayloadReader r(payload);
-    JournalHeader header;
-    header.version = r.u32();
-    header.config_hash = r.u64();
-    header.seed = r.u64();
-    header.sweep_floor_mv = r.f64();
-    header.system_name = r.str_lp();
-    if (!r.ok() || !r.exhausted()) throw JournalError("malformed journal header payload");
-    if (header.version != 1)
-        throw JournalError("unsupported journal version " +
-                           std::to_string(header.version));
-    return header;
 }
 
 bool decode_row_payload(std::string_view payload, RowRecord& rec) {
@@ -62,62 +33,25 @@ bool decode_row_payload(std::string_view payload, RowRecord& rec) {
     return r.ok() && r.exhausted();
 }
 
-FrameLog::Kinds journal_kinds() { return FrameLog::Kinds{kHeaderKind, {kRowKind}}; }
-
-/// Replay-time validator: row frames whose CRC collided with garbage
-/// must start the torn tail, exactly as decode_journal treats them.
-bool validate_frame(std::uint8_t kind, std::string_view payload) {
-    if (kind == kHeaderKind) return true;  // header decode errors throw below
-    RowRecord rec;
-    return decode_row_payload(payload, rec);
-}
-
 }  // namespace
 
-std::string encode_header_frame(const JournalHeader& header) {
-    return encode_frame(kHeaderKind, encode_header_payload(header));
-}
+SweepJournal::SweepJournal(FrameLog&& log, std::vector<RowRecord>&& rows)
+    : log_(std::move(log)), rows_(std::move(rows)) {}
 
-std::string encode_row_frame(const RowRecord& record) {
-    return encode_frame(kRowKind, encode_row_payload(record));
-}
-
-JournalReplay decode_journal(std::string_view bytes) {
-    JournalReplay replay;
-    const ScannedFrame head = scan_frame(bytes);
-    if (!head.valid || head.kind != kHeaderKind)
-        throw JournalError("no valid journal header frame");
-    replay.header = decode_header_payload(head.payload);
-    std::size_t pos = head.size;
-    while (pos < bytes.size()) {
-        const ScannedFrame f = scan_frame(bytes.substr(pos));
-        if (!f.valid || f.kind != kRowKind) break;  // torn tail from here on
-        RowRecord rec;
-        if (!decode_row_payload(f.payload, rec)) break;  // CRC collided with garbage
-        replay.rows.push_back(rec);
-        pos += f.size;
-    }
-    replay.valid_bytes = pos;
-    replay.tail_dropped = pos < bytes.size();
-    return replay;
-}
-
-SweepJournal::SweepJournal(std::string path, JournalHeader header, JournalOptions options)
-    : log_(std::move(path), journal_kinds(), encode_header_payload(header), options),
-      header_(std::move(header)) {}
-
-SweepJournal::SweepJournal(FrameLog&& log) : log_(std::move(log)) {
-    header_ = decode_header_payload(log_.header_payload());
-    rows_.reserve(log_.frames().size());
-    for (const FrameLog::Frame& f : log_.frames()) {
-        RowRecord rec;
-        decode_row_payload(f.payload, rec);  // validated during replay
-        rows_.push_back(rec);
-    }
-}
-
-SweepJournal SweepJournal::resume(const std::string& path, JournalOptions options) {
-    return SweepJournal(FrameLog::resume(path, journal_kinds(), options, validate_frame));
+SweepJournal SweepJournal::open(const std::string& path, std::uint64_t config_hash,
+                                JournalOptions options) {
+    // A row frame whose CRC collided with garbage fails its decode and
+    // starts the torn tail.
+    std::vector<RowRecord> rows;
+    FrameLog log = FrameLog::open(path, FrameLog::Kinds{{kRowKind}},
+                                  LogIdentity{kFormat, config_hash}, options,
+                                  [&rows](std::uint8_t, std::string_view payload) {
+                                      RowRecord rec;
+                                      if (!decode_row_payload(payload, rec)) return false;
+                                      rows.push_back(rec);
+                                      return true;
+                                  });
+    return SweepJournal(std::move(log), std::move(rows));
 }
 
 void SweepJournal::commit(const RowRecord& record) {

@@ -9,22 +9,24 @@
 // per-cell seeding scheme guarantees the final map is bit-identical to
 // an uninterrupted run's.
 //
-// On-disk format (version 1), built on the generic CRC framing in
-// frames.hpp (frame := magic:u16 kind:u8 payload_len:u32 crc:u32
-// payload, torn tails dropped and scrubbed on resume):
+// On-disk format, built on the generic CRC framing in frames.hpp
+// (frame := magic:u16 kind:u8 payload_len:u32 crc:u32 payload, torn
+// tails dropped and scrubbed on resume):
 //
 //   file   := header-frame row-frame*
-//   header := version:u32  config_hash:u64  seed:u64  sweep_floor:f64(bits)
-//             name_len:u32  name bytes                       (kind = 1)
+//   header := LogIdentity{SweepJournal::kFormat, config_hash}   (kind = 1)
 //   row    := row_index:u64  freq_mhz:f64  onset_mv:f64  crash_mv:f64
 //             fault_free:u8  cells:u64  crashes:u64           (kind = 2)
+//
+// The config_hash (ParallelCharacterizer::config_hash, or the fleet's)
+// already covers the seed, sweep floor and profile, so the header
+// carries nothing else.
 //
 // Commit modes and fault-injected retry live in FrameLog (frames.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "resilience/fault_injection.hpp"
@@ -32,20 +34,6 @@
 #include "resilience/retry.hpp"
 
 namespace pv::resilience {
-
-/// Identity of the sweep a journal belongs to.  `config_hash` is the
-/// producer's configuration fingerprint; resume refuses a journal whose
-/// hash does not match (adopting rows probed under a different protocol
-/// would silently corrupt the map).
-struct JournalHeader {
-    std::uint32_t version = 1;
-    std::uint64_t config_hash = 0;
-    std::uint64_t seed = 0;
-    double sweep_floor_mv = 0.0;
-    std::string system_name;
-
-    friend bool operator==(const JournalHeader&, const JournalHeader&) = default;
-};
 
 /// One journaled frequency row: the characterization result plus the
 /// probe-cost counters (so resumed sweeps report honest statistics).
@@ -61,62 +49,41 @@ struct RowRecord {
     friend bool operator==(const RowRecord&, const RowRecord&) = default;
 };
 
-/// Frame encoders, exposed for the property tests (round-trip and
-/// torn-tail recovery are tested at this layer).
-[[nodiscard]] std::string encode_header_frame(const JournalHeader& header);
-[[nodiscard]] std::string encode_row_frame(const RowRecord& record);
-
-/// Result of replaying a journal byte image.
-struct JournalReplay {
-    JournalHeader header;
-    std::vector<RowRecord> rows;
-    /// True when trailing bytes after the last valid frame were dropped.
-    bool tail_dropped = false;
-    /// Size of the valid prefix (header + intact frames).
-    std::size_t valid_bytes = 0;
-};
-
-/// Decode a journal byte image, dropping any torn tail.  Throws
-/// JournalError when the image does not start with a valid header frame.
-[[nodiscard]] JournalReplay decode_journal(std::string_view bytes);
-
 /// The write-ahead journal.  One instance owns one file.
 class SweepJournal {
 public:
-    /// Start a fresh journal at `path` (truncating any previous file).
-    SweepJournal(std::string path, JournalHeader header, JournalOptions options = {});
+    static constexpr std::uint32_t kFormat = 2;
 
-    /// Reopen an existing journal: replay its rows, scrub any torn tail
-    /// from the file, and position for further commits.  Throws
-    /// JournalError when the file has no valid header.
-    [[nodiscard]] static SweepJournal resume(const std::string& path,
-                                             JournalOptions options = {});
+    /// Open the journal at `path` for the sweep whose config_hash() is
+    /// `config_hash`: a fresh journal when the file is absent, otherwise
+    /// the rows already durable in it (FrameLog::open — identity checked
+    /// before replay, torn tail scrubbed).  Throws ConfigError on an
+    /// identity mismatch, JournalError when the file has no valid header.
+    [[nodiscard]] static SweepJournal open(const std::string& path,
+                                           std::uint64_t config_hash,
+                                           JournalOptions options = {});
 
     /// Make one completed row durable (write-ahead: callers commit
     /// BEFORE acting on the row).  Retries injected file faults up to
     /// the io_retry budget, then throws JournalError.
     void commit(const RowRecord& record);
 
-    [[nodiscard]] const JournalHeader& header() const { return header_; }
+    [[nodiscard]] const LogIdentity& identity() const { return log_.identity(); }
     /// Rows durable in this journal (replayed + committed), in commit order.
     [[nodiscard]] const std::vector<RowRecord>& rows() const { return rows_; }
-    /// True when resume() dropped a torn tail.
+    /// True when open() dropped a torn tail.
     [[nodiscard]] bool tail_dropped() const { return log_.tail_dropped(); }
-    [[nodiscard]] const std::string& path() const { return log_.path(); }
-    [[nodiscard]] const JournalOptions& options() const { return log_.options(); }
 
     /// I/O accounting for bench_recovery: logical journal size vs bytes
-    /// actually written (write amplification), commits and fault retries.
-    [[nodiscard]] std::uint64_t commits() const { return log_.commits(); }
+    /// actually written (write amplification) and fault retries.
     [[nodiscard]] std::uint64_t bytes_written() const { return log_.bytes_written(); }
     [[nodiscard]] std::uint64_t logical_bytes() const { return log_.logical_bytes(); }
     [[nodiscard]] std::uint64_t io_retries() const { return log_.io_retries(); }
 
 private:
-    explicit SweepJournal(FrameLog&& log);  // resume body
+    SweepJournal(FrameLog&& log, std::vector<RowRecord>&& rows);
 
     FrameLog log_;
-    JournalHeader header_;
     std::vector<RowRecord> rows_;
 };
 

@@ -17,7 +17,6 @@
 #include "serve/guard_band.hpp"
 #include "sim/cpu_profile.hpp"
 #include "util/error.hpp"
-#include "util/fsio.hpp"
 #include "util/rng.hpp"
 
 namespace pv::serve {
@@ -68,14 +67,7 @@ std::uint64_t daemon_config_hash(const DaemonConfig& config) {
 
 JobWal open_wal(const DaemonConfig& config, std::uint64_t config_hash) {
     std::filesystem::create_directories(config.state_dir);
-    const std::string path = config.state_dir + "/daemon.wal";
-    if (!file_exists(path))
-        return JobWal(path, JobWalHeader{1, config_hash}, config.journal);
-    JobWal wal = JobWal::resume(path, config.journal);
-    if (wal.header().config_hash != config_hash)
-        throw ConfigError("daemon state at " + config.state_dir +
-                          " belongs to a different configuration");
-    return wal;
+    return JobWal::open(config.state_dir + "/daemon.wal", config_hash, config.journal);
 }
 
 sim::CpuProfile profile_for(const JobSpec& spec) {
@@ -330,7 +322,6 @@ CampaignDaemon::ExecOutcome CampaignDaemon::execute_characterize(const JobRecord
         cfg.planner = infer::adaptive_planner();
 
     plugvolt::ParallelCharacterizer characterizer(profile_for(spec), cfg);
-    const std::string path = job_journal_path(job.id, ".pvj");
     std::uint64_t units = 0;
     const auto progress = [&](const plugvolt::FreqCharacterization&) {
         unit_delivered(job.id, ++units, spec.deadline_units);
@@ -355,15 +346,9 @@ CampaignDaemon::ExecOutcome CampaignDaemon::execute_characterize(const JobRecord
         out.commit_map =
             CommittedMap{job.id, out.fingerprint, std::move(served.map)};
     };
-    if (file_exists(path)) {
-        resilience::SweepJournal journal =
-            resilience::SweepJournal::resume(path, config_.journal);
-        finish(characterizer.resume(journal, progress));
-    } else {
-        resilience::SweepJournal journal(path, characterizer.journal_header(),
-                                         config_.journal);
-        finish(characterizer.characterize(journal, progress));
-    }
+    resilience::SweepJournal journal = resilience::SweepJournal::open(
+        job_journal_path(job.id, ".pvj"), characterizer.config_hash(), config_.journal);
+    finish(characterizer.characterize(journal, progress));
     return out;
 }
 
@@ -392,7 +377,6 @@ CampaignDaemon::ExecOutcome CampaignDaemon::execute_campaign(const JobRecord& jo
     cfg.fault_plan = config_.fault_plan;
 
     campaign::CampaignEngine engine(cfg);
-    const std::string path = job_journal_path(job.id, ".pvcj");
     std::uint64_t units = 0;
     const auto progress = [&](const campaign::CampaignCellResult&) {
         unit_delivered(job.id, ++units, spec.deadline_units);
@@ -410,18 +394,9 @@ CampaignDaemon::ExecOutcome CampaignDaemon::execute_campaign(const JobRecord& jo
         out.metrics.set_counter("campaign.attempts_fast_forwarded",
                                 stats.attempts_fast_forwarded);
     };
-    if (file_exists(path)) {
-        campaign::CampaignJournal journal =
-            campaign::CampaignJournal::resume(path, config_.journal);
-        finish(engine.run(journal, progress));
-    } else {
-        campaign::CampaignJournal journal(
-            path,
-            campaign::CampaignJournalHeader{1, engine.config_hash(), cfg.seed,
-                                            engine.cells().size()},
-            config_.journal);
-        finish(engine.run(journal, progress));
-    }
+    campaign::CampaignJournal journal = campaign::CampaignJournal::open(
+        job_journal_path(job.id, ".pvcj"), engine.config_hash(), config_.journal);
+    finish(engine.run(journal, progress));
     return out;
 }
 
@@ -441,7 +416,6 @@ CampaignDaemon::ExecOutcome CampaignDaemon::execute_fleet(const JobRecord& job) 
     cfg.workers = config_.workers;
 
     fleet::FleetOrchestrator orchestrator(lot, cfg);
-    const std::string path = job_journal_path(job.id, ".pvj");
     std::uint64_t units = 0;
     const auto progress = [&](std::uint64_t, const plugvolt::SafeStateMap&) {
         unit_delivered(job.id, ++units, spec.deadline_units);
@@ -460,15 +434,9 @@ CampaignDaemon::ExecOutcome CampaignDaemon::execute_fleet(const JobRecord& job) 
         out.metrics.set_counter("fleet.env_faults", stats.env_faults);
         out.commit_envelope = CommittedEnvelope{job.id, std::move(envelope)};
     };
-    if (file_exists(path)) {
-        resilience::SweepJournal journal =
-            resilience::SweepJournal::resume(path, config_.journal);
-        finish(orchestrator.resume(journal, progress));
-    } else {
-        resilience::SweepJournal journal(path, orchestrator.journal_header(),
-                                         config_.journal);
-        finish(orchestrator.characterize(journal, progress));
-    }
+    resilience::SweepJournal journal = resilience::SweepJournal::open(
+        job_journal_path(job.id, ".pvj"), orchestrator.config_hash(), config_.journal);
+    finish(orchestrator.characterize(journal, progress));
     return out;
 }
 

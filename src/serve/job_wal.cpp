@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/error.hpp"
-
 namespace pv::serve {
 namespace {
 
-constexpr std::uint8_t kHeaderKind = 1;
 constexpr std::uint8_t kSubmittedKind = 2;
 constexpr std::uint8_t kStartedKind = 3;
 constexpr std::uint8_t kAttemptFailedKind = 4;
@@ -22,26 +19,6 @@ using resilience::put_str;
 using resilience::put_u32;
 using resilience::put_u64;
 using resilience::put_u8;
-
-std::string encode_header_payload(const JobWalHeader& header) {
-    std::string payload;
-    put_u32(payload, header.version);
-    put_u64(payload, header.config_hash);
-    return payload;
-}
-
-JobWalHeader decode_header_payload(std::string_view payload) {
-    PayloadReader r(payload);
-    JobWalHeader header;
-    header.version = r.u32();
-    header.config_hash = r.u64();
-    if (!r.ok() || !r.exhausted())
-        throw JournalError("malformed job WAL header payload");
-    if (header.version != 1)
-        throw JournalError("unsupported job WAL version " +
-                           std::to_string(header.version));
-    return header;
-}
 
 std::string encode_id_payload(std::uint64_t id) {
     std::string payload;
@@ -92,28 +69,6 @@ bool decode_finished_payload(std::string_view payload, JobRecord& record) {
     return r.ok() && r.exhausted();
 }
 
-FrameLog::Kinds wal_kinds() {
-    return FrameLog::Kinds{kHeaderKind,
-                           {kSubmittedKind, kStartedKind, kAttemptFailedKind,
-                            kFinishedKind, kRejectedKind}};
-}
-
-bool validate_frame(std::uint8_t kind, std::string_view payload) {
-    std::uint64_t id = 0;
-    std::uint32_t attempts = 0;
-    JobSpec spec;
-    JobRecord record;
-    switch (kind) {
-        case kHeaderKind: return true;  // header decode errors throw in resume
-        case kSubmittedKind: return decode_spec_payload(payload, id, spec);
-        case kStartedKind:
-        case kRejectedKind: return decode_id_payload(payload, id);
-        case kAttemptFailedKind: return decode_attempt_payload(payload, id, attempts);
-        case kFinishedKind: return decode_finished_payload(payload, record);
-        default: return false;
-    }
-}
-
 }  // namespace
 
 std::string encode_spec_payload(std::uint64_t id, const JobSpec& spec) {
@@ -149,61 +104,65 @@ bool decode_spec_payload(std::string_view payload, std::uint64_t& id, JobSpec& s
     return r.ok() && r.exhausted();
 }
 
-JobWal::JobWal(std::string path, JobWalHeader header,
-               resilience::JournalOptions options)
-    : log_(std::move(path), wal_kinds(), encode_header_payload(header), options),
-      header_(header) {}
+JobWal::JobWal(resilience::FrameLog&& log, std::vector<JobRecord>&& records,
+               std::uint64_t next_id)
+    : log_(std::move(log)), records_(std::move(records)), next_id_(next_id) {}
 
-JobWal::JobWal(resilience::FrameLog&& log) : log_(std::move(log)) {
-    header_ = decode_header_payload(log_.header_payload());
+JobWal JobWal::open(const std::string& path, std::uint64_t config_hash,
+                    resilience::JournalOptions options) {
     // Replay keyed by id; the sorted FlatMap yields id-ordered records.
+    // Each frame decodes once, here; a frame whose CRC collided with
+    // garbage fails its decode and starts the torn tail.
     FlatMap<std::uint64_t, JobRecord> replay;
-    for (const FrameLog::Frame& f : log_.frames()) {
+    std::uint64_t next_id = 1;
+    const auto adopt = [&](std::uint8_t kind, std::string_view payload) {
         std::uint64_t id = 0;
-        std::uint32_t attempts = 0;
-        switch (f.kind) {
+        switch (kind) {
             case kSubmittedKind: {
                 JobSpec spec;
-                (void)decode_spec_payload(f.payload, id, spec);  // validated in replay
+                if (!decode_spec_payload(payload, id, spec)) return false;
                 JobRecord& record = replay[id];
                 record.id = id;
                 record.spec = spec;
                 record.state = JobState::Queued;
-                next_id_ = std::max(next_id_, id + 1);
-                break;
+                next_id = std::max(next_id, id + 1);
+                return true;
             }
-            case kRejectedKind: {
-                (void)decode_id_payload(f.payload, id);
+            case kRejectedKind:
+                if (!decode_id_payload(payload, id)) return false;
                 replay[id].state = JobState::Rejected;
-                break;
-            }
+                return true;
             case kStartedKind:
                 // An execution began; without a finished frame the job
                 // replays as Queued and is re-run on resume.
-                break;
+                return decode_id_payload(payload, id);
             case kAttemptFailedKind: {
-                (void)decode_attempt_payload(f.payload, id, attempts);
+                std::uint32_t attempts = 0;
+                if (!decode_attempt_payload(payload, id, attempts)) return false;
                 JobRecord& record = replay[id];
                 record.attempts = std::max(record.attempts, attempts);
-                break;
+                return true;
             }
             case kFinishedKind: {
                 JobRecord record;
-                (void)decode_finished_payload(f.payload, record);
-                JobSpec spec = replay[record.id].spec;
-                replay[record.id] = record;
-                replay[record.id].spec = spec;
-                break;
+                if (!decode_finished_payload(payload, record)) return false;
+                record.spec = replay[record.id].spec;
+                replay[record.id] = std::move(record);
+                return true;
             }
-            default: break;
+            default: return false;
         }
-    }
-    records_.reserve(replay.size());
-    for (auto& [id, record] : replay) records_.push_back(std::move(record));
-}
-
-JobWal JobWal::resume(const std::string& path, resilience::JournalOptions options) {
-    return JobWal(FrameLog::resume(path, wal_kinds(), options, validate_frame));
+    };
+    FrameLog log = FrameLog::open(path,
+                                  FrameLog::Kinds{{kSubmittedKind, kStartedKind,
+                                                   kAttemptFailedKind, kFinishedKind,
+                                                   kRejectedKind}},
+                                  resilience::LogIdentity{kFormat, config_hash}, options,
+                                  adopt);
+    std::vector<JobRecord> records;
+    records.reserve(replay.size());
+    for (auto& [id, record] : replay) records.push_back(std::move(record));
+    return JobWal(std::move(log), std::move(records), next_id);
 }
 
 void JobWal::submitted(std::uint64_t id, const JobSpec& spec) {

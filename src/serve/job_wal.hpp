@@ -1,14 +1,15 @@
 // PlugVolt — the daemon's job-queue write-ahead log.
 //
 // Same CRC-framed format as every journal in src/resilience (FrameLog):
-// a header frame pins the daemon's config hash, then one frame per queue
-// transition, appended BEFORE the in-memory state changes.  kill -9 at
-// any byte boundary leaves at worst a torn tail, which resume() drops
+// a header frame holds the log identity (JobWal::kFormat and the
+// daemon's config hash), then one frame per queue transition, appended
+// BEFORE the in-memory state changes.  kill -9 at
+// any byte boundary leaves at worst a torn tail, which open() drops
 // and scrubs; everything before it replays into the exact queue the
 // killed daemon had made durable.
 //
 // Frame kinds:
-//   1 header         version, daemon config hash
+//   1 header         LogIdentity (format, daemon config hash)
 //   2 submitted      id + the full JobSpec
 //   3 started        id              (an execution began)
 //   4 attempt_failed id, attempts    (cumulative failed executions)
@@ -34,11 +35,6 @@
 
 namespace pv::serve {
 
-struct JobWalHeader {
-    std::uint32_t version = 1;
-    std::uint64_t config_hash = 0;
-};
-
 /// Submit-frame payload codec, exposed for the WAL tests.
 [[nodiscard]] std::string encode_spec_payload(std::uint64_t id, const JobSpec& spec);
 [[nodiscard]] bool decode_spec_payload(std::string_view payload, std::uint64_t& id,
@@ -49,15 +45,15 @@ struct JobWalHeader {
 /// journals (see resilience/frames.hpp).
 class JobWal {
 public:
-    /// Start a fresh WAL at `path` (created atomically with the header
-    /// frame; an existing file is replaced).
-    JobWal(std::string path, JobWalHeader header,
-           resilience::JournalOptions options = {});
+    static constexpr std::uint32_t kFormat = 4;
 
-    /// Recover a WAL off disk: CRC-validate every frame, drop and scrub
-    /// a torn tail, replay the queue.
-    [[nodiscard]] static JobWal resume(const std::string& path,
-                                       resilience::JournalOptions options = {});
+    /// Open the WAL at `path` for the daemon whose config hash is
+    /// `config_hash`: a fresh WAL when the file is absent, otherwise the
+    /// replayed queue (FrameLog::open — identity checked before replay,
+    /// torn tail dropped and scrubbed).  Throws ConfigError on an
+    /// identity mismatch.
+    [[nodiscard]] static JobWal open(const std::string& path, std::uint64_t config_hash,
+                                     resilience::JournalOptions options = {});
 
     void submitted(std::uint64_t id, const JobSpec& spec);
     void rejected(std::uint64_t id);
@@ -65,26 +61,23 @@ public:
     void attempt_failed(std::uint64_t id, std::uint32_t attempts);
     void finished(const JobRecord& record);
 
-    [[nodiscard]] const JobWalHeader& header() const { return header_; }
+    [[nodiscard]] const resilience::LogIdentity& identity() const { return log_.identity(); }
 
-    /// The replayed queue, in job-id order.  Only meaningful on a WAL
-    /// opened via resume(); terminal jobs carry their journaled
-    /// fingerprint, unfinished ones replay as Queued.
+    /// The queue replayed when the WAL was opened, in job-id order
+    /// (appends after that do not update it); terminal jobs carry their
+    /// journaled fingerprint, unfinished ones replay as Queued.
     [[nodiscard]] const std::vector<JobRecord>& records() const { return records_; }
 
     /// One past the highest journaled job id (1 on an empty WAL).
     [[nodiscard]] std::uint64_t next_id() const { return next_id_; }
 
     [[nodiscard]] bool tail_dropped() const { return log_.tail_dropped(); }
-    [[nodiscard]] const std::string& path() const { return log_.path(); }
-    [[nodiscard]] std::uint64_t commits() const { return log_.commits(); }
-    [[nodiscard]] std::uint64_t bytes_written() const { return log_.bytes_written(); }
 
 private:
-    explicit JobWal(resilience::FrameLog&& log);
+    JobWal(resilience::FrameLog&& log, std::vector<JobRecord>&& records,
+           std::uint64_t next_id);
 
     resilience::FrameLog log_;
-    JobWalHeader header_;
     std::vector<JobRecord> records_;
     std::uint64_t next_id_ = 1;
 };

@@ -1,18 +1,23 @@
 // Campaign engine unit tests: cube enumeration, bit-exact replay,
-// defense wiring, retry accounting, report serialization.  The full
+// defense wiring, retry accounting, report serialization, and the
+// cell-granular campaign journal.  The full
 // sharded-vs-serial differential lives in test_determinism.cpp (the
 // concurrency suite); these stay small and fast.
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.hpp"
+#include "campaign/journal.hpp"
 #include "campaign/report.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "sim/cpu_profile.hpp"
 #include "util/error.hpp"
+#include "util/fsio.hpp"
 
 namespace pv {
 namespace {
@@ -178,6 +183,120 @@ TEST(Campaign, AttemptSeedsAreDerivedNotShared) {
         for (std::size_t j = i + 1; j < specs.size(); ++j)
             EXPECT_NE(specs[i].seed, specs[j].seed);
     EXPECT_NE(mix_seed(specs[0].seed, 0), mix_seed(specs[0].seed, 1));
+}
+
+// ----------------------------------------------------- campaign journal
+
+/// The small cube's cells, run once for every journal test.
+const std::vector<campaign::CampaignCellResult>& small_cube_cells() {
+    static const std::vector<campaign::CampaignCellResult> cells = [] {
+        campaign::CampaignEngine engine(small_config());
+        return engine.run().cells;
+    }();
+    return cells;
+}
+
+std::string fresh_journal_path(const std::string& name) {
+    const std::string path = ::testing::TempDir() + "pv_campaign_" + name + ".pvcj";
+    std::remove(path.c_str());
+    return path;
+}
+
+TEST(CampaignJournal, EveryCellOfARealCubeRoundTrips) {
+    const std::vector<campaign::CampaignCellResult>& cells = small_cube_cells();
+    bool polled = false;
+    bool histogram = false;
+    for (const campaign::CampaignCellResult& cell : cells) {
+        campaign::CampaignCellResult decoded;
+        ASSERT_TRUE(
+            campaign::decode_cell_payload(campaign::encode_cell_payload(cell), decoded));
+        EXPECT_EQ(campaign::fingerprint(decoded), campaign::fingerprint(cell));
+        polled |= cell.polling.has_value();
+        for (const auto& [name, value] : cell.metrics.values())
+            histogram |= !value.buckets.empty();
+    }
+    // The cube covers the optional fields: polling metrics and the
+    // snapshot's histogram buckets.
+    EXPECT_TRUE(polled);
+    EXPECT_TRUE(histogram);
+
+    // Through the file as well: a reopened journal holds the same cells.
+    const std::string path = fresh_journal_path("round_trip");
+    {
+        campaign::CampaignJournal journal = campaign::CampaignJournal::open(path, 1);
+        for (const campaign::CampaignCellResult& cell : cells) journal.commit_cell(cell);
+    }
+    const std::vector<campaign::CampaignCellResult> replayed =
+        campaign::CampaignJournal::open(path, 1).cells();
+    ASSERT_EQ(replayed.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        EXPECT_EQ(campaign::fingerprint(replayed[i]), campaign::fingerprint(cells[i]));
+    std::remove(path.c_str());
+}
+
+TEST(CampaignJournal, TornTailIsScrubbed) {
+    const std::vector<campaign::CampaignCellResult>& cells = small_cube_cells();
+    ASSERT_GE(cells.size(), 3u);
+    const std::string path = fresh_journal_path("torn_tail");
+    std::string two_cells;
+    {
+        campaign::CampaignJournal journal = campaign::CampaignJournal::open(path, 1);
+        journal.commit_cell(cells[0]);
+        journal.commit_cell(cells[1]);
+        two_cells = read_file(path);
+        journal.commit_cell(cells[2]);
+    }
+    // Killed mid-commit: the third cell frame lost its last bytes.
+    const std::string three_cells = read_file(path);
+    atomic_write_file(path, three_cells.substr(0, three_cells.size() - 5));
+    {
+        campaign::CampaignJournal recovered = campaign::CampaignJournal::open(path, 1);
+        ASSERT_EQ(recovered.cells().size(), 2u);
+        EXPECT_EQ(read_file(path), two_cells);  // scrubbed to the intact prefix
+        recovered.commit_cell(cells[2]);
+    }
+    EXPECT_EQ(read_file(path), three_cells);
+    EXPECT_EQ(campaign::CampaignJournal::open(path, 1).cells().size(), 3u);
+    std::remove(path.c_str());
+}
+
+TEST(CampaignJournal, AttemptFramesReplayMaxWins) {
+    const std::string path = fresh_journal_path("attempts");
+    {
+        campaign::CampaignJournal journal = campaign::CampaignJournal::open(path, 1);
+        journal.commit_attempt(3, 2);
+        journal.commit_attempt(3, 1);  // a smaller count never lowers the slot
+        journal.commit_attempt(1, 1);
+        EXPECT_EQ(journal.attempts_failed(3), 2u);
+    }
+    const campaign::CampaignJournal replayed = campaign::CampaignJournal::open(path, 1);
+    EXPECT_EQ(replayed.attempts_failed(3), 2u);
+    EXPECT_EQ(replayed.attempts_failed(1), 1u);
+    EXPECT_EQ(replayed.attempts_failed(0), 0u);
+    EXPECT_TRUE(replayed.cells().empty());
+    std::remove(path.c_str());
+}
+
+TEST(CampaignJournal, ConfigMismatchThrowsConfigError) {
+    campaign::CampaignConfig reseeded = small_config();
+    reseeded.seed += 1;
+    const campaign::CampaignEngine engine(small_config());
+    campaign::CampaignEngine other(reseeded);
+    ASSERT_NE(engine.config_hash(), other.config_hash());
+    const std::string path = fresh_journal_path("mismatch");
+    {
+        campaign::CampaignJournal journal =
+            campaign::CampaignJournal::open(path, engine.config_hash());
+        journal.commit_cell(small_cube_cells()[0]);
+        // The engine refuses a journal of another configuration.
+        EXPECT_THROW((void)other.run(journal), ConfigError);
+    }
+    // So does open, before a byte of the file moves.
+    const std::string before = read_file(path);
+    EXPECT_THROW((void)campaign::CampaignJournal::open(path, other.config_hash()),
+                 ConfigError);
+    EXPECT_EQ(read_file(path), before);
+    std::remove(path.c_str());
 }
 
 }  // namespace

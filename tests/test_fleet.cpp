@@ -498,8 +498,10 @@ TEST(FleetOrchestrator, JournalRowsBeyondTheFleetAreRejected) {
     const SiliconLot lot(sim::cometlake_i7_10510u(), {});
     FleetOrchestrator fleet(lot, small_fleet_config());
     const std::string path = ::testing::TempDir() + "pv_fleet_bad_row.pvj";
+    std::remove(path.c_str());
     {
-        resilience::SweepJournal journal(path, fleet.journal_header(), {});
+        resilience::SweepJournal journal =
+            resilience::SweepJournal::open(path, fleet.config_hash(), {});
         resilience::RowRecord rogue;
         rogue.row_index = small_fleet_config().units * fleet.row_stride();
         rogue.freq_mhz = lot.base().frequency_table().front().value();
@@ -517,8 +519,10 @@ TEST(FleetOrchestrator, MismatchedJournalConfigIsRejected) {
     FleetOrchestrator other(lot, bigger);
     EXPECT_NE(fleet.config_hash(), other.config_hash());
     const std::string path = ::testing::TempDir() + "pv_fleet_bad_cfg.pvj";
+    std::remove(path.c_str());
     {
-        resilience::SweepJournal journal(path, other.journal_header(), {});
+        resilience::SweepJournal journal =
+            resilience::SweepJournal::open(path, other.config_hash(), {});
         EXPECT_THROW((void)fleet.characterize(journal), ConfigError);
     }
     std::remove(path.c_str());

@@ -58,8 +58,10 @@ TEST(FleetResumeSoak, KillAndResumeIsBitIdenticalAcrossSeeds) {
         // Kill after a seed-derived number of delivered units in
         // [1, kUnits-1]: every delivered unit's rows are already durable.
         const std::uint64_t kill_after = 1 + seed % (kUnits - 1);
+        std::remove(path.c_str());
         {
-            resilience::SweepJournal journal(path, fleet.journal_header(), {});
+            resilience::SweepJournal journal =
+                resilience::SweepJournal::open(path, fleet.config_hash(), {});
             std::uint64_t delivered = 0;
             EXPECT_THROW(
                 (void)fleet.characterize(
@@ -69,20 +71,22 @@ TEST(FleetResumeSoak, KillAndResumeIsBitIdenticalAcrossSeeds) {
                     }),
                 KillSignal);
         }
-        resilience::SweepJournal recovered = resilience::SweepJournal::resume(path, {});
+        resilience::SweepJournal recovered =
+            resilience::SweepJournal::open(path, fleet.config_hash(), {});
         // At least the delivered units' rows survived the kill; the
         // whole fleet did not.
         EXPECT_GE(recovered.rows().size(), kill_after * fleet.row_stride());
         EXPECT_LT(recovered.rows().size(), kUnits * fleet.row_stride());
 
-        EXPECT_EQ(state_hash(fleet.resume(recovered)), reference);
+        EXPECT_EQ(state_hash(fleet.characterize(recovered)), reference);
         EXPECT_GE(fleet.stats().units_resumed, kill_after);
         EXPECT_EQ(fleet.stats().units, kUnits);
         // The resumed journal now holds the full fleet: a second resume
         // adopts every unit without probing a single cell.
-        resilience::SweepJournal complete = resilience::SweepJournal::resume(path, {});
+        resilience::SweepJournal complete =
+            resilience::SweepJournal::open(path, fleet.config_hash(), {});
         EXPECT_EQ(complete.rows().size(), kUnits * fleet.row_stride());
-        EXPECT_EQ(state_hash(fleet.resume(complete)), reference);
+        EXPECT_EQ(state_hash(fleet.characterize(complete)), reference);
         EXPECT_EQ(fleet.stats().cells_evaluated, 0u);
         EXPECT_EQ(fleet.stats().units_resumed, kUnits);
         std::remove(path.c_str());

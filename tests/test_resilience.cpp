@@ -1,7 +1,8 @@
-// Crash-resilience layer: CRC framing, write-ahead sweep journal,
-// deterministic environment fault injection, bounded retry, and the
-// fail-safe degradation paths they feed (characterizer mailbox retry,
-// journaled resume, polling fail-closed clamp).
+// Crash-resilience layer: CRC framing, write-ahead sweep journal, the
+// identity check every journal opens through, deterministic environment
+// fault injection, bounded retry, and the fail-safe degradation paths
+// they feed (characterizer mailbox retry, journaled resume, polling
+// fail-closed clamp).
 #include "resilience/crc32.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/journal.hpp"
@@ -13,10 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "campaign/journal.hpp"
 #include "os/msr_driver.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/polling_module.hpp"
 #include "prop/prop.hpp"
+#include "serve/job_wal.hpp"
 #include "sim/ocm.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -196,30 +199,41 @@ RowRecord sample_row(std::uint64_t i) {
     };
 }
 
-std::string journal_image(const JournalHeader& header, std::uint64_t rows) {
-    std::string bytes = encode_header_frame(header);
-    for (std::uint64_t i = 0; i < rows; ++i) bytes += encode_row_frame(sample_row(i));
-    return bytes;
+constexpr std::uint64_t kHash = 0xDEADBEEFCAFE;
+
+/// Write a fresh journal of `rows` sample rows at `path` through the
+/// production SweepJournal and return its bytes.
+std::string journal_image(const std::string& path, std::uint64_t rows) {
+    std::remove(path.c_str());
+    {
+        SweepJournal journal = SweepJournal::open(path, kHash);
+        for (std::uint64_t i = 0; i < rows; ++i) journal.commit(sample_row(i));
+    }
+    return read_file(path);
+}
+
+/// Replay a journal byte image through the production open path.
+SweepJournal replay(const std::string& path, const std::string& bytes) {
+    atomic_write_file(path, bytes);
+    return SweepJournal::open(path, kHash);
 }
 
 TEST(Journal, HeaderAndRowsRoundTrip) {
-    JournalHeader header;
-    header.config_hash = 0xDEADBEEFCAFE;
-    header.seed = 0x5EED;
-    header.sweep_floor_mv = -300.0;
-    header.system_name = "test-system, with comma";
-    const JournalReplay replay = decode_journal(journal_image(header, 5));
-    EXPECT_EQ(replay.header, header);
-    ASSERT_EQ(replay.rows.size(), 5u);
-    for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(replay.rows[i], sample_row(i));
-    EXPECT_FALSE(replay.tail_dropped);
+    const std::string path = temp_path("round_trip");
+    const SweepJournal replayed = replay(path, journal_image(path, 5));
+    EXPECT_EQ(replayed.identity(), (LogIdentity{SweepJournal::kFormat, kHash}));
+    ASSERT_EQ(replayed.rows().size(), 5u);
+    for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(replayed.rows()[i], sample_row(i));
+    EXPECT_FALSE(replayed.tail_dropped());
+    std::remove(path.c_str());
 }
 
 TEST(Journal, RowRoundTripProperty) {
     // Encode/decode round-trip over random row records, bit-exact
     // doubles included (they travel as bit patterns).
+    const std::string path = temp_path("row_property");
     PROP_CHECK(0xB17'0001, 200,
-               [](std::int64_t a, std::int64_t b, std::int64_t c) {
+               [&path](std::int64_t a, std::int64_t b, std::int64_t c) {
                    RowRecord r;
                    r.row_index = static_cast<std::uint64_t>(a);
                    r.freq_mhz = 400.0 + static_cast<double>(b) * 0.37;
@@ -228,76 +242,77 @@ TEST(Journal, RowRoundTripProperty) {
                    r.fault_free = (a % 2) == 0;
                    r.cells = static_cast<std::uint64_t>(b);
                    r.crashes = static_cast<std::uint64_t>(c % 3);
-                   const JournalReplay replay = decode_journal(
-                       encode_header_frame(JournalHeader{}) + encode_row_frame(r));
-                   return replay.rows.size() == 1 && replay.rows[0] == r &&
-                          !replay.tail_dropped;
+                   std::remove(path.c_str());
+                   SweepJournal::open(path, kHash).commit(r);
+                   const SweepJournal replayed = SweepJournal::open(path, kHash);
+                   return replayed.rows().size() == 1 && replayed.rows()[0] == r &&
+                          !replayed.tail_dropped();
                },
                prop::IntDomain{0, 1'000'000}, prop::IntDomain{0, 1 << 20},
                prop::IntDomain{0, 100'000});
+    std::remove(path.c_str());
 }
 
 TEST(Journal, TruncationAtAnyPointRecoversTheIntactPrefix) {
     // The write-ahead contract: however many bytes survive a crash, the
     // decoder recovers every fully committed row and drops the torn
     // tail — it never throws past a valid header and never fabricates.
-    JournalHeader header;
-    header.system_name = "trunc";
-    const std::string bytes = journal_image(header, 6);
-    const std::string head = encode_header_frame(header);
-    for (std::size_t cut = head.size(); cut < bytes.size(); ++cut) {
-        const JournalReplay replay = decode_journal(bytes.substr(0, cut));
-        EXPECT_LE(replay.rows.size(), 6u);
-        for (std::size_t i = 0; i < replay.rows.size(); ++i)
-            EXPECT_EQ(replay.rows[i], sample_row(i));
-        EXPECT_EQ(replay.tail_dropped, replay.valid_bytes < cut);
+    const std::string path = temp_path("truncation");
+    const std::size_t head = journal_image(path, 0).size();
+    const std::string bytes = journal_image(path, 6);
+    for (std::size_t cut = head; cut < bytes.size(); ++cut) {
+        const SweepJournal replayed = replay(path, bytes.substr(0, cut));
+        EXPECT_LE(replayed.rows().size(), 6u);
+        for (std::size_t i = 0; i < replayed.rows().size(); ++i)
+            EXPECT_EQ(replayed.rows()[i], sample_row(i));
+        EXPECT_EQ(replayed.tail_dropped(), replayed.logical_bytes() < cut);
+        // The scrub left exactly the intact prefix on disk.
+        EXPECT_EQ(read_file(path), bytes.substr(0, replayed.logical_bytes()));
     }
+    std::remove(path.c_str());
 }
 
 TEST(Journal, CorruptedRowByteDropsThatRowAndBeyond) {
-    JournalHeader header;
-    header.system_name = "flip";
-    std::string bytes = journal_image(header, 4);
-    const std::size_t head = encode_header_frame(header).size();
-    const std::size_t row = encode_row_frame(sample_row(0)).size();
+    const std::string path = temp_path("corrupt_byte");
+    const std::size_t head = journal_image(path, 0).size();
+    std::string bytes = journal_image(path, 4);
+    const std::size_t row = (bytes.size() - head) / 4;
     bytes[head + 2 * row + row / 2] ^= 0x40;  // inside row 2's frame
-    const JournalReplay replay = decode_journal(bytes);
-    ASSERT_EQ(replay.rows.size(), 2u);
-    EXPECT_TRUE(replay.tail_dropped);
-    EXPECT_EQ(replay.rows[0], sample_row(0));
-    EXPECT_EQ(replay.rows[1], sample_row(1));
+    const SweepJournal replayed = replay(path, bytes);
+    ASSERT_EQ(replayed.rows().size(), 2u);
+    EXPECT_TRUE(replayed.tail_dropped());
+    EXPECT_EQ(replayed.rows()[0], sample_row(0));
+    EXPECT_EQ(replayed.rows()[1], sample_row(1));
+    std::remove(path.c_str());
 }
 
 TEST(Journal, MissingOrMalformedHeaderThrows) {
-    EXPECT_THROW((void)decode_journal(""), JournalError);
-    EXPECT_THROW((void)decode_journal("not a journal at all"), JournalError);
+    const std::string path = temp_path("bad_header");
+    const std::size_t head = journal_image(path, 0).size();
     // A row frame first is not a journal either.
-    EXPECT_THROW((void)decode_journal(encode_row_frame(sample_row(0))), JournalError);
+    const std::string row_first = journal_image(path, 1).substr(head);
+    for (const std::string& bytes : {std::string(), std::string("not a journal at all"),
+                                     row_first}) {
+        atomic_write_file(path, bytes);
+        EXPECT_THROW((void)SweepJournal::open(path, kHash), JournalError);
+        EXPECT_EQ(read_file(path), bytes);  // refused, not rewritten
+    }
+    std::remove(path.c_str());
 }
 
 TEST(SweepJournal, CommitResumeScrubsTornTail) {
     const std::string path = temp_path("torn_tail");
-    JournalHeader header;
-    header.config_hash = 0xABCD;
-    header.system_name = "scrub";
-    {
-        SweepJournal journal(path, header, JournalOptions{});
-        journal.commit(sample_row(0));
-        journal.commit(sample_row(1));
-    }
+    const std::string three_rows = journal_image(path, 3);
+    const std::string two_rows = journal_image(path, 2);
     // Crash mid-commit: garbage after the last intact frame.
-    {
-        std::string bytes = read_file(path);
-        bytes += encode_row_frame(sample_row(2)).substr(0, 7);
-        atomic_write_file(path, bytes);
-    }
-    SweepJournal recovered = SweepJournal::resume(path, JournalOptions{});
+    atomic_write_file(path, three_rows.substr(0, two_rows.size() + 7));
+    SweepJournal recovered = SweepJournal::open(path, kHash, JournalOptions{});
     EXPECT_TRUE(recovered.tail_dropped());
     ASSERT_EQ(recovered.rows().size(), 2u);
-    EXPECT_EQ(recovered.header(), header);
+    EXPECT_EQ(recovered.identity(), (LogIdentity{SweepJournal::kFormat, kHash}));
     // The scrub rewrote the file so append-mode commits land cleanly.
     recovered.commit(sample_row(2));
-    SweepJournal again = SweepJournal::resume(path, JournalOptions{});
+    SweepJournal again = SweepJournal::open(path, kHash, JournalOptions{});
     EXPECT_FALSE(again.tail_dropped());
     ASSERT_EQ(again.rows().size(), 3u);
     EXPECT_EQ(again.rows()[2], sample_row(2));
@@ -306,38 +321,37 @@ TEST(SweepJournal, CommitResumeScrubsTornTail) {
 
 TEST(SweepJournal, AtomicRewriteModeRoundTripsToo) {
     const std::string path = temp_path("rewrite_mode");
+    std::remove(path.c_str());
     JournalOptions options;
     options.mode = CommitMode::AtomicRewrite;
-    JournalHeader header;
-    header.system_name = "rewrite";
     {
-        SweepJournal journal(path, header, options);
+        SweepJournal journal = SweepJournal::open(path, kHash, options);
         journal.commit(sample_row(0));
         journal.commit(sample_row(1));
         // Rewrite mode pays write amplification for torn-tail immunity.
         EXPECT_GT(journal.bytes_written(), journal.logical_bytes());
     }
-    SweepJournal recovered = SweepJournal::resume(path, options);
+    SweepJournal recovered = SweepJournal::open(path, kHash, options);
     EXPECT_EQ(recovered.rows().size(), 2u);
     std::remove(path.c_str());
 }
 
 TEST(SweepJournal, InjectedFileFaultsRetryThenExhaust) {
     const std::string path = temp_path("file_faults");
+    std::remove(path.c_str());
+    std::remove((path + ".doomed").c_str());
     FaultPlan plan;
     plan.set_rate(FaultKind::FileWriteError, 0.6);
     FaultInjector injector(plan);
     JournalOptions options;
     options.file_faults = &injector;
     options.io_retry.max_attempts = 10;
-    JournalHeader header;
-    header.system_name = "faulty-disk";
     {
-        SweepJournal journal(path, header, options);
+        SweepJournal journal = SweepJournal::open(path, kHash, options);
         for (std::uint64_t i = 0; i < 8; ++i) journal.commit(sample_row(i));
         EXPECT_GT(journal.io_retries(), 0u);
     }
-    EXPECT_EQ(SweepJournal::resume(path, JournalOptions{}).rows().size(), 8u);
+    EXPECT_EQ(SweepJournal::open(path, kHash, JournalOptions{}).rows().size(), 8u);
 
     // A disk that always fails exhausts the bounded budget.
     FaultPlan dead;
@@ -346,10 +360,85 @@ TEST(SweepJournal, InjectedFileFaultsRetryThenExhaust) {
     JournalOptions doomed;
     doomed.file_faults = &dead_injector;
     doomed.io_retry.max_attempts = 3;
-    SweepJournal journal(path + ".doomed", header, doomed);
+    SweepJournal journal = SweepJournal::open(path + ".doomed", kHash, doomed);
     EXPECT_THROW(journal.commit(sample_row(0)), JournalError);
     std::remove(path.c_str());
     std::remove((path + ".doomed").c_str());
+}
+
+// ----------------------------------------------------- journal identity
+
+/// `open_as` must throw ConfigError without changing a byte of `path`.
+template <typename Open>
+void expect_refused_untouched(const std::string& path, const Open& open_as) {
+    const std::string before = read_file(path);
+    EXPECT_THROW(open_as(), ConfigError);
+    EXPECT_EQ(read_file(path), before);
+}
+
+TEST(JournalIdentity, MismatchedOpenThrowsAndLeavesTheFileByteIdentical) {
+    // Every log is opened the wrong way first: as another log type, or
+    // under another config hash.  An identity check that ran after
+    // replay would already have scrubbed the "torn" records away.
+    const std::string sweep_path = temp_path("identity_sweep");
+    const std::string cube_path = temp_path("identity_cube");
+    const std::string wal_path = temp_path("identity_wal");
+    for (const std::string& p : {sweep_path, cube_path, wal_path}) std::remove(p.c_str());
+    {
+        SweepJournal sweep = SweepJournal::open(sweep_path, kHash);
+        for (std::uint64_t i = 0; i < 3; ++i) sweep.commit(sample_row(i));
+        campaign::CampaignJournal cube = campaign::CampaignJournal::open(cube_path, kHash);
+        for (std::size_t i = 0; i < 2; ++i) {
+            campaign::CampaignCellResult cell;
+            cell.spec.index = i;
+            cell.verdict = "cell " + std::to_string(i);
+            cube.commit_cell(cell);
+        }
+        cube.commit_attempt(2, 1);
+        serve::JobWal wal = serve::JobWal::open(wal_path, kHash);
+        wal.submitted(1, serve::JobSpec{});
+        wal.started(1);
+    }
+    expect_refused_untouched(cube_path,
+                             [&] { (void)SweepJournal::open(cube_path, kHash); });
+    expect_refused_untouched(wal_path,
+                             [&] { (void)campaign::CampaignJournal::open(wal_path, kHash); });
+    expect_refused_untouched(sweep_path,
+                             [&] { (void)SweepJournal::open(sweep_path, kHash + 1); });
+
+    // The right open still resumes every record.
+    EXPECT_EQ(SweepJournal::open(sweep_path, kHash).rows().size(), 3u);
+    const campaign::CampaignJournal cube = campaign::CampaignJournal::open(cube_path, kHash);
+    EXPECT_EQ(cube.cells().size(), 2u);
+    EXPECT_EQ(cube.attempts_failed(2), 1u);
+    const serve::JobWal wal = serve::JobWal::open(wal_path, kHash);
+    ASSERT_EQ(wal.records().size(), 1u);
+    EXPECT_EQ(wal.records()[0].state, serve::JobState::Queued);
+    for (const std::string& p : {sweep_path, cube_path, wal_path}) std::remove(p.c_str());
+}
+
+TEST(JournalIdentity, PreIdentityFormatFilesAreRefusedUntouched) {
+    // Headers as written before the identity header: version 1, the
+    // config hash and, for sweeps, seed, floor and system name.  The
+    // sweep file also carries one row and a torn tail to scrub.
+    const std::string path = temp_path("pre_identity");
+    const std::size_t head = journal_image(path, 0).size();
+    const std::string row = journal_image(path, 1).substr(head);
+    std::string sweep_header;
+    put_u32(sweep_header, 1);
+    put_u64(sweep_header, kHash);
+    put_u64(sweep_header, 0x5EED);
+    put_f64(sweep_header, -300.0);
+    put_str(sweep_header, "i5-6500");
+    atomic_write_file(path, encode_frame(1, sweep_header) + row + row.substr(0, 9));
+    expect_refused_untouched(path, [&] { (void)SweepJournal::open(path, kHash); });
+
+    std::string wal_header;
+    put_u32(wal_header, 1);
+    put_u64(wal_header, kHash);
+    atomic_write_file(path, encode_frame(1, wal_header));
+    expect_refused_untouched(path, [&] { (void)serve::JobWal::open(path, kHash); });
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------ driver injection
@@ -488,14 +577,15 @@ TEST(JournaledSweep, MatchesPlainSweepAndResumesForFree) {
 
     const std::uint64_t plain_hash = plugvolt::state_hash(engine.characterize());
 
-    SweepJournal journal(path, engine.journal_header(), JournalOptions{});
+    std::remove(path.c_str());
+    SweepJournal journal = SweepJournal::open(path, engine.config_hash(), JournalOptions{});
     EXPECT_EQ(plugvolt::state_hash(engine.characterize(journal)), plain_hash);
     EXPECT_EQ(engine.stats().journal_commits, journal.rows().size());
     EXPECT_GT(engine.stats().journal_bytes, 0u);
 
     // Resuming a COMPLETE journal adopts every row: zero probes.
-    SweepJournal full = SweepJournal::resume(path, JournalOptions{});
-    EXPECT_EQ(plugvolt::state_hash(engine.resume(full)), plain_hash);
+    SweepJournal full = SweepJournal::open(path, engine.config_hash(), JournalOptions{});
+    EXPECT_EQ(plugvolt::state_hash(engine.characterize(full)), plain_hash);
     EXPECT_EQ(engine.stats().cells_evaluated, 0u);
     EXPECT_EQ(engine.stats().rows_resumed, engine.stats().rows);
     std::remove(path.c_str());
@@ -508,8 +598,10 @@ TEST(JournaledSweep, KillMidSweepThenResumeIsBitIdentical) {
 
     const std::uint64_t reference = plugvolt::state_hash(engine.characterize());
 
+    std::remove(path.c_str());
     {
-        SweepJournal journal(path, engine.journal_header(), JournalOptions{});
+        SweepJournal journal =
+            SweepJournal::open(path, engine.config_hash(), JournalOptions{});
         std::size_t delivered = 0;
         EXPECT_THROW((void)engine.characterize(
                          journal,
@@ -518,9 +610,10 @@ TEST(JournaledSweep, KillMidSweepThenResumeIsBitIdentical) {
                          }),
                      KillSignal);
     }
-    SweepJournal recovered = SweepJournal::resume(path, JournalOptions{});
+    SweepJournal recovered =
+        SweepJournal::open(path, engine.config_hash(), JournalOptions{});
     EXPECT_GE(recovered.rows().size(), 3u);
-    EXPECT_EQ(plugvolt::state_hash(engine.resume(recovered)), reference);
+    EXPECT_EQ(plugvolt::state_hash(engine.characterize(recovered)), reference);
     EXPECT_GE(engine.stats().rows_resumed, 3u);
     std::remove(path.c_str());
 }
@@ -529,11 +622,12 @@ TEST(JournaledSweep, ConfigMismatchIsRejected) {
     const sim::CpuProfile profile = sim::skylake_i5_6500();
     const std::string path = temp_path("config_mismatch");
     plugvolt::ParallelCharacterizer engine(profile, sweep_config(1));
-    SweepJournal journal(path, engine.journal_header(), JournalOptions{});
+    std::remove(path.c_str());
+    SweepJournal journal = SweepJournal::open(path, engine.config_hash(), JournalOptions{});
 
     plugvolt::ParallelCharacterizer other(profile, sweep_config(2));
     EXPECT_NE(engine.config_hash(), other.config_hash());
-    EXPECT_THROW((void)other.resume(journal), ConfigError);
+    EXPECT_THROW((void)other.characterize(journal), ConfigError);
     std::remove(path.c_str());
 }
 

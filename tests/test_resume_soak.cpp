@@ -54,8 +54,10 @@ TEST(ResumeSoak, KillAndResumeIsBitIdenticalAcrossSeeds) {
             ::testing::TempDir() + "pv_resume_soak_" + std::to_string(i) + ".pvj";
         // Kill after a seed-derived number of delivered rows in [1, rows-1].
         const std::uint64_t kill_after = 1 + seed % (rows - 1);
+        std::remove(path.c_str());
         {
-            resilience::SweepJournal journal(path, engine.journal_header(), {});
+            resilience::SweepJournal journal =
+                resilience::SweepJournal::open(path, engine.config_hash(), {});
             std::uint64_t delivered = 0;
             EXPECT_THROW(
                 (void)engine.characterize(journal,
@@ -64,11 +66,12 @@ TEST(ResumeSoak, KillAndResumeIsBitIdenticalAcrossSeeds) {
                                           }),
                 KillSignal);
         }
-        resilience::SweepJournal recovered = resilience::SweepJournal::resume(path, {});
+        resilience::SweepJournal recovered =
+            resilience::SweepJournal::open(path, engine.config_hash(), {});
         EXPECT_GE(recovered.rows().size(), kill_after);
         EXPECT_LT(recovered.rows().size(), rows);
 
-        EXPECT_EQ(state_hash(engine.resume(recovered)), reference);
+        EXPECT_EQ(state_hash(engine.characterize(recovered)), reference);
         EXPECT_GE(engine.stats().rows_resumed, kill_after);
         EXPECT_EQ(engine.stats().rows, rows);
         std::remove(path.c_str());

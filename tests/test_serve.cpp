@@ -64,7 +64,7 @@ TEST(JobWal, RoundTripsRecordsThroughResume) {
     spec.seed = 0x1234;
     JobRecord finished;
     {
-        JobWal wal(path, JobWalHeader{1, 0xABCD});
+        JobWal wal = JobWal::open(path, 0xABCD);
         EXPECT_EQ(wal.next_id(), 1u);
         wal.submitted(1, spec);
         wal.started(1);
@@ -84,8 +84,8 @@ TEST(JobWal, RoundTripsRecordsThroughResume) {
         EXPECT_EQ(wal.next_id(), 4u);
     }
 
-    JobWal recovered = JobWal::resume(path);
-    EXPECT_EQ(recovered.header().config_hash, 0xABCDu);
+    JobWal recovered = JobWal::open(path, 0xABCD);
+    EXPECT_EQ(recovered.identity().config_hash, 0xABCDu);
     EXPECT_EQ(recovered.next_id(), 4u);
     EXPECT_EQ(recovered.tail_dropped(), 0u);
     ASSERT_EQ(recovered.records().size(), 3u);
@@ -111,7 +111,7 @@ TEST(JobWal, StartedWithoutFinishedReplaysQueuedWithAttempts) {
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/queue.wal";
     {
-        JobWal wal(path, JobWalHeader{1, 7});
+        JobWal wal = JobWal::open(path, 7);
         wal.submitted(1, characterize_spec());
         wal.started(1);
         wal.attempt_failed(1, 1);
@@ -119,7 +119,7 @@ TEST(JobWal, StartedWithoutFinishedReplaysQueuedWithAttempts) {
         wal.started(1);
         // ...kill -9 here: no finished frame.
     }
-    JobWal recovered = JobWal::resume(path);
+    JobWal recovered = JobWal::open(path, 7);
     ASSERT_EQ(recovered.records().size(), 1u);
     EXPECT_EQ(recovered.records()[0].state, JobState::Queued);
     EXPECT_EQ(recovered.records()[0].attempts, 2u);  // fast-forward point
@@ -130,7 +130,7 @@ TEST(JobWal, TornTailIsDroppedNotFatal) {
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/queue.wal";
     {
-        JobWal wal(path, JobWalHeader{1, 7});
+        JobWal wal = JobWal::open(path, 7);
         wal.submitted(1, characterize_spec());
         wal.submitted(2, fleet_spec());
     }
@@ -140,7 +140,7 @@ TEST(JobWal, TornTailIsDroppedNotFatal) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 5));
     }
-    JobWal recovered = JobWal::resume(path);
+    JobWal recovered = JobWal::open(path, 7);
     EXPECT_GT(recovered.tail_dropped(), 0u);
     ASSERT_EQ(recovered.records().size(), 1u);
     EXPECT_EQ(recovered.records()[0].id, 1u);
