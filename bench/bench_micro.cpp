@@ -13,6 +13,9 @@
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/polling_module.hpp"
 #include "plugvolt/safe_state.hpp"
+#include "sgx/enclave.hpp"
+#include "sgx/program.hpp"
+#include "sgx/runtime.hpp"
 #include "sim/thermal.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/machine.hpp"
@@ -95,6 +98,29 @@ void BM_MachineRunBatch1M(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1'000'000);
 }
 BENCHMARK(BM_MachineRunBatch1M);
+
+void BM_EnclaveEntryMulChain(benchmark::State& state) {
+    // One V0LTpwn-style enclave entry: the 66-instruction multiply chain
+    // runs op by op at a settled -100 mV offset while the die warms, so
+    // the thermal delay scale moves on every op.  The fault physics must
+    // stay a memo hit plus arithmetic here; a pow per op shows up as a
+    // regression of this row.
+    sim::Machine machine(sim::cometlake_i7_10510u(), 1);
+    os::Kernel kernel(machine);
+    sgx::SgxRuntime runtime(kernel);
+    machine.set_all_frequencies(from_ghz(2.0));
+    machine.write_msr(0, sim::kMsrOcMailbox,
+                      sim::encode_offset(Millivolts{-100.0}, sim::VoltagePlane::Core));
+    machine.advance_to(machine.rail_settle_time());
+    auto enclave = runtime.create_enclave("bench-victim", 1);
+    const sgx::Program program = sgx::make_mul_chain(0x5EED, 0xC0FFEE, 32);
+    for (auto _ : state) benchmark::DoNotOptimize(enclave->run(program));
+    if (machine.crashed()) state.SkipWithError("machine crashed at the benchmark offset");
+    state.counters["die_c"] = machine.thermal().temperature_c();
+    state.counters["p_imul"] = machine.fault_probability(1, sim::InstrClass::Imul);
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(program.size()));
+}
+BENCHMARK(BM_EnclaveEntryMulChain);
 
 void BM_MsrReadPerfStatus(benchmark::State& state) {
     sim::Machine machine(sim::cometlake_i7_10510u(), 1);

@@ -43,6 +43,12 @@ public:
     [[nodiscard]] bool would_crash(Megahertz f, Millivolts v,
                                    double delay_scale = 1.0) const;
 
+    /// The two above with v already reduced to `delay_ps` ==
+    /// timing().path_delay_ps(v), for callers that memoize that pow.
+    [[nodiscard]] double fault_probability_at(Megahertz f, double delay_ps, InstrClass c,
+                                              double delay_scale) const;
+    [[nodiscard]] bool would_crash_at(Megahertz f, double delay_ps, double delay_scale) const;
+
     /// Nominal (fused VF curve) voltage at `f`.
     [[nodiscard]] Millivolts nominal_voltage(Megahertz f) const { return vf_.nominal(f); }
 

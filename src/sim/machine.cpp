@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 
 #include "check/assert.hpp"
@@ -18,22 +17,6 @@ std::uint64_t storage_key(unsigned core_id, std::uint32_t addr) {
 }
 
 std::atomic<SteppingMode> g_default_stepping{SteppingMode::Batched};
-
-// splitmix64 finalizer over the exact bit patterns of the arguments, so
-// the memo key distinguishes every representable (f, v, scale) point.
-std::uint64_t mix_bits(std::uint64_t h, std::uint64_t x) {
-    h ^= x + 0x9E3779B97F4A7C15ull;
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    return h ^ (h >> 31);
-}
-
-std::uint64_t physics_key(std::uint64_t tag, double f, double v, double scale) {
-    std::uint64_t h = mix_bits(tag, std::bit_cast<std::uint64_t>(f));
-    h = mix_bits(h, std::bit_cast<std::uint64_t>(v));
-    h = mix_bits(h, std::bit_cast<std::uint64_t>(scale));
-    return h | 1;  // bit 0 set: cannot alias the empty-slot marker
-}
 
 }  // namespace
 
@@ -305,25 +288,18 @@ Millivolts Machine::applied_offset(VoltagePlane plane) const {
     return regulator_.offset_at(plane, clock_);
 }
 
-double Machine::cached_fault_probability(Megahertz f, Millivolts v, InstrClass c,
-                                         double scale) const {
-    const std::uint64_t key =
-        physics_key(0xFA01 + static_cast<std::uint64_t>(c), f.value(), v.value(), scale);
-    return memo_.get(key, [&] { return fault_model_.fault_probability(f, v, c, scale); });
-}
-
-bool Machine::cached_would_crash(Megahertz f, Millivolts v, double scale) const {
-    const std::uint64_t key = physics_key(0xC4A5, f.value(), v.value(), scale);
-    return memo_.get(key, [&] { return fault_model_.would_crash(f, v, scale) ? 1.0 : 0.0; }) !=
-           0.0;
+double Machine::memo_fault_probability(Megahertz f, Millivolts v, InstrClass c,
+                                       double scale) const {
+    return fault_model_.fault_probability_at(f, memo_.get(v), c, scale);
 }
 
 void Machine::maybe_crash() {
     if (crashed_) return;
     const Megahertz f = max_active_frequency();
     const double scale = thermal_.delay_scale();
-    const Millivolts v_core = plane_voltage(VoltagePlane::Core);
-    if (cached_would_crash(f, v_core, scale)) {
+    const Millivolts base = base_rail_.offset_at(VoltagePlane::Core, clock_);
+    const Millivolts v_core = base + regulator_.offset_at(VoltagePlane::Core, clock_);
+    if (fault_model_.would_crash_at(f, memo_.get(v_core), scale)) {
         crash("undervolt crash: control-path timing violated at " +
               std::to_string(f.value()) + " MHz / " + std::to_string(v_core.value()) +
               " mV (core plane)");
@@ -331,8 +307,9 @@ void Machine::maybe_crash() {
     }
     // The cache plane feeds the (shorter) load path; kernel data accesses
     // corrupt and panic once it deterministically violates timing.
-    const Millivolts v_cache = plane_voltage(VoltagePlane::Cache);
-    if (cached_would_crash(f, v_cache, scale * path_factor(InstrClass::Load))) {
+    const Millivolts v_cache = base + regulator_.offset_at(VoltagePlane::Cache, clock_);
+    if (fault_model_.would_crash_at(f, memo_.get(v_cache),
+                                    scale * path_factor(InstrClass::Load))) {
         crash("undervolt crash: cache-path timing violated at " +
               std::to_string(f.value()) + " MHz / " + std::to_string(v_cache.value()) +
               " mV (cache plane)");
@@ -466,13 +443,13 @@ double Machine::fault_probability(unsigned core_id, InstrClass c) const {
     // rail; every other class with the core plane's.
     const VoltagePlane plane =
         c == InstrClass::Load ? VoltagePlane::Cache : VoltagePlane::Core;
-    return cached_fault_probability(core(core_id).frequency(), plane_voltage(plane), c,
-                                    thermal_.delay_scale());
+    return memo_fault_probability(core(core_id).frequency(), plane_voltage(plane), c,
+                                  thermal_.delay_scale());
 }
 
 void Machine::retire_window(Core& cr, InstrClass c, std::uint64_t ops, Millivolts v,
                             BatchResult& r) {
-    const double p = cached_fault_probability(cr.frequency(), v, c, thermal_.delay_scale());
+    const double p = memo_fault_probability(cr.frequency(), v, c, thermal_.delay_scale());
     const std::uint64_t faults = fault_model_.sample_fault_count(rng_, ops, p);
     if (faults > 0)
         PV_TRACE_EVENT(trace::EventKind::FaultInjected, "batch-fault", clock_.value(),
@@ -490,11 +467,11 @@ void Machine::validate_window(const Core& cr, InstrClass c, VoltagePlane plane,
     // require every assumption the closed-form step rests on.  All three
     // checks are exact, not tolerance-based: settled rails return their
     // target bit-identically, and the probability check doubles as a
-    // PhysicsMemo oracle (memoized anchor vs. direct evaluation).
+    // PathDelayMemo oracle (memoized anchor vs. direct evaluation).
     if (!events_.empty() && events_.next_time() < clock_ + window)
         throw SimError("batched window crosses an event boundary");
     const double scale = thermal_.delay_scale();
-    const double p_anchor = cached_fault_probability(cr.frequency(), v_anchor, c, scale);
+    const double p_anchor = memo_fault_probability(cr.frequency(), v_anchor, c, scale);
     const Picoseconds step = microseconds(50.0);
     for (Picoseconds t = clock_ + step; t < clock_ + window; t = t + step) {
         const Millivolts v_t = base_rail_.offset_at(VoltagePlane::Core, t) +
@@ -596,13 +573,16 @@ bool Machine::execute_op(unsigned core_id, InstrClass c, double cpi) {
     const Picoseconds steal = cr.drain_steal(Picoseconds{INT64_MAX});
     if (steal > Picoseconds{0}) advance(steal);
     if (crashed_) return false;
-    const double p = fault_probability(core_id, c);
+    // The core-plane voltage feeds both the fault draw and the energy.
+    const Millivolts v_core = package_voltage();
+    const Millivolts v = c == InstrClass::Load ? plane_voltage(VoltagePlane::Cache) : v_core;
+    const double p = memo_fault_probability(cr.frequency(), v, c, thermal_.delay_scale());
     const bool faulted = rng_.uniform() < p;
     if (faulted)
         PV_TRACE_EVENT(trace::EventKind::FaultInjected, "op-fault", clock_.value(), 1,
                        static_cast<std::uint64_t>(c));
     const double op_ps = cpi * cr.frequency().period_ps();
-    power_.on_retire(1, package_voltage());
+    power_.on_retire(1, v_core);
     advance(Picoseconds{static_cast<std::int64_t>(std::ceil(op_ps))});
     cr.retire(1);
     return faulted && !crashed_;

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -83,6 +84,34 @@ struct ImulResult {
 enum class SteppingMode {
     Batched,  ///< one closed-form step per settled window (production)
     Sliced,   ///< fine-grained re-validating traversal (verification)
+};
+
+/// Direct-mapped memo of TimingModel::path_delay_ps(v), the one pow of
+/// the fault physics and its only voltage-dependent part.  Keyed on the
+/// full 64-bit pattern of v, so a hit returns exactly what a recompute
+/// would; every slot holds a genuine (v, delay) pair from the start (the
+/// 0 mV one), so there is no empty marker for a voltage to alias.
+class PathDelayMemo {
+public:
+    explicit PathDelayMemo(TimingModel timing) : timing_(std::move(timing)) {
+        slots_.fill({0, timing_.path_delay_ps(Millivolts{0.0})});  // bits of +0.0 are 0
+    }
+    [[nodiscard]] double get(Millivolts v) {
+        const auto bits = std::bit_cast<std::uint64_t>(v.value());
+        // Multiplicative hash: round mV values differ only in high bits.
+        Entry& e = slots_[(bits * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits)];
+        if (e.bits != bits) e = {bits, timing_.path_delay_ps(v)};
+        return e.delay_ps;
+    }
+
+private:
+    static constexpr unsigned kSlotBits = 10;
+    struct Entry {
+        std::uint64_t bits;
+        double delay_ps;
+    };
+    TimingModel timing_;
+    std::array<Entry, std::size_t{1} << kSlotBits> slots_;
 };
 
 /// The simulated package (cores + regulator + MSRs + physics + clock).
@@ -337,35 +366,6 @@ public:
     [[nodiscard]] Stats stats() const;
 
 private:
-    // Direct-mapped cache for the pure fault-physics functions.  The
-    // characterization engine replays the identical boot -> row-frequency
-    // ramp for every cell, re-evaluating fault_probability/would_crash at
-    // the same handful of (f, v, scale) points thousands of times; a
-    // 1024-slot bit-pattern-keyed memo makes those re-evaluations a load.
-    // Determinism-neutral (the functions are pure), so it survives
-    // reset(seed) untouched.  Slots with key 0 are empty; computed keys
-    // set bit 0 so a genuine zero key cannot alias the empty marker.
-    class PhysicsMemo {
-    public:
-        template <typename Compute>
-        double get(std::uint64_t key, Compute&& compute) {
-            Entry& e = slots_[key & (kSlots - 1)];
-            if (e.key == key) return e.value;
-            const double v = compute();
-            e.key = key;
-            e.value = v;
-            return v;
-        }
-
-    private:
-        static constexpr std::size_t kSlots = 1024;
-        struct Entry {
-            std::uint64_t key = 0;
-            double value = 0.0;
-        };
-        std::array<Entry, kSlots> slots_{};
-    };
-
     void restore_boot_state();
     void register_builtin_invariants();
     void maybe_crash();
@@ -377,10 +377,9 @@ private:
     [[nodiscard]] Millivolts voltage_at(Picoseconds t) const;
     void integrate_power_to(Picoseconds t);
 
-    // Memoized fault physics (pure-function lookups; see PhysicsMemo).
-    [[nodiscard]] double cached_fault_probability(Megahertz f, Millivolts v, InstrClass c,
-                                                  double scale) const;
-    [[nodiscard]] bool cached_would_crash(Megahertz f, Millivolts v, double scale) const;
+    // Fault physics through the path-delay memo (bit-equal to FaultModel).
+    [[nodiscard]] double memo_fault_probability(Megahertz f, Millivolts v, InstrClass c,
+                                                double scale) const;
 
     // run_batch helpers: retire one settled window (single probability
     // eval, single binomial draw, single power/retire update), and the
@@ -422,7 +421,7 @@ private:
     check::InvariantRegistry invariants_;
 
     SteppingMode stepping_mode_ = default_stepping_mode();
-    mutable PhysicsMemo memo_;
+    mutable PathDelayMemo memo_{fault_model_.timing()};
     std::uint64_t batched_iterations_ = 0;
     std::uint64_t batch_windows_ = 0;
 };

@@ -11,15 +11,6 @@ VoltageRegulator::VoltageRegulator(RegulatorParams params) : params_(params) {
     if (params_.write_latency < Picoseconds{0}) throw ConfigError("regulator latency negative");
 }
 
-Millivolts VoltageRegulator::eval(const Ramp& r, Picoseconds t) {
-    if (t <= r.ramp_begin) return r.start;
-    if (t >= r.ramp_end) return r.target_mv;
-    const double span_us = (r.ramp_end - r.ramp_begin).microseconds();
-    const double done_us = (t - r.ramp_begin).microseconds();
-    const double frac = span_us <= 0.0 ? 1.0 : done_us / span_us;
-    return r.start + (r.target_mv - r.start) * frac;
-}
-
 void VoltageRegulator::write(VoltagePlane plane, Millivolts target, Picoseconds now) {
     Ramp& r = planes_[static_cast<std::size_t>(plane)];
     const Millivolts current = eval(r, now);
@@ -29,18 +20,6 @@ void VoltageRegulator::write(VoltagePlane plane, Millivolts target, Picoseconds 
     const double delta_mv = std::abs((target - current).value());
     const double ramp_us = delta_mv / params_.slew_mv_per_us;
     r.ramp_end = r.ramp_begin + microseconds(ramp_us);
-}
-
-Millivolts VoltageRegulator::offset_at(VoltagePlane plane, Picoseconds t) const {
-    return eval(planes_[static_cast<std::size_t>(plane)], t);
-}
-
-Millivolts VoltageRegulator::target(VoltagePlane plane) const {
-    return planes_[static_cast<std::size_t>(plane)].target_mv;
-}
-
-Picoseconds VoltageRegulator::settle_time(VoltagePlane plane) const {
-    return planes_[static_cast<std::size_t>(plane)].ramp_end;
 }
 
 void VoltageRegulator::force(VoltagePlane plane, Millivolts value) {

@@ -27,14 +27,20 @@ public:
     void write(VoltagePlane plane, Millivolts target, Picoseconds now);
 
     /// Offset actually applied on `plane` at time `t`.
-    [[nodiscard]] Millivolts offset_at(VoltagePlane plane, Picoseconds t) const;
+    [[nodiscard]] Millivolts offset_at(VoltagePlane plane, Picoseconds t) const {
+        return eval(planes_[static_cast<std::size_t>(plane)], t);
+    }
 
     /// The most recently commanded target for `plane`.
-    [[nodiscard]] Millivolts target(VoltagePlane plane) const;
+    [[nodiscard]] Millivolts target(VoltagePlane plane) const {
+        return planes_[static_cast<std::size_t>(plane)].target_mv;
+    }
 
     /// Time at which the rail reaches the commanded target (>= the write
     /// time); equals the write time when already settled.
-    [[nodiscard]] Picoseconds settle_time(VoltagePlane plane) const;
+    [[nodiscard]] Picoseconds settle_time(VoltagePlane plane) const {
+        return planes_[static_cast<std::size_t>(plane)].ramp_end;
+    }
 
     /// Immediately pin a plane to `value` with no ramp (boot/reset state,
     /// or initializing a rail that models an absolute voltage).
@@ -53,7 +59,14 @@ private:
         Picoseconds ramp_end{};
     };
 
-    [[nodiscard]] static Millivolts eval(const Ramp& r, Picoseconds t);
+    [[nodiscard]] static Millivolts eval(const Ramp& r, Picoseconds t) {
+        if (t <= r.ramp_begin) return r.start;
+        if (t >= r.ramp_end) return r.target_mv;
+        const double span_us = (r.ramp_end - r.ramp_begin).microseconds();
+        const double done_us = (t - r.ramp_begin).microseconds();
+        const double frac = span_us <= 0.0 ? 1.0 : done_us / span_us;
+        return r.start + (r.target_mv - r.start) * frac;
+    }
 
     RegulatorParams params_;
     std::array<Ramp, 5> planes_{};

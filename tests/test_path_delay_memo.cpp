@@ -1,0 +1,155 @@
+// Exactness of the simulator's path-delay memo.
+//
+// Machine evaluates its fault physics through PathDelayMemo, a
+// direct-mapped cache of TimingModel::path_delay_ps(v) keyed on the bit
+// pattern of v.  These tests hold it to bitwise equality with direct
+// evaluation: across slot collisions and voltages one ulp apart, over
+// random operating points (thresholds included), and across
+// reset/restore_snapshot, which leave the memo in place.
+#include "sim/machine.hpp"
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "sim/cpu_profile.hpp"
+#include "util/rng.hpp"
+
+namespace pv::sim {
+namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(PathDelayMemo, CollidingAndOneUlpApartVoltagesReturnExactDelays) {
+    const CpuProfile profile = cometlake_i7_10510u();
+    const TimingModel timing(profile.timing);
+    PathDelayMemo memo(timing);
+
+    // 4096 distinct voltages in 1024 slots: by pigeonhole many share a
+    // slot, and every voltage sits next to its one-ulp neighbours.
+    std::vector<double> volts;
+    const double vth = profile.timing.threshold_voltage.value();
+    for (double v : {-0.0, 0.0, vth, 450.0, 700.0, 812.5, 1000.0}) {
+        volts.push_back(v);
+        volts.push_back(std::nextafter(v, -INFINITY));
+        volts.push_back(std::nextafter(v, INFINITY));
+    }
+    Rng rng(0x3E30);
+    while (volts.size() < 4096) {
+        const double v = rng.uniform(vth - 50.0, 1300.0);
+        volts.push_back(v);
+        volts.push_back(std::nextafter(v, INFINITY));
+    }
+    // Three passes: the first fills, the later ones mix hits with
+    // evictions by colliding and adjacent keys.
+    for (int pass = 0; pass < 3; ++pass) {
+        for (const double v : volts) {
+            ASSERT_EQ(bits(memo.get(Millivolts{v})),
+                      bits(timing.path_delay_ps(Millivolts{v})))
+                << "v = " << v << " mV, pass " << pass;
+        }
+    }
+    // Alternating one-ulp neighbours: each lookup still returns its own
+    // voltage's delay, never the neighbour's.
+    const double v = 823.0;
+    const double up = std::nextafter(v, INFINITY);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(bits(memo.get(Millivolts{v})), bits(timing.path_delay_ps(Millivolts{v})));
+        EXPECT_EQ(bits(memo.get(Millivolts{up})), bits(timing.path_delay_ps(Millivolts{up})));
+    }
+}
+
+/// The machine's memoized fault probability and crash check against a
+/// direct FaultModel evaluation at the machine's current state.  Returns
+/// whether the machine crashed.
+bool expect_matches_direct(Machine& m, const char* where) {
+    const FaultModel& fm = m.fault_model();
+    const double scale = m.thermal().delay_scale();
+    for (const InstrClass c : kAllInstrClasses) {
+        const VoltagePlane plane = c == InstrClass::Load ? VoltagePlane::Cache : VoltagePlane::Core;
+        const Millivolts v = m.plane_voltage(plane);
+        const double direct = fm.fault_probability(m.core(0).frequency(), v, c, scale);
+        EXPECT_EQ(bits(m.fault_probability(0, c)), bits(direct))
+            << where << ": " << to_string(c) << " at " << v.value() << " mV, scale " << scale;
+        EXPECT_EQ(bits(m.fault_probability(0, c)), bits(direct)) << where << " (memo hit)";
+        if (v <= m.profile().timing.threshold_voltage) {
+            EXPECT_EQ(direct, 1.0) << where;
+        }
+    }
+    const Megahertz f = m.max_active_frequency();
+    const Millivolts v_core = m.plane_voltage(VoltagePlane::Core);
+    const bool crash =
+        fm.would_crash(f, v_core, scale) ||
+        fm.would_crash(f, m.plane_voltage(VoltagePlane::Cache),
+                       scale * path_factor(InstrClass::Load));
+    if (v_core <= m.profile().timing.threshold_voltage) {
+        EXPECT_TRUE(crash) << where;
+    }
+    m.advance(Picoseconds{0});  // the event-boundary crash check
+    EXPECT_EQ(m.crashed(), crash) << where << ": core " << v_core.value() << " mV";
+    return crash;
+}
+
+TEST(PathDelayMemo, MachinePhysicsMatchesDirectFaultModelBitwise) {
+    const CpuProfile profile = cometlake_i7_10510u();
+    Machine m(profile, 1);
+    const std::vector<Megahertz> table = profile.frequency_table();
+    const double vth = profile.timing.threshold_voltage.value();
+    Rng rng(0xFA57);
+    unsigned below_threshold = 0;
+    unsigned crashes = 0;
+    for (std::uint64_t point = 0; point < 600; ++point) {
+        m.reset(point);  // also exercises the memo surviving reset()
+        m.set_all_frequencies(table[rng.uniform_below(table.size())]);
+        // Offsets from well below the threshold voltage to a small
+        // overvolt, so p spans 0..1 and the crash check flips.
+        const double base = m.package_voltage().value();
+        const double core_mv = rng.uniform(vth - 40.0 - base, 20.0);
+        const double cache_mv = rng.uniform(vth - 40.0 - base, 20.0);
+        m.regulator().force(VoltagePlane::Core, Millivolts{core_mv});
+        m.regulator().force(VoltagePlane::Cache, Millivolts{cache_mv});
+        m.set_die_temperature(rng.uniform(0.0, 110.0));
+        if (m.plane_voltage(VoltagePlane::Core).value() <= vth) ++below_threshold;
+        if (expect_matches_direct(m, "random point")) ++crashes;
+        if (::testing::Test::HasFailure()) return;  // one report, not 600
+    }
+    EXPECT_GT(below_threshold, 10u) << "the sample must reach the infinite-delay branch";
+    EXPECT_GT(crashes, 10u);
+    EXPECT_LT(crashes, 590u) << "the sample must also cover surviving points";
+
+    // Exactly at the threshold voltage: infinite delay, p = 1, crash.
+    m.reset(7);
+    const double base = m.package_voltage().value();
+    m.regulator().force(VoltagePlane::Core, Millivolts{vth - base});
+    ASSERT_LE(m.plane_voltage(VoltagePlane::Core).value(), vth);
+    EXPECT_TRUE(expect_matches_direct(m, "at threshold"));
+    EXPECT_EQ(m.fault_probability(0, InstrClass::Imul), 1.0);
+}
+
+TEST(PathDelayMemo, ResetAndSnapshotRestoreLeaveMemoizedValuesCorrect) {
+    Machine m(cometlake_i7_10510u(), 3);
+    m.set_all_frequencies(from_ghz(2.0));
+    m.regulator().force(VoltagePlane::Core, Millivolts{-120.0});
+    m.set_die_temperature(55.0);
+    const Machine::Snapshot snap = m.capture_snapshot();
+    const double p_snap = m.fault_probability(0, InstrClass::Imul);
+    expect_matches_direct(m, "before snapshot restore");
+
+    // Populate the memo with other voltages, then go back.
+    for (double mv = -200.0; mv <= 0.0; mv += 0.37) {
+        m.regulator().force(VoltagePlane::Core, Millivolts{mv});
+        (void)m.fault_probability(0, InstrClass::Imul);
+    }
+    m.restore_snapshot(snap, 3);
+    EXPECT_EQ(bits(m.fault_probability(0, InstrClass::Imul)), bits(p_snap));
+    expect_matches_direct(m, "after restore_snapshot");
+
+    m.reset(3);
+    EXPECT_FALSE(expect_matches_direct(m, "after reset"));
+}
+
+}  // namespace
+}  // namespace pv::sim
