@@ -23,7 +23,6 @@
 // Emits BENCH_daemon.json (jobs_stream wall + p50/p99 rows, DVFS
 // throughput, resume wall).  --quick shrinks the stream for the tier-1
 // CI smoke step; gates are enforced in both modes.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -34,6 +33,7 @@
 #include "serve/daemon.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 using namespace pv;
 
@@ -59,14 +59,6 @@ serve::JobSpec nth_job(std::uint64_t n) {
             break;
     }
     return spec;
-}
-
-double percentile(std::vector<double> sorted_ms, double p) {
-    if (sorted_ms.empty()) return 0.0;
-    std::sort(sorted_ms.begin(), sorted_ms.end());
-    const std::size_t rank = static_cast<std::size_t>(
-        std::max<double>(0.0, p * static_cast<double>(sorted_ms.size()) - 1.0));
-    return sorted_ms[std::min(rank, sorted_ms.size() - 1)];
 }
 
 int gate_failures = 0;
@@ -119,8 +111,8 @@ int main(int argc, char** argv) {
     const double stream_ms = stream_watch.elapsed_ms();
     const double jobs_per_sec =
         stream_ms > 0.0 ? 1000.0 * static_cast<double>(n_jobs) / stream_ms : 0.0;
-    const double p50 = percentile(turnaround_ms, 0.50);
-    const double p99 = percentile(turnaround_ms, 0.99);
+    const double p50 = percentile(turnaround_ms, 50.0);
+    const double p99 = percentile(turnaround_ms, 99.0);
     std::printf("job_stream: %llu jobs in %.1f ms (%.1f jobs/sec), turnaround "
                 "p50 %.2f ms, p99 %.2f ms\n",
                 static_cast<unsigned long long>(n_jobs), stream_ms, jobs_per_sec, p50,

@@ -18,12 +18,6 @@ void InvariantRegistry::remove(std::size_t token) {
     std::erase_if(entries_, [token](const Entry& e) { return e.token == token; });
 }
 
-std::size_t InvariantRegistry::tick() {
-    ++ticks_;
-    if (cadence_ == 0 || ticks_ % cadence_ != 0) return 0;
-    return check_now();
-}
-
 std::size_t InvariantRegistry::check_now() {
     ++evaluations_;
     std::size_t found = 0;

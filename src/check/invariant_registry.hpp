@@ -5,7 +5,7 @@
 // for the simulator — evaluates the whole set at a configurable cadence
 // from its event loop.  The registry is deliberately passive: it never
 // samples state on its own, so a disabled registry (cadence 0) costs one
-// integer increment per tick and a level-0 build can elide even that.
+// integer increment and compare per tick.
 //
 // Violations are fatal by default (a broken simulator invariant means
 // every result after it is garbage — the PV_ASSERT philosophy); tests
@@ -39,15 +39,23 @@ public:
 
     [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-    /// Evaluate every Nth tick() call; 0 disables tick-driven evaluation
-    /// entirely (check_now() still works).
-    void set_cadence(std::uint64_t every_n) { cadence_ = every_n; }
+    /// Evaluate every Nth tick() call (every tick whose running count is
+    /// a multiple of N); 0 disables tick-driven evaluation entirely
+    /// (check_now() still works).
+    void set_cadence(std::uint64_t every_n) {
+        cadence_ = every_n;
+        next_eval_ = every_n == 0 ? UINT64_MAX : (ticks_ / every_n + 1) * every_n;
+    }
     [[nodiscard]] std::uint64_t cadence() const { return cadence_; }
 
     /// Cadence-gated evaluation hook (call from the owner's hot loop).
     /// Returns the number of violations found by this call (0 when the
     /// cadence skipped evaluation).
-    std::size_t tick();
+    std::size_t tick() {
+        if (++ticks_ != next_eval_) return 0;
+        next_eval_ += cadence_;
+        return check_now();
+    }
 
     /// Evaluate all invariants immediately, regardless of cadence.
     /// Fatal mode PV_ASSERT-fails on the first violation; otherwise
@@ -81,6 +89,9 @@ private:
     std::size_t next_token_ = 0;
     std::uint64_t cadence_ = 0;
     std::uint64_t ticks_ = 0;
+    // The tick count of the next cadence evaluation: the next multiple of
+    // cadence_ above ticks_, or UINT64_MAX (never reached) at cadence 0.
+    std::uint64_t next_eval_ = UINT64_MAX;
     std::uint64_t evaluations_ = 0;
     bool fatal_ = true;
 };

@@ -11,12 +11,12 @@ sgx::Program Minefield::instrument(const sgx::Program& program) {
     for (std::size_t i = 0; i < program.size(); ++i) {
         const auto& instr = program[i];
         out.push_back(instr);
-        if (instr.is_trap || !instr.mul_ops) continue;
-        const auto& ops = *instr.mul_ops;
-        if (ops.dst == ops.a || ops.dst == ops.b) continue;  // inputs clobbered
+        const std::optional<sgx::MulOperands> ops = instr.mul_ops();
+        if (!ops) continue;
+        if (ops->dst == ops->a || ops->dst == ops->b) continue;  // inputs clobbered
         // Idempotence: don't mine an already-mined multiply.
-        if (i + 1 < program.size() && program[i + 1].is_trap) continue;
-        out.push_back(sgx::make_mul_trap(ops.dst, ops.a, ops.b));
+        if (i + 1 < program.size() && program[i + 1].is_trap()) continue;
+        out.push_back(sgx::make_mul_trap(ops->dst, ops->a, ops->b));
         ++stats_.traps_inserted;
     }
     return out;

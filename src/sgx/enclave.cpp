@@ -14,7 +14,6 @@ Enclave::~Enclave() { runtime_.enclave_destroyed(); }
 EnclaveRunResult Enclave::run(const Program& program) {
     EnclaveRunResult result;
     sim::Machine& machine = runtime_.machine();
-    VictimContext ctx{&machine, core_, {}};
 
     runtime_.enter();
     for (std::size_t i = 0; i < program.size(); ++i) {
@@ -24,16 +23,16 @@ EnclaveRunResult Enclave::run(const Program& program) {
             result.machine_crashed = true;
             break;
         }
-        if (instr.is_trap) {
+        if (instr.is_trap()) {
             // A faulted trap instance corrupts its own recomputation —
             // either way the comparison trips and the deflection fires.
-            if (faulted || (instr.trap_check && instr.trap_check(ctx))) {
+            if (faulted || trap_fires(instr, result.regs)) {
                 result.trap_detected = true;
                 break;
             }
             continue;
         }
-        instr.semantics(ctx, faulted);
+        execute(instr, result.regs, faulted, &machine);
 
         if (stepper_ != nullptr && stepper_->capabilities().single_step) {
             ++result.aex_count;  // adversary-induced asynchronous exit
@@ -46,7 +45,6 @@ EnclaveRunResult Enclave::run(const Program& program) {
     runtime_.leave();
 
     result.completed = !result.trap_detected && !result.suppressed && !result.machine_crashed;
-    result.regs = ctx.regs;
     return result;
 }
 

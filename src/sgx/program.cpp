@@ -9,79 +9,58 @@ void check_reg(unsigned r) {
     if (r >= 16) throw ConfigError("register index out of range");
 }
 
-}  // namespace
-
-VictimInstr make_imul(unsigned dst, unsigned a, unsigned b) {
+VictimInstr make_reg_op(VictimOp op, sim::InstrClass cls, std::string mnemonic,
+                        unsigned dst, unsigned a, unsigned b) {
     check_reg(dst);
     check_reg(a);
     check_reg(b);
     VictimInstr i;
-    i.cls = sim::InstrClass::Imul;
-    i.mnemonic = "imul r" + std::to_string(dst) + ", r" + std::to_string(a) + ", r" +
-                 std::to_string(b);
-    i.mul_ops = MulOperands{dst, a, b};
-    i.semantics = [dst, a, b](VictimContext& ctx, bool faulted) {
-        std::uint64_t v = ctx.regs[a] * ctx.regs[b];
-        if (faulted && ctx.machine) v = ctx.machine->corrupt_value(v);
-        ctx.regs[dst] = v;
-    };
+    i.op = op;
+    i.cls = cls;
+    i.mnemonic = std::move(mnemonic);
+    i.dst = dst;
+    i.a = a;
+    i.b = b;
     return i;
 }
 
+std::string three_reg(const char* name, unsigned dst, unsigned a, unsigned b) {
+    return std::string(name) + " r" + std::to_string(dst) + ", r" + std::to_string(a) +
+           ", r" + std::to_string(b);
+}
+
+}  // namespace
+
+VictimInstr make_imul(unsigned dst, unsigned a, unsigned b) {
+    return make_reg_op(VictimOp::Imul, sim::InstrClass::Imul, three_reg("imul", dst, a, b),
+                       dst, a, b);
+}
+
 VictimInstr make_add(unsigned dst, unsigned a, unsigned b) {
-    check_reg(dst);
-    check_reg(a);
-    check_reg(b);
-    VictimInstr i;
-    i.cls = sim::InstrClass::Alu;
-    i.mnemonic = "add r" + std::to_string(dst) + ", r" + std::to_string(a) + ", r" +
-                 std::to_string(b);
-    i.semantics = [dst, a, b](VictimContext& ctx, bool faulted) {
-        std::uint64_t v = ctx.regs[a] + ctx.regs[b];
-        if (faulted && ctx.machine) v = ctx.machine->corrupt_value(v);
-        ctx.regs[dst] = v;
-    };
-    return i;
+    return make_reg_op(VictimOp::Add, sim::InstrClass::Alu, three_reg("add", dst, a, b), dst,
+                       a, b);
 }
 
 VictimInstr make_load_imm(unsigned dst, std::uint64_t imm) {
     check_reg(dst);
     VictimInstr i;
+    i.op = VictimOp::LoadImm;
     i.cls = sim::InstrClass::Load;
     i.mnemonic = "mov r" + std::to_string(dst) + ", imm";
-    i.semantics = [dst, imm](VictimContext& ctx, bool) { ctx.regs[dst] = imm; };
+    i.dst = dst;
+    i.imm = imm;
     return i;
 }
 
 VictimInstr make_xor(unsigned dst, unsigned a, unsigned b) {
-    check_reg(dst);
-    check_reg(a);
-    check_reg(b);
-    VictimInstr i;
-    i.cls = sim::InstrClass::Alu;
-    i.mnemonic = "xor r" + std::to_string(dst) + ", r" + std::to_string(a) + ", r" +
-                 std::to_string(b);
-    i.semantics = [dst, a, b](VictimContext& ctx, bool faulted) {
-        std::uint64_t v = ctx.regs[a] ^ ctx.regs[b];
-        if (faulted && ctx.machine) v = ctx.machine->corrupt_value(v);
-        ctx.regs[dst] = v;
-    };
-    return i;
+    return make_reg_op(VictimOp::Xor, sim::InstrClass::Alu, three_reg("xor", dst, a, b), dst,
+                       a, b);
 }
 
 VictimInstr make_mul_trap(unsigned dst, unsigned a, unsigned b) {
-    check_reg(dst);
-    check_reg(a);
-    check_reg(b);
-    VictimInstr i;
-    i.cls = sim::InstrClass::Imul;  // the check re-multiplies, same path
-    i.mnemonic = "trap.mulchk r" + std::to_string(dst);
-    i.is_trap = true;
-    i.semantics = [](VictimContext&, bool) {};
-    i.trap_check = [dst, a, b](VictimContext& ctx) {
-        return ctx.regs[a] * ctx.regs[b] != ctx.regs[dst];
-    };
-    return i;
+    // The check re-multiplies: same timing path as the multiply it guards.
+    return make_reg_op(VictimOp::MulTrap, sim::InstrClass::Imul,
+                       "trap.mulchk r" + std::to_string(dst), dst, a, b);
 }
 
 Program make_mul_chain(std::uint64_t seed_a, std::uint64_t seed_b, std::size_t n) {
@@ -104,17 +83,13 @@ std::array<std::uint64_t, 16> reference_run(const Program& program,
 std::array<std::uint64_t, 16> reference_run_prefix(const Program& program, std::size_t count,
                                                    std::array<std::uint64_t, 16> regs) {
     if (count > program.size()) throw ConfigError("reference prefix longer than program");
-    VictimContext ctx{nullptr, 0, regs};
-    for (std::size_t i = 0; i < count; ++i) {
-        if (program[i].is_trap) continue;  // traps are side-effect free
-        program[i].semantics(ctx, /*faulted=*/false);
-    }
-    return ctx.regs;
+    for (std::size_t i = 0; i < count; ++i) execute(program[i], regs, /*faulted=*/false, nullptr);
+    return regs;
 }
 
 std::size_t last_mul_index(const Program& program) {
     for (std::size_t i = program.size(); i > 0; --i) {
-        if (program[i - 1].mul_ops && !program[i - 1].is_trap) return i - 1;
+        if (program[i - 1].op == VictimOp::Imul) return i - 1;
     }
     throw ConfigError("program contains no multiply");
 }

@@ -2,12 +2,6 @@
 
 namespace pv::sim {
 
-Picoseconds Core::drain_steal(Picoseconds budget) {
-    const Picoseconds drained = pending_steal_ < budget ? pending_steal_ : budget;
-    pending_steal_ -= drained;
-    return drained;
-}
-
 void Core::reset(Megahertz boot_freq) {
     freq_ = boot_freq;
     cstate_ = CState::C0;

@@ -49,7 +49,11 @@ public:
     [[nodiscard]] Picoseconds pending_steal() const { return pending_steal_; }
     void add_steal(Picoseconds t) { pending_steal_ += t; total_steal_ += t; }
     /// Drain up to `budget` of pending steal; returns the amount drained.
-    Picoseconds drain_steal(Picoseconds budget);
+    Picoseconds drain_steal(Picoseconds budget) {
+        const Picoseconds drained = pending_steal_ < budget ? pending_steal_ : budget;
+        pending_steal_ -= drained;
+        return drained;
+    }
 
     /// Cumulative stolen time since construction/reset.
     [[nodiscard]] Picoseconds total_steal() const { return total_steal_; }

@@ -67,11 +67,6 @@ void EventQueue::schedule(Picoseconds when, Callback fn) {
     if (when_.size() > stats_.heap_peak) stats_.heap_peak = when_.size();
 }
 
-Picoseconds EventQueue::next_time() const {
-    if (when_.empty()) throw SimError("next_time on empty queue");
-    return Picoseconds{when_[0]};
-}
-
 std::size_t EventQueue::run_until(Picoseconds until) {
     std::size_t count = 0;
     while (!when_.empty() && when_[0] <= until.value()) {

@@ -26,6 +26,7 @@
 #include <functional>
 #include <vector>
 
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace pv::sim {
@@ -52,7 +53,10 @@ public:
     [[nodiscard]] bool empty() const { return when_.empty(); }
 
     /// Timestamp of the next event; only valid when !empty().
-    [[nodiscard]] Picoseconds next_time() const;
+    [[nodiscard]] Picoseconds next_time() const {
+        if (when_.empty()) throw SimError("next_time on empty queue");
+        return Picoseconds{when_[0]};
+    }
 
     /// Pop and run every event with timestamp <= `until`, advancing the
     /// internal clock.  Events scheduled by callbacks are honoured if

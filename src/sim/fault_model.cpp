@@ -1,9 +1,6 @@
 #include "sim/fault_model.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace pv::sim {
 
@@ -12,26 +9,11 @@ FaultModel::FaultModel(TimingModel timing, VfCurve vf)
 
 double FaultModel::fault_probability(Megahertz f, Millivolts v, InstrClass c,
                                      double delay_scale) const {
-    return fault_probability_at(f, timing_.path_delay_ps(v), c, delay_scale);
+    return fault_probability_at(timing_.slack_ps(f), timing_.path_delay_ps(v), c, delay_scale);
 }
 
 bool FaultModel::would_crash(Megahertz f, Millivolts v, double delay_scale) const {
-    return would_crash_at(f, timing_.path_delay_ps(v), delay_scale);
-}
-
-double FaultModel::fault_probability_at(Megahertz f, double delay_ps, InstrClass c,
-                                        double delay_scale) const {
-    const double d = delay_scale * (path_factor(c) * delay_ps);
-    if (!std::isfinite(d)) return 1.0;
-    const double sigma = timing_.params().sigma_fraction * delay_scale * delay_ps;
-    const double z = (d - timing_.slack_ps(f)) / sigma;
-    return normal_cdf(z);
-}
-
-bool FaultModel::would_crash_at(Megahertz f, double delay_ps, double delay_scale) const {
-    const double d = delay_scale * delay_ps;
-    if (!std::isfinite(d)) return true;
-    return timing_.params().crash_path_factor * d > timing_.slack_ps(f);
+    return would_crash_at(timing_.slack_ps(f), timing_.path_delay_ps(v), delay_scale);
 }
 
 double FaultModel::observable_probability(std::uint64_t n_ops) {

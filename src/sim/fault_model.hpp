@@ -19,11 +19,13 @@
 // cliff; (3) fault-onset offsets shrink in magnitude as frequency grows.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "sim/timing_model.hpp"
 #include "sim/vf_curve.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace pv::sim {
 
@@ -43,11 +45,24 @@ public:
     [[nodiscard]] bool would_crash(Megahertz f, Millivolts v,
                                    double delay_scale = 1.0) const;
 
-    /// The two above with v already reduced to `delay_ps` ==
-    /// timing().path_delay_ps(v), for callers that memoize that pow.
-    [[nodiscard]] double fault_probability_at(Megahertz f, double delay_ps, InstrClass c,
-                                              double delay_scale) const;
-    [[nodiscard]] bool would_crash_at(Megahertz f, double delay_ps, double delay_scale) const;
+    /// The two above with the operating point already reduced to
+    /// `slack_ps` == timing().slack_ps(f) and `delay_ps` ==
+    /// timing().path_delay_ps(v), for callers that memoize those terms.
+    /// These hold the only copy of each formula; keep the association
+    /// order (DESIGN 5f) so memoized and direct results stay bit-equal.
+    [[nodiscard]] double fault_probability_at(double slack_ps, double delay_ps, InstrClass c,
+                                              double delay_scale) const {
+        const double d = delay_scale * (path_factor(c) * delay_ps);
+        if (!std::isfinite(d)) return 1.0;
+        const double sigma = timing_.params().sigma_fraction * delay_scale * delay_ps;
+        return normal_cdf((d - slack_ps) / sigma);
+    }
+    [[nodiscard]] bool would_crash_at(double slack_ps, double delay_ps,
+                                      double delay_scale) const {
+        const double d = delay_scale * delay_ps;
+        if (!std::isfinite(d)) return true;
+        return timing_.params().crash_path_factor * d > slack_ps;
+    }
 
     /// Nominal (fused VF curve) voltage at `f`.
     [[nodiscard]] Millivolts nominal_voltage(Megahertz f) const { return vf_.nominal(f); }

@@ -270,10 +270,10 @@ double Machine::leakage_scale() const {
            core_share * static_cast<double>(leaking) / static_cast<double>(cores_.size());
 }
 
-void Machine::integrate_power_to(Picoseconds t) {
+void Machine::integrate_power_to(Picoseconds t, Millivolts v_from, Millivolts v_to) {
     // Linear interpolation between the endpoint voltages; ramp kinks
     // inside the window introduce a negligible quadratic-term error.
-    power_.integrate_leakage(clock_, t, voltage_at(clock_), voltage_at(t), leakage_scale());
+    power_.integrate_leakage(clock_, t, v_from, v_to, leakage_scale());
     // Feed the thermal RC model with the window's average power (dynamic
     // energy from retires since the last update is included).
     const double dt_s = (t - clock_).seconds();
@@ -290,28 +290,35 @@ Millivolts Machine::applied_offset(VoltagePlane plane) const {
 
 double Machine::memo_fault_probability(Megahertz f, Millivolts v, InstrClass c,
                                        double scale) const {
-    return fault_model_.fault_probability_at(f, memo_.get(v), c, scale);
+    return fault_model_.fault_probability_at(fault_model_.timing().slack_ps(f), memo_.get(v), c,
+                                             scale);
 }
 
 void Machine::maybe_crash() {
     if (crashed_) return;
     const Megahertz f = max_active_frequency();
-    const double scale = thermal_.delay_scale();
     const Millivolts base = base_rail_.offset_at(VoltagePlane::Core, clock_);
     const Millivolts v_core = base + regulator_.offset_at(VoltagePlane::Core, clock_);
-    if (fault_model_.would_crash_at(f, memo_.get(v_core), scale)) {
+    const Millivolts v_cache = base + regulator_.offset_at(VoltagePlane::Cache, clock_);
+    crash_if_violated(f, fault_model_.timing().slack_ps(f), {v_core, memo_.get(v_core)},
+                      {v_cache, memo_.get(v_cache)});
+}
+
+void Machine::crash_if_violated(Megahertz f, double slack_ps, PlanePoint core,
+                                PlanePoint cache) {
+    const double scale = thermal_.delay_scale();
+    if (fault_model_.would_crash_at(slack_ps, core.delay_ps, scale)) {
         crash("undervolt crash: control-path timing violated at " +
-              std::to_string(f.value()) + " MHz / " + std::to_string(v_core.value()) +
+              std::to_string(f.value()) + " MHz / " + std::to_string(core.v.value()) +
               " mV (core plane)");
         return;
     }
     // The cache plane feeds the (shorter) load path; kernel data accesses
     // corrupt and panic once it deterministically violates timing.
-    const Millivolts v_cache = base + regulator_.offset_at(VoltagePlane::Cache, clock_);
-    if (fault_model_.would_crash_at(f, memo_.get(v_cache),
+    if (fault_model_.would_crash_at(slack_ps, cache.delay_ps,
                                     scale * path_factor(InstrClass::Load))) {
         crash("undervolt crash: cache-path timing violated at " +
-              std::to_string(f.value()) + " MHz / " + std::to_string(v_cache.value()) +
+              std::to_string(f.value()) + " MHz / " + std::to_string(cache.v.value()) +
               " mV (cache plane)");
     }
 }
@@ -321,7 +328,7 @@ void Machine::advance_to(Picoseconds t) {
     if (crashed_) return;
     while (!events_.empty() && events_.next_time() <= t) {
         const Picoseconds et = events_.next_time();
-        integrate_power_to(et);
+        integrate_power_to(et, voltage_at(clock_), voltage_at(et));
         clock_ = et;
         // The rail ramps monotonically between events, so its extreme
         // value inside (prev, et] is reached at et: check before and
@@ -333,7 +340,7 @@ void Machine::advance_to(Picoseconds t) {
         if (crashed_) return;
         invariants_.tick();
     }
-    integrate_power_to(t);
+    integrate_power_to(t, voltage_at(clock_), voltage_at(t));
     clock_ = t;
     maybe_crash();
     invariants_.tick();
@@ -573,19 +580,64 @@ bool Machine::execute_op(unsigned core_id, InstrClass c, double cpi) {
     const Picoseconds steal = cr.drain_steal(Picoseconds{INT64_MAX});
     if (steal > Picoseconds{0}) advance(steal);
     if (crashed_) return false;
-    // The core-plane voltage feeds both the fault draw and the energy.
-    const Millivolts v_core = package_voltage();
-    const Millivolts v = c == InstrClass::Load ? plane_voltage(VoltagePlane::Cache) : v_core;
-    const double p = memo_fault_probability(cr.frequency(), v, c, thermal_.delay_scale());
+    const double op_ps = cpi * cr.frequency().period_ps();
+    const Picoseconds end = clock_ + Picoseconds{static_cast<std::int64_t>(std::ceil(op_ps))};
+    const bool settled = stepping_mode_ == SteppingMode::Batched && end >= clock_ &&
+                         clock_ >= rail_settle_time() &&
+                         (events_.empty() || events_.next_time() > end);
+    const bool faulted = settled ? settled_op(cr, c, end) : general_op(cr, c, end);
+    cr.retire(1);
+    return faulted && !crashed_;
+}
+
+bool Machine::draw_fault(InstrClass c, double p) {
     const bool faulted = rng_.uniform() < p;
     if (faulted)
         PV_TRACE_EVENT(trace::EventKind::FaultInjected, "op-fault", clock_.value(), 1,
                        static_cast<std::uint64_t>(c));
-    const double op_ps = cpi * cr.frequency().period_ps();
+    return faulted;
+}
+
+bool Machine::general_op(const Core& cr, InstrClass c, Picoseconds end) {
+    // The core-plane voltage feeds both the fault draw and the energy.
+    const Millivolts v_core = package_voltage();
+    const Millivolts v = c == InstrClass::Load ? plane_voltage(VoltagePlane::Cache) : v_core;
+    const bool faulted =
+        draw_fault(c, memo_fault_probability(cr.frequency(), v, c, thermal_.delay_scale()));
     power_.on_retire(1, v_core);
-    advance(Picoseconds{static_cast<std::int64_t>(std::ceil(op_ps))});
-    cr.retire(1);
-    return faulted && !crashed_;
+    advance_to(end);
+    return faulted;
+}
+
+double Machine::cached_delay(PointCache& cache, Millivolts v) {
+    return cache.get(v.value(), [&] { return memo_.get(v); });
+}
+
+double Machine::cached_slack(Megahertz f) {
+    return slack_.get(f.value(), [&] { return fault_model_.timing().slack_ps(f); });
+}
+
+bool Machine::settled_op(const Core& cr, InstrClass c, Picoseconds end) {
+    // Settled rails hold every plane at its target over [clock_, end], and
+    // no event falls inside, so this is advance_to(end) with each voltage
+    // read once and its physics taken from the point cache: the same
+    // operations in the same order as general_op, hence bit-identical.
+    const Millivolts base = base_rail_.offset_at(VoltagePlane::Core, clock_);
+    const Millivolts v_core = base + regulator_.offset_at(VoltagePlane::Core, clock_);
+    const Millivolts v_cache = base + regulator_.offset_at(VoltagePlane::Cache, clock_);
+    const PlanePoint core_p{v_core, cached_delay(delay_core_, v_core)};
+    const PlanePoint cache_p{v_cache, cached_delay(delay_cache_, v_cache)};
+    const double d_op = c == InstrClass::Load ? cache_p.delay_ps : core_p.delay_ps;
+    const bool faulted = draw_fault(c, fault_model_.fault_probability_at(
+                                           cached_slack(cr.frequency()), d_op, c,
+                                           thermal_.delay_scale()));
+    power_.on_retire(1, core_p.v);
+    integrate_power_to(end, core_p.v, core_p.v);
+    clock_ = end;
+    const Megahertz f = max_active_frequency();
+    crash_if_violated(f, cached_slack(f), core_p, cache_p);
+    invariants_.tick();
+    return faulted;
 }
 
 ImulResult Machine::faulty_imul(unsigned core_id, std::uint64_t a, std::uint64_t b) {

@@ -219,7 +219,10 @@ public:
     /// sampled finely).  `cpi` is cycles per operation.
     BatchResult run_batch(unsigned core_id, InstrClass c, std::uint64_t n_ops, double cpi = 1.0);
 
-    /// Execute one operation; returns whether it faulted.
+    /// Execute one operation; returns whether it faulted.  With the rails
+    /// settled and no event due before the op ends, the op takes one
+    /// step on cached physics (DESIGN 5f); Sliced machines always take
+    /// the general path through advance_to, the reference for that step.
     bool execute_op(unsigned core_id, InstrClass c, double cpi = 1.0);
 
     /// One faultable 64x64->64 multiply on a core (wrapping semantics);
@@ -368,14 +371,52 @@ public:
 private:
     void restore_boot_state();
     void register_builtin_invariants();
+    // One remembered (x, f(x)) pair of a pure function of a double, keyed
+    // on the full 64-bit pattern of x, so a hit returns exactly what a
+    // recompute would.  It starts as a genuine pair: there is no empty
+    // marker for a live argument to alias.
+    class PointCache {
+    public:
+        PointCache(double x, double fx) : bits_(std::bit_cast<std::uint64_t>(x)), value_(fx) {}
+        template <class Recompute>
+        [[nodiscard]] double get(double x, Recompute recompute) {
+            const auto bits = std::bit_cast<std::uint64_t>(x);
+            if (bits != bits_) {
+                bits_ = bits;
+                value_ = recompute();
+            }
+            return value_;
+        }
+
+    private:
+        std::uint64_t bits_;
+        double value_;
+    };
+
+    // A plane voltage and its path delay (TimingModel::path_delay_ps).
+    struct PlanePoint {
+        Millivolts v;
+        double delay_ps;
+    };
     void maybe_crash();
+    void crash_if_violated(Megahertz f, double slack_ps, PlanePoint core, PlanePoint cache);
     [[nodiscard]] double leakage_scale() const;
     [[nodiscard]] Megahertz snap_to_table(Megahertz f) const;
     void apply_msr_semantics(unsigned core_id, std::uint32_t addr, std::uint64_t value);
     void update_rail_target();
     void apply_pending_raises();
     [[nodiscard]] Millivolts voltage_at(Picoseconds t) const;
-    void integrate_power_to(Picoseconds t);
+    void integrate_power_to(Picoseconds t, Millivolts v_from, Millivolts v_to);
+
+    // execute_op's two bodies after wake-up and stolen time; both return
+    // whether the op faulted and advance the clock to `end` (or to the
+    // crash, whichever comes first).
+    bool general_op(const Core& cr, InstrClass c, Picoseconds end);
+    bool settled_op(const Core& cr, InstrClass c, Picoseconds end);
+    bool draw_fault(InstrClass c, double p);
+    // settled_op's lookups through the point cache below.
+    [[nodiscard]] double cached_delay(PointCache& cache, Millivolts v);
+    [[nodiscard]] double cached_slack(Megahertz f);
 
     // Fault physics through the path-delay memo (bit-equal to FaultModel).
     [[nodiscard]] double memo_fault_probability(Megahertz f, Millivolts v, InstrClass c,
@@ -422,6 +463,14 @@ private:
 
     SteppingMode stepping_mode_ = default_stepping_mode();
     mutable PathDelayMemo memo_{fault_model_.timing()};
+    // settled_op's point cache: path delays keyed on the bits of the
+    // core- and cache-plane voltages, slack on the bits of a frequency.
+    // Every use re-reads its key from live state, so writes that bypass
+    // Machine (regulator(), core(i)) need no invalidation hook.
+    PointCache delay_core_{0.0, fault_model_.timing().path_delay_ps(Millivolts{0.0})};
+    PointCache delay_cache_{0.0, fault_model_.timing().path_delay_ps(Millivolts{0.0})};
+    PointCache slack_{profile_.freq_base.value(),
+                      fault_model_.timing().slack_ps(profile_.freq_base)};
     std::uint64_t batched_iterations_ = 0;
     std::uint64_t batch_windows_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "sim/power.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace pv::sim {
@@ -9,23 +7,6 @@ namespace pv::sim {
 PowerModel::PowerModel(PowerParams params) : params_(params) {
     if (params_.epi_nj_per_v2 < 0.0 || params_.leak_mw_per_v2 < 0.0)
         throw ConfigError("power coefficients must be non-negative");
-}
-
-void PowerModel::on_retire(std::uint64_t n, Millivolts v) {
-    const double volts = v.volts();
-    dynamic_j_ += static_cast<double>(n) * params_.epi_nj_per_v2 * 1e-9 * volts * volts;
-}
-
-void PowerModel::integrate_leakage(Picoseconds from, Picoseconds to, Millivolts v_from,
-                                   Millivolts v_to, double scale) {
-    if (to < from) throw SimError("leakage integration backwards in time");
-    if (scale < 0.0 || scale > 1.0) throw SimError("leakage scale out of [0,1]");
-    const double dt_s = (to - from).seconds();
-    const double v0 = v_from.volts();
-    const double v1 = v_to.volts();
-    // Integral of (v0 + (v1-v0)t)^2 over t in [0,1] = (v0^2+v0*v1+v1^2)/3.
-    const double mean_v2 = (v0 * v0 + v0 * v1 + v1 * v1) / 3.0;
-    leakage_j_ += scale * params_.leak_mw_per_v2 * 1e-3 * mean_v2 * dt_s;
 }
 
 std::uint32_t PowerModel::rapl_energy_status() const {

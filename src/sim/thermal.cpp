@@ -22,8 +22,11 @@ void ThermalModel::update(Picoseconds t, double avg_power_w) {
     last_update_ = t;
     if (dt_ms <= 0.0) return;
     const double steady = params_.ambient_c + avg_power_w * params_.r_th_c_per_w;
-    const double decay = std::exp(-dt_ms / params_.tau_ms);
-    temp_c_ = steady + (temp_c_ - steady) * decay;
+    if (dt_ms != decay_dt_ms_) {
+        decay_dt_ms_ = dt_ms;
+        decay_ = std::exp(-dt_ms / params_.tau_ms);
+    }
+    temp_c_ = steady + (temp_c_ - steady) * decay_;
 }
 
 double ThermalModel::delay_scale() const {

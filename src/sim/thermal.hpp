@@ -80,6 +80,11 @@ private:
     ThermalParams params_;
     double temp_c_;
     Picoseconds last_update_{};
+    // exp(-dt_ms / tau) for the last dt_ms update() saw: every op at one
+    // frequency advances by the same dt.  Starts as the genuine dt = 0
+    // pair, so the memo never holds a value its key does not produce.
+    double decay_dt_ms_ = 0.0;
+    double decay_ = 1.0;
 };
 
 }  // namespace pv::sim

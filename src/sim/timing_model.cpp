@@ -35,10 +35,6 @@ double TimingModel::path_delay_ps(Millivolts v, InstrClass c) const {
     return path_factor(c) * path_delay_ps(v);
 }
 
-double TimingModel::slack_ps(Megahertz f) const {
-    return f.period_ps() - params_.setup_time_ps - params_.clock_uncertainty_ps;
-}
-
 double TimingModel::margin_ps(Megahertz f, Millivolts v, InstrClass c) const {
     return slack_ps(f) - path_delay_ps(v, c);
 }

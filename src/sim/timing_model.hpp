@@ -51,7 +51,9 @@ public:
     [[nodiscard]] double path_delay_ps(Millivolts v, InstrClass c) const;
 
     /// Available slack budget at frequency `f`: T_clk - T_setup - T_eps.
-    [[nodiscard]] double slack_ps(Megahertz f) const;
+    [[nodiscard]] double slack_ps(Megahertz f) const {
+        return f.period_ps() - params_.setup_time_ps - params_.clock_uncertainty_ps;
+    }
 
     /// Eq. 1 margin for (f, v) on class `c`; negative = timing violation
     /// (the paper's Eq. 3 / unsafe state).

@@ -60,8 +60,11 @@ private:
     };
 
     [[nodiscard]] static Millivolts eval(const Ramp& r, Picoseconds t) {
-        if (t <= r.ramp_begin) return r.start;
+        // Settled first: from ramp_end on the rail is at its target, also
+        // after a ramp too short to span one picosecond (ramp_begin ==
+        // ramp_end), so settle_time() is exact.
         if (t >= r.ramp_end) return r.target_mv;
+        if (t <= r.ramp_begin) return r.start;
         const double span_us = (r.ramp_end - r.ramp_begin).microseconds();
         const double done_us = (t - r.ramp_begin).microseconds();
         const double frac = span_us <= 0.0 ? 1.0 : done_us / span_us;

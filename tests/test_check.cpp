@@ -11,6 +11,7 @@
 #include "sim/cpu_profile.hpp"
 #include "sim/machine.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace pv::check {
 namespace {
@@ -94,6 +95,37 @@ TEST(InvariantRegistry, EvaluatesAtTheConfiguredCadence) {
     EXPECT_EQ(registry.ticks(), 12u);
     EXPECT_EQ(registry.evaluations(), 3u);
     EXPECT_EQ(evaluations, 3);
+}
+
+TEST(InvariantRegistry, TickMatchesTheModuloRuleAcrossCadenceChanges) {
+    // Reference model: tick number n (counted from 1) evaluates when the
+    // cadence c is nonzero and n % c == 0; check_now() always evaluates.
+    InvariantRegistry registry;
+    registry.set_fatal(false);
+    registry.add("holds", [](std::string&) { return true; });
+    std::uint64_t ticks = 0;
+    std::uint64_t evaluations = 0;
+    std::uint64_t cadence = 0;
+    Rng rng(0xCADE);
+    for (int step = 0; step < 50'000; ++step) {
+        const std::uint64_t action = rng.uniform_below(100);
+        if (action < 2) {
+            // Mostly small cadences (0 disables), now and then a large one.
+            cadence = action == 0 ? rng.uniform_below(9) : 1 + rng.uniform_below(500);
+            registry.set_cadence(cadence);
+        } else if (action < 3) {
+            ++evaluations;
+            registry.check_now();
+        } else {
+            ++ticks;
+            if (cadence != 0 && ticks % cadence == 0) ++evaluations;
+            registry.tick();
+        }
+        ASSERT_EQ(registry.ticks(), ticks) << "step " << step;
+        ASSERT_EQ(registry.evaluations(), evaluations)
+            << "step " << step << ", cadence " << cadence;
+    }
+    EXPECT_GT(evaluations, 1000u);
 }
 
 TEST(InvariantRegistry, CadenceZeroDisablesTicksButNotCheckNow) {

@@ -83,8 +83,8 @@ TEST(Minefield, InsertsTrapAfterEveryCheckableMul) {
 
     // Each trap directly follows its multiply.
     for (std::size_t i = 0; i + 1 < instrumented.size(); ++i) {
-        if (instrumented[i].mul_ops && !instrumented[i].is_trap) {
-            EXPECT_TRUE(instrumented[i + 1].is_trap) << "at " << i;
+        if (instrumented[i].mul_ops() && !instrumented[i].is_trap()) {
+            EXPECT_TRUE(instrumented[i + 1].is_trap()) << "at " << i;
         }
     }
 }

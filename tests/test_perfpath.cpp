@@ -7,7 +7,9 @@
 // sweeps and campaign cubes under both modes and comparing state hashes
 // fingerprint-for-fingerprint is a machine-checked proof that the
 // closed-form step never skipped anything the fine-grained walk would
-// have seen.  See DESIGN.md 5f for the soundness argument.
+// have seen.  Sliced machines also run every execute_op through the
+// general advance_to path, so the V0LTpwn cells check the settled-rail
+// op step the same way.  See DESIGN.md 5f for the soundness argument.
 #include <cstdint>
 #include <vector>
 
@@ -67,6 +69,33 @@ std::vector<std::uint64_t> scripted_history(sim::SteppingMode mode) {
     m.advance(milliseconds(1.0));
     m.run_batch(0, sim::InstrClass::Imul, 500'000);
     hashes.push_back(m.state_hash());
+
+    // Single-stepped ops of every class (settled-rail op steps under
+    // Batched, the general path under Sliced): loads fault on an
+    // undervolted cache plane, kthread-like events steal time at
+    // instants that fall inside ops, and a mid-stream core-plane write
+    // puts ops across its command latency and ramp.
+    const Millivolts load_onset =
+        m.fault_model().onset_offset(from_ghz(2.0), sim::InstrClass::Load, 100);
+    const Millivolts imul_onset =
+        m.fault_model().onset_offset(from_ghz(2.0), sim::InstrClass::Imul, 100);
+    m.write_msr(0, sim::kMsrOcMailbox,
+                sim::encode_offset(load_onset, sim::VoltagePlane::Cache));
+    m.advance(milliseconds(1.0));
+    for (std::int64_t k = 1; k <= 40; ++k)
+        m.events().schedule(m.now() + Picoseconds{k * 373'737},
+                            [&m] { m.add_steal(1, Cycles{100}); });
+    std::uint64_t faults = 0;
+    for (std::uint64_t i = 0; i < 30'000; ++i) {
+        if (i == 10'000) m.add_steal(1, Cycles{20'000});
+        if (i == 20'000)
+            m.write_msr(0, sim::kMsrOcMailbox,
+                        sim::encode_offset(imul_onset, sim::VoltagePlane::Core));
+        faults += m.execute_op(1, sim::kAllInstrClasses[i % sim::kAllInstrClasses.size()]);
+    }
+    hashes.push_back(m.state_hash());
+    hashes.push_back(faults);
+    hashes.push_back(m.crashed());
     return hashes;
 }
 
@@ -124,6 +153,10 @@ campaign::CampaignConfig cube_config() {
 TEST(PerfPath, CampaignCubeBitIdenticalAcrossSteppingModesAndWorkerCounts) {
     DefaultModeGuard guard;
     campaign::CampaignConfig config = cube_config();
+    // The V0LTpwn rows single-step enclave ops: settled-rail op steps
+    // under Batched, the general path under Sliced.
+    config.attacks.push_back(campaign::AttackKind::V0ltpwn);
+    config.attacks.push_back(campaign::AttackKind::V0ltpwnSgxStep);
 
     sim::Machine::set_default_stepping_mode(sim::SteppingMode::Batched);
     config.workers = 1;

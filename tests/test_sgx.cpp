@@ -44,8 +44,8 @@ TEST(Program, ReferencePrefixStopsEarly) {
 TEST(Program, LastMulIndexFindsIt) {
     Program p = make_mul_chain(3, 5, 4);
     const std::size_t idx = last_mul_index(p);
-    ASSERT_TRUE(p[idx].mul_ops.has_value());
-    for (std::size_t i = idx + 1; i < p.size(); ++i) EXPECT_FALSE(p[i].mul_ops.has_value());
+    ASSERT_TRUE(p[idx].mul_ops().has_value());
+    for (std::size_t i = idx + 1; i < p.size(); ++i) EXPECT_FALSE(p[i].mul_ops().has_value());
     Program no_mul{make_add(0, 1, 2)};
     EXPECT_THROW((void)last_mul_index(no_mul), ConfigError);
 }
