@@ -10,7 +10,7 @@
 //
 // Variants (Comet Lake, 1 mV cells, bisection, 4 workers):
 //   fresh              — no journal (the baseline everything is judged by)
-//   journal-append     — journaled, one append+flush per completed row
+//   journal-append     — journaled, one write(2) per completed row
 //   journal-rewrite    — journaled, full atomic rewrite per commit
 //   resume@50%         — killed after half the rows, then resumed
 //

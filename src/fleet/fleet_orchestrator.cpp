@@ -83,8 +83,6 @@ private:
 FleetOrchestrator::FleetOrchestrator(SiliconLot lot, FleetConfig config)
     : lot_(std::move(lot)), config_(std::move(config)) {
     if (config_.units == 0) throw ConfigError("a fleet needs at least one unit");
-    if (config_.sweep.run_inline)
-        throw ConfigError("the fleet orchestrator owns run_inline; leave it unset");
     if (config_.sweep.warm_start)
         throw ConfigError("the fleet orchestrator owns warm_start; leave it unset");
     if (config_.workers == 0) config_.workers = ThreadPool::default_worker_count();
@@ -185,32 +183,24 @@ PopulationEnvelope FleetOrchestrator::run_fleet(resilience::SweepJournal* journa
         plugvolt::SweepStats sweep;
     };
 
-    // One task per unit; each runs its row loop inline on the pool
-    // thread that picked it up (run_inline — no nested pools).  The
-    // futures stay positional (index == unit id); collection walks units
-    // in id order, which is the delivery, journaling, and progress order.
-    ThreadPool pool(config_.workers);
-    std::vector<std::future<UnitOutcome>> futures(units);
-    for (std::uint64_t u = 0; u < units; ++u) {
-        futures[u] = pool.submit([this, u, &adopted, &aggregate, &hint_fn] {
-            plugvolt::ParallelCharacterizerConfig cfg = unit_sweep_config(u);
-            cfg.run_inline = true;
-            cfg.workers = 1;
-            cfg.warm_start = hint_fn;
-            plugvolt::ParallelCharacterizer sweeper(lot_.unit_profile(u), cfg);
-            std::vector<resilience::RowRecord> fresh;
-            plugvolt::SafeStateMap map = sweeper.characterize_with(
-                adopted[u],
-                [&fresh](const resilience::RowRecord& rec) { fresh.push_back(rec); });
-            if (config_.warm_start)
-                for (const resilience::RowRecord& rec : fresh) aggregate.fold(rec);
-            return UnitOutcome{std::move(map), std::move(fresh), sweeper.stats()};
-        });
-    }
+    // Each unit's row loop runs on one thread (its sweep has one worker,
+    // so no pool nests inside the fleet's).  Units are delivered in id
+    // order, which is the journaling and progress order.
+    const auto run_unit = [this, &adopted, &aggregate, &hint_fn](std::uint64_t u) {
+        plugvolt::ParallelCharacterizerConfig cfg = unit_sweep_config(u);
+        cfg.workers = 1;
+        cfg.warm_start = hint_fn;
+        plugvolt::ParallelCharacterizer sweeper(lot_.unit_profile(u), cfg);
+        std::vector<resilience::RowRecord> fresh;
+        plugvolt::SafeStateMap map = sweeper.characterize_with(
+            adopted[u], [&fresh](const resilience::RowRecord& rec) { fresh.push_back(rec); });
+        if (config_.warm_start)
+            for (const resilience::RowRecord& rec : fresh) aggregate.fold(rec);
+        return UnitOutcome{std::move(map), std::move(fresh), sweeper.stats()};
+    };
 
     PopulationEnvelope envelope(config_.envelope);
-    for (std::uint64_t u = 0; u < units; ++u) {
-        UnitOutcome outcome = futures[u].get();  // rethrows task exceptions
+    const auto deliver = [&](std::uint64_t u, const UnitOutcome& outcome) {
         ++stats_.units;
         if (outcome.fresh.empty() && !adopted[u].empty()) ++stats_.units_resumed;
         stats_.rows_resumed += outcome.sweep.rows_resumed;
@@ -231,6 +221,20 @@ PopulationEnvelope FleetOrchestrator::run_fleet(resilience::SweepJournal* journa
         }
         envelope.add(u, outcome.map);
         if (progress) progress(u, outcome.map);
+    };
+
+    if (config_.workers == 1) {
+        // One unit in flight: run each on the calling thread, no pool.
+        for (std::uint64_t u = 0; u < units; ++u) deliver(u, run_unit(u));
+    } else {
+        // One task per unit.  The futures stay positional (index == unit
+        // id); collection walks units in id order.
+        ThreadPool pool(config_.workers);
+        std::vector<std::future<UnitOutcome>> futures(units);
+        for (std::uint64_t u = 0; u < units; ++u)
+            futures[u] = pool.submit([&run_unit, u] { return run_unit(u); });
+        for (std::uint64_t u = 0; u < units; ++u)
+            deliver(u, futures[u].get());  // rethrows task exceptions
     }
     stats_.warm_rows = aggregate.hints_served();
     if (journal != nullptr)

@@ -2,10 +2,11 @@
 //
 // Characterizes every unit of a SiliconLot in one process and folds the
 // per-unit SafeStateMaps into a PopulationEnvelope.  This is the first
-// workload whose sharding axis is UNITS rather than frequency rows: the
-// orchestrator owns the ThreadPool (one task per unit) and each unit's
-// ParallelCharacterizer runs its row loop inline on the pool thread that
-// picked the unit up (run_inline — no pool nested inside a pool).
+// workload whose sharding axis is UNITS rather than frequency rows: with
+// more than one worker the orchestrator owns a ThreadPool (one task per
+// unit); with one it runs units in id order on the calling thread.  Each
+// unit's ParallelCharacterizer has one worker, so it runs its row loop
+// on whichever thread picked the unit up — no pool nested inside a pool.
 //
 // Warm starts: units finished earlier publish their row boundaries into
 // a lock-guarded per-row aggregate; later units' bisections start from
@@ -39,8 +40,9 @@ namespace pv::fleet {
 struct FleetConfig {
     /// Units to characterize: unit ids 0 .. units-1.
     std::uint64_t units = 1;
-    /// Per-unit sweep protocol template.  `run_inline` and `warm_start`
-    /// must be left at their defaults (the orchestrator owns both); the
+    /// Per-unit sweep protocol template.  `warm_start` must be left
+    /// unset (the orchestrator owns it), and fleet units sweep with one
+    /// worker whatever `workers` says (characterize_unit uses it); the
     /// per-unit sweep seed is derived as mix_seed(sweep.seed, unit_id).
     /// With mode == SweepMode::Adaptive and no planner set, the
     /// orchestrator attaches the src/infer planner and the lot-neighbour
@@ -48,8 +50,9 @@ struct FleetConfig {
     /// fueling bisection gallops.
     plugvolt::ParallelCharacterizerConfig sweep{};
     /// Fleet pool width (units in flight); 0 means
-    /// ThreadPool::default_worker_count().  Results are independent of
-    /// this, like the row engine's worker count.
+    /// ThreadPool::default_worker_count(), and 1 runs units on the
+    /// calling thread with no pool.  Results are independent of this,
+    /// like the row engine's worker count.
     unsigned workers = 0;
     /// Warm-start each unit's bisection from finished lot neighbours.
     bool warm_start = true;
@@ -73,7 +76,7 @@ struct FleetStats {
 class FleetOrchestrator {
 public:
     /// Throws ConfigError on an invalid FleetConfig (zero units, or a
-    /// sweep template carrying run_inline / warm_start).
+    /// sweep template carrying warm_start).
     FleetOrchestrator(SiliconLot lot, FleetConfig config);
 
     /// Called on the characterize() caller's thread, in unit-id order,
@@ -98,7 +101,7 @@ public:
 
     /// The exact per-unit sweep configuration unit `unit_id` runs under
     /// a cold solo characterization: the template with the unit-derived
-    /// seed, no warm start, no inline flag.  Pair with
+    /// seed and no warm start.  Pair with
     /// lot().unit_profile(unit_id) to rebuild the reference sweep.
     [[nodiscard]] plugvolt::ParallelCharacterizerConfig unit_sweep_config(
         std::uint64_t unit_id) const;

@@ -81,7 +81,8 @@ const char* to_string(SweepMode mode) {
 }
 
 /// Per-worker simulator instance plus the per-row probe cache.  Owned by
-/// exactly one pool thread at a time; rows never share a Worker.
+/// exactly one thread at a time (a pool thread, or the calling thread of
+/// a one-worker sweep); rows never share a Worker.
 class ParallelCharacterizer::Worker {
 public:
     Worker(const sim::CpuProfile& profile, const CharacterizerConfig& cell_config,
@@ -171,10 +172,7 @@ private:
 ParallelCharacterizer::ParallelCharacterizer(sim::CpuProfile profile,
                                              ParallelCharacterizerConfig config)
     : profile_(std::move(profile)), config_(std::move(config)) {
-    if (config_.workers == 0)
-        config_.workers = config_.run_inline ? 1 : ThreadPool::default_worker_count();
-    if (config_.run_inline && config_.workers != 1)
-        throw ConfigError("run_inline sweeps are serial; workers must be 1");
+    if (config_.workers == 0) config_.workers = ThreadPool::default_worker_count();
     if (config_.refine_window == 0)
         throw ConfigError("refine_window must cover at least one step");
     if (config_.mode == SweepMode::Adaptive && !config_.planner)
@@ -470,13 +468,15 @@ SafeStateMap ParallelCharacterizer::run_rows(
                                                    mix_seed(config_.seed, 1'000'000 + w),
                                                    config_.fault_plan));
 
-    // run_inline: no pool — each fresh row is computed lazily on the
+    // One worker: no pool — each fresh row is computed lazily on the
     // calling thread right where the pooled path would block on its
     // future.  Same rows, same seeds, same delivery order.
+    const bool serial = config_.workers == 1;
     std::optional<ThreadPool> pool;
-    std::vector<std::future<RowOutcome>> futures(table.size());
-    if (!config_.run_inline) {
+    std::vector<std::future<RowOutcome>> futures;
+    if (!serial) {
         pool.emplace(config_.workers);
+        futures.resize(table.size());
         // Futures stay positional (index == row); adopted rows leave
         // theirs invalid.  Collection below walks rows in frequency order.
         for (std::size_t i = 0; i < table.size(); ++i) {
@@ -507,9 +507,8 @@ SafeStateMap ParallelCharacterizer::run_rows(
             continue;
         }
         RowOutcome outcome =
-            config_.run_inline
-                ? characterize_row(*workers[0], i, table[i], mix_seed(config_.seed, i))
-                : futures[i].get();  // rethrows worker exceptions
+            serial ? characterize_row(*workers[0], i, table[i], mix_seed(config_.seed, i))
+                   : futures[i].get();  // rethrows worker exceptions
         stats_.cells_evaluated += outcome.cells;
         stats_.crash_probes += outcome.crashes;
         stats_.msr_retries += outcome.retries;

@@ -150,7 +150,12 @@ using AdaptivePlannerFn =
 struct ParallelCharacterizerConfig {
     /// Per-cell protocol (offset step, floor, ops per cell, cores, ...).
     CharacterizerConfig cell{};
-    /// Worker threads; 0 means ThreadPool::default_worker_count().
+    /// Worker threads; 0 means ThreadPool::default_worker_count().  One
+    /// worker runs rows serially on the CALLING thread with no pool, so
+    /// drivers that already shard at a coarser axis (fleet units, daemon
+    /// jobs) never nest a pool inside a pool or hop threads per row.
+    /// Results are identical for every count (each cell is seeded
+    /// independently).
     unsigned workers = 0;
     SweepMode mode = SweepMode::Bisection;
     /// Root seed of the deterministic per-row / per-cell seeding scheme.
@@ -164,13 +169,6 @@ struct ParallelCharacterizerConfig {
     /// accesses fault is a pure function of (plan, cell) — independent
     /// of worker count and probe order, like the cells themselves.
     std::optional<resilience::FaultPlan> fault_plan;
-    /// Run rows serially on the CALLING thread instead of a ThreadPool
-    /// (requires workers == 1).  For drivers that already shard at a
-    /// coarser axis — the fleet orchestrator shards by *unit* and runs
-    /// each unit's row loop inline on its own pool thread — so per-unit
-    /// sweeps do not nest a pool inside a pool.  Results are identical
-    /// either way (every cell is seeded independently).
-    bool run_inline = false;
     /// Optional warm-start hint source for Bisection rows (ignored in
     /// Exhaustive mode).  Affects probe cost only, never results, and is
     /// therefore excluded from config_hash().
@@ -284,8 +282,8 @@ private:
         const std::function<void(const FreqCharacterization&)>& progress);
 
     /// Shared sweep core: `done` rows are adopted, fresh rows flow
-    /// through `commit` (may be empty) before `progress`.  Dispatches to
-    /// the inline-serial or the pooled execution strategy.
+    /// through `commit` (may be empty) before `progress`.  One worker
+    /// runs rows on the calling thread; more shard them across a pool.
     [[nodiscard]] SafeStateMap run_rows(
         const FlatMap<std::uint64_t, resilience::RowRecord>& done,
         const std::function<void(const resilience::RowRecord&)>& commit,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <fstream>
 #include <utility>
 
 #include "resilience/crc32.hpp"
@@ -214,11 +213,10 @@ void FrameLog::write_frame(const std::string& frame_bytes) {
             atomic_write_file(path_, content_ + frame_bytes);
             bytes_written_ += content_.size() + frame_bytes.size();
         } else {
-            std::ofstream out(path_, std::ios::binary | std::ios::app);
-            out.write(frame_bytes.data(),
-                      static_cast<std::streamsize>(frame_bytes.size()));
-            out.flush();
-            if (!out) throw JournalError("append failed on " + path_);
+            // Opened lazily: create() or the replay scrub has already put
+            // the file in place, and neither replaces it afterwards.
+            if (!file_.is_open()) file_ = AppendFile(path_);
+            file_.append(frame_bytes);
             bytes_written_ += frame_bytes.size();
         }
         content_ += frame_bytes;

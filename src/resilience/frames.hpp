@@ -26,7 +26,8 @@
 //
 // Two commit modes (the write-amplification trade bench_recovery
 // measures):
-//   Append        — append + flush one frame per commit;
+//   Append        — one write(2) per commit on a descriptor the log
+//                   opens at its first append and holds until destroyed;
 //   AtomicRewrite — rewrite the whole log through temp-file + rename per
 //                   commit, so every on-disk state is a complete log.
 #pragma once
@@ -39,6 +40,7 @@
 
 #include "resilience/fault_injection.hpp"
 #include "resilience/retry.hpp"
+#include "util/fsio.hpp"
 
 namespace pv::resilience {
 
@@ -132,10 +134,11 @@ struct JournalOptions {
     std::uint64_t io_retry_seed = 0x10'FA17;
 };
 
-/// The generic CRC-framed append-only WAL.  One instance owns one file.
-/// Record semantics (what the payload bytes mean) belong to the caller;
-/// this class owns durability, torn-tail recovery, and fault-injected
-/// commit retry.
+/// The generic CRC-framed append-only WAL.  One instance owns one file
+/// (and, in Append mode, one descriptor on it), so it is move-only; a
+/// moved-from log owns no descriptor.  Record semantics (what the
+/// payload bytes mean) belong to the caller; this class owns
+/// durability, torn-tail recovery, and fault-injected commit retry.
 class FrameLog {
 public:
     struct Frame {
@@ -180,8 +183,10 @@ public:
                                          const FrameValidator& validate = {});
 
     /// Make one record durable (write-ahead: callers append BEFORE
-    /// acting on the record).  Retries injected file faults up to the
-    /// io_retry budget, then throws JournalError.
+    /// acting on the record): the frame is handed to the OS — in the page
+    /// cache, never fsynced — before this returns.  Retries injected file
+    /// faults up to the io_retry budget, then throws JournalError; a real
+    /// file-system failure throws IoError.
     void append(std::uint8_t kind, const std::string& payload);
 
     [[nodiscard]] const LogIdentity& identity() const { return identity_; }
@@ -216,6 +221,7 @@ private:
     LogIdentity identity_;
     std::vector<Frame> frames_;
     std::string content_;  // the valid byte image (logical log)
+    AppendFile file_;      // Append mode: opened at the first append
     bool tail_dropped_ = false;
     std::uint64_t commits_ = 0;
     std::uint64_t bytes_written_ = 0;

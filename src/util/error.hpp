@@ -46,9 +46,9 @@ public:
     explicit DriverError(const std::string& what) : Error("driver error: " + what) {}
 };
 
-/// Thrown when the write-ahead sweep journal cannot make a record
-/// durable (injected file faults beyond the retry budget, or a real
-/// write failure), or when a journal file has no valid header.
+/// Thrown when a write-ahead log cannot make a record durable within its
+/// retry budget against injected file faults, or when a log file has no
+/// valid header.  Real file-system failures are IoError.
 class JournalError : public Error {
 public:
     explicit JournalError(const std::string& what) : Error("journal error: " + what) {}

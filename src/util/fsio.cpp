@@ -1,8 +1,14 @@
 #include "util/fsio.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -33,6 +39,39 @@ void atomic_write_file(const std::string& path, std::string_view body) {
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         throw IoError("rename " + tmp + " -> " + path + " failed");
+    }
+}
+
+AppendFile::AppendFile(const std::string& path)
+    : fd_(::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC)), path_(path) {
+    if (fd_ < 0)
+        throw IoError("cannot open " + path + " for appending: " + std::strerror(errno));
+}
+
+AppendFile::~AppendFile() {
+    if (fd_ >= 0) ::close(fd_);
+}
+
+AppendFile::AppendFile(AppendFile&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
+
+AppendFile& AppendFile::operator=(AppendFile&& other) noexcept {
+    if (this != &other) {
+        if (fd_ >= 0) ::close(fd_);
+        fd_ = std::exchange(other.fd_, -1);
+        path_ = std::move(other.path_);
+    }
+    return *this;
+}
+
+void AppendFile::append(std::string_view bytes) const {
+    while (!bytes.empty()) {
+        const ssize_t n = ::write(fd_, bytes.data(), bytes.size());
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            throw IoError("append failed on " + path_ + ": " + std::strerror(errno));
+        }
+        bytes.remove_prefix(static_cast<std::size_t>(n));
     }
 }
 

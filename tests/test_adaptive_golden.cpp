@@ -163,7 +163,7 @@ std::uint64_t solo_stream_hash(const GoldenCase& c, StreamHash& stream) {
 
 std::uint64_t fleet_stream_hash(const GoldenCase& c, StreamHash& stream) {
     // The benchmark's fleet shape: lot-neighbour warm starts, units
-    // characterized strictly in order on a 1-wide pool.
+    // characterized strictly in order by one worker.
     fleet::FleetConfig config;
     config.units = kFleetUnits;
     config.workers = 1;
@@ -173,8 +173,8 @@ std::uint64_t fleet_stream_hash(const GoldenCase& c, StreamHash& stream) {
     config.sweep.workers = 1;
     config.sweep.planner = hashing_planner(stream);
     fleet::FleetOrchestrator fleet(fleet::SiliconLot(c.profile(), {}), config);
-    // Progress arrives on the caller's thread while the pool thread may
-    // already plan the next unit, so map hashes are folded in afterwards.
+    // Map hashes are folded in after the run, so the stream hash does not
+    // depend on when progress runs relative to the next unit's planning.
     std::vector<std::uint64_t> map_hashes;
     const fleet::PopulationEnvelope envelope = fleet.characterize(
         [&map_hashes](std::uint64_t, const plugvolt::SafeStateMap& map) {

@@ -19,6 +19,7 @@
 #include "fleet/fleet_orchestrator.hpp"
 #include "fleet/population_envelope.hpp"
 #include "fleet/silicon_lot.hpp"
+#include "infer/adaptive_planner.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "prop/prop.hpp"
@@ -421,9 +422,6 @@ TEST(FleetOrchestrator, RejectsInvalidConfigs) {
     FleetConfig zero = small_fleet_config();
     zero.units = 0;
     EXPECT_THROW(FleetOrchestrator(lot, zero), ConfigError);
-    FleetConfig preset_inline = small_fleet_config();
-    preset_inline.sweep.run_inline = true;
-    EXPECT_THROW(FleetOrchestrator(lot, preset_inline), ConfigError);
     FleetConfig preset_warm = small_fleet_config();
     preset_warm.sweep.warm_start = [](std::size_t) {
         return std::optional<plugvolt::RowWarmStart>{};
@@ -431,30 +429,29 @@ TEST(FleetOrchestrator, RejectsInvalidConfigs) {
     EXPECT_THROW(FleetOrchestrator(lot, preset_warm), ConfigError);
 }
 
-TEST(FleetOrchestrator, RunInlineSweepsRequireOneWorker) {
-    plugvolt::ParallelCharacterizerConfig cfg;
-    cfg.cell.offset_step = Millivolts{10.0};
-    cfg.run_inline = true;
-    cfg.workers = 2;
-    EXPECT_THROW(plugvolt::ParallelCharacterizer(sim::cometlake_i7_10510u(), cfg),
-                 ConfigError);
-    // workers = 0 resolves to 1 under run_inline and is accepted.
-    cfg.workers = 0;
-    plugvolt::ParallelCharacterizer engine(sim::cometlake_i7_10510u(), cfg);
-    EXPECT_EQ(engine.config().workers, 1u);
-}
-
+// One worker runs rows on the calling thread, two on a pool: the map,
+// the config fingerprint and the probe work must not tell them apart.
 TEST(FleetOrchestrator, InlineAndPooledRowEnginesProduceTheSameMap) {
-    plugvolt::ParallelCharacterizerConfig pooled;
-    pooled.cell.offset_step = Millivolts{10.0};
-    pooled.workers = 2;
-    plugvolt::ParallelCharacterizerConfig serial = pooled;
-    serial.workers = 1;
-    serial.run_inline = true;
-    plugvolt::ParallelCharacterizer a(sim::cometlake_i7_10510u(), pooled);
-    plugvolt::ParallelCharacterizer b(sim::cometlake_i7_10510u(), serial);
-    EXPECT_EQ(state_hash(a.characterize()), state_hash(b.characterize()));
-    EXPECT_EQ(a.config_hash(), b.config_hash());
+    for (const plugvolt::SweepMode mode :
+         {plugvolt::SweepMode::Exhaustive, plugvolt::SweepMode::Bisection,
+          plugvolt::SweepMode::Adaptive}) {
+        SCOPED_TRACE(plugvolt::to_string(mode));
+        plugvolt::ParallelCharacterizerConfig serial;
+        serial.cell.offset_step = Millivolts{10.0};
+        serial.mode = mode;
+        if (mode == plugvolt::SweepMode::Adaptive) serial.planner = infer::adaptive_planner();
+        serial.workers = 1;
+        plugvolt::ParallelCharacterizerConfig pooled = serial;
+        pooled.workers = 2;
+        plugvolt::ParallelCharacterizer a(sim::cometlake_i7_10510u(), serial);
+        plugvolt::ParallelCharacterizer b(sim::cometlake_i7_10510u(), pooled);
+        EXPECT_EQ(state_hash(a.characterize()), state_hash(b.characterize()));
+        EXPECT_EQ(a.config_hash(), b.config_hash());
+        EXPECT_EQ(a.stats().cells_evaluated, b.stats().cells_evaluated);
+        EXPECT_EQ(a.stats().crash_probes, b.stats().crash_probes);
+        EXPECT_EQ(a.stats().rows, b.stats().rows);
+        EXPECT_GT(a.stats().cells_evaluated, 0u);
+    }
 }
 
 TEST(FleetOrchestrator, EnvelopeIsIndependentOfWorkersAndWarmStart) {

@@ -270,25 +270,24 @@ TEST(AdaptivePlanner, EngineRequiresAndRejectsThePlannerByMode) {
 
 // PROP: the probe sequence and the resulting map of an adaptive sweep
 // are pure functions of the sweep seed — independent of worker count
-// and execution strategy (serial inline vs a 5-worker pool).
+// (one worker on the calling thread vs five).
 TEST(PropAdaptive, ProbeSequenceIsWorkerCountInvariant) {
     const sim::CpuProfile profile = sim::cometlake_i7_10510u();
     for (std::uint64_t trial = 0; trial < 3; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         const std::uint64_t seed = mix_seed(0xADA'2026, trial);
-        const auto sweep = [&](unsigned workers, bool inline_run) {
+        const auto sweep = [&](unsigned workers) {
             plugvolt::ParallelCharacterizerConfig config;
             config.cell.offset_step = Millivolts{10.0};
             config.mode = plugvolt::SweepMode::Adaptive;
             config.refine_window = 2;
             config.seed = seed;
             config.workers = workers;
-            config.run_inline = inline_run;
             config.planner = adaptive_planner();
             return plugvolt::ParallelCharacterizer(profile, config);
         };
-        auto serial = sweep(1, true);
-        auto pooled = sweep(5, false);
+        auto serial = sweep(1);
+        auto pooled = sweep(5);
         const std::uint64_t serial_hash = state_hash(serial.characterize());
         const std::uint64_t pooled_hash = state_hash(pooled.characterize());
         EXPECT_EQ(serial_hash, pooled_hash);

@@ -9,6 +9,7 @@
 
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pv::plugvolt {
 namespace {
@@ -35,6 +36,12 @@ TEST(ParallelCharacterizer, RejectsBadConfig) {
     config = fast_config(2, SweepMode::Bisection);
     config.cell.dvfs_core = config.cell.execute_core = 0;
     EXPECT_THROW(ParallelCharacterizer(sim::skylake_i5_6500(), config), ConfigError);
+}
+
+TEST(ParallelCharacterizer, ZeroWorkersResolveToTheDefaultCount) {
+    const ParallelCharacterizer engine(sim::skylake_i5_6500(),
+                                       fast_config(0, SweepMode::Bisection));
+    EXPECT_EQ(engine.config().workers, ThreadPool::default_worker_count());
 }
 
 TEST(ParallelCharacterizer, MapIsIndependentOfWorkerCount) {

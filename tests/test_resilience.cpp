@@ -5,13 +5,18 @@
 // fail-closed clamp).
 #include "resilience/crc32.hpp"
 #include "resilience/fault_injection.hpp"
+#include "resilience/frames.hpp"
 #include "resilience/journal.hpp"
 #include "resilience/retry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/journal.hpp"
@@ -336,6 +341,10 @@ TEST(SweepJournal, AtomicRewriteModeRoundTripsToo) {
     std::remove(path.c_str());
 }
 
+/// io_retries() of eight commits under a 0.6 FileWriteError plan with
+/// the default retry seed.
+constexpr std::uint64_t kPinnedIoRetries = 26;
+
 TEST(SweepJournal, InjectedFileFaultsRetryThenExhaust) {
     const std::string path = temp_path("file_faults");
     std::remove(path.c_str());
@@ -349,8 +358,15 @@ TEST(SweepJournal, InjectedFileFaultsRetryThenExhaust) {
     {
         SweepJournal journal = SweepJournal::open(path, kHash, options);
         for (std::uint64_t i = 0; i < 8; ++i) journal.commit(sample_row(i));
-        EXPECT_GT(journal.io_retries(), 0u);
+        // The retry stream is a pure function of the plan and the retry
+        // seed: this count is pinned so a change to the write path cannot
+        // move it.
+        EXPECT_EQ(journal.io_retries(), kPinnedIoRetries);
     }
+    // Faulted attempts write nothing: the file is the fault-free log.
+    const std::string faulted = read_file(path);
+    EXPECT_EQ(faulted, journal_image(path + ".clean", 8));
+    std::remove((path + ".clean").c_str());
     EXPECT_EQ(SweepJournal::open(path, kHash, JournalOptions{}).rows().size(), 8u);
 
     // A disk that always fails exhausts the bounded budget.
@@ -364,6 +380,75 @@ TEST(SweepJournal, InjectedFileFaultsRetryThenExhaust) {
     EXPECT_THROW(journal.commit(sample_row(0)), JournalError);
     std::remove(path.c_str());
     std::remove((path + ".doomed").c_str());
+}
+
+// ------------------------------------------------------------ FrameLog
+
+constexpr LogIdentity kTestIdentity{99, kHash};
+
+TEST(FrameLog, EachAppendReachesTheFileBeforeItReturns) {
+    // Write-ahead: with the log still open, a second reader sees the
+    // header plus exactly the frames appended so far.
+    const std::string path = temp_path("framelog_visible");
+    std::remove(path.c_str());
+    FrameLog log = FrameLog::open(path, {}, kTestIdentity);
+    for (std::size_t n = 1; n <= 6; ++n) {
+        log.append(2, "payload " + std::to_string(n));
+        const std::string bytes = read_file(path);
+        EXPECT_EQ(bytes.size(), log.logical_bytes());
+        const ScannedFrame head = scan_frame(bytes);
+        ASSERT_TRUE(head.valid);
+        EXPECT_EQ(head.kind, 1u);
+        std::size_t pos = head.size;
+        std::size_t frames = 0;
+        while (pos < bytes.size()) {
+            const ScannedFrame f = scan_frame(std::string_view(bytes).substr(pos));
+            ASSERT_TRUE(f.valid) << "torn frame at byte " << pos;
+            ++frames;
+            EXPECT_EQ(f.payload, "payload " + std::to_string(frames));
+            pos += f.size;
+        }
+        EXPECT_EQ(frames, n);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(FrameLog, MovedLogKeepsItsDescriptorWhenTheSourceDies) {
+    const std::string path = temp_path("framelog_move");
+    std::remove(path.c_str());
+    auto source = std::make_unique<FrameLog>(FrameLog::open(path, {}, kTestIdentity));
+    source->append(2, "before the move");  // opens the descriptor
+    FrameLog owner(std::move(*source));
+    source.reset();  // must not close the descriptor the owner now holds
+    owner.append(2, "after the move");
+    owner.append(2, "and again");
+
+    const FrameLog replayed = FrameLog::open(path, {}, kTestIdentity);
+    EXPECT_FALSE(replayed.tail_dropped());
+    ASSERT_EQ(replayed.frames().size(), 3u);
+    EXPECT_EQ(replayed.frames()[0].payload, "before the move");
+    EXPECT_EQ(replayed.frames()[2].payload, "and again");
+    EXPECT_EQ(replayed.frames(), owner.frames());
+    std::remove(path.c_str());
+}
+
+TEST(FrameLog, DestroyedLogsReleaseTheirDescriptors) {
+    const std::filesystem::path fd_dir = "/proc/self/fd";
+    if (!std::filesystem::is_directory(fd_dir)) GTEST_SKIP() << "no " << fd_dir;
+    const auto open_descriptors = [&fd_dir] {
+        const std::filesystem::directory_iterator entries(fd_dir);
+        return std::distance(begin(entries), end(entries));
+    };
+    const std::string path = temp_path("framelog_fds");
+    std::remove(path.c_str());
+    const auto before = open_descriptors();
+    for (int i = 0; i < 256; ++i) {
+        FrameLog log = FrameLog::open(path, {}, kTestIdentity);
+        log.append(2, "frame " + std::to_string(i));
+    }
+    EXPECT_EQ(open_descriptors(), before);
+    EXPECT_EQ(FrameLog::open(path, {}, kTestIdentity).frames().size(), 256u);
+    std::remove(path.c_str());
 }
 
 // ----------------------------------------------------- journal identity

@@ -2,9 +2,11 @@
 // guard-band widening, and the CampaignDaemon's contracts — write-ahead
 // durability, deterministic admission control, bounded retry, the
 // work-unit watchdog, and fail-closed benign-DVFS serving (including
-// mid-characterization requests pinned to the last committed map).
+// mid-characterization requests pinned to the last committed map) —
+// and that one worker runs every engine without a thread pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "fleet/fleet_orchestrator.hpp"
+#include "fleet/silicon_lot.hpp"
 #include "infer/adaptive_planner.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "serve/daemon.hpp"
@@ -21,6 +25,7 @@
 #include "sim/cpu_profile.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pv::serve {
 namespace {
@@ -549,6 +554,67 @@ TEST(CampaignDaemon, ConfigHashGuardsTheStateDir) {
     DaemonConfig more_workers = config;
     more_workers.workers = 4;
     EXPECT_NO_THROW(CampaignDaemon{more_workers});
+}
+
+// ---------------------------------------------------------------------
+// One worker means no pool
+
+std::atomic<std::uint64_t> g_pool_submissions{0};
+
+void count_submission(std::uint64_t, std::size_t) { ++g_pool_submissions; }
+
+/// Counts ThreadPool submissions (every pool, every thread) while in
+/// scope, through the dispatch tap; restores the previous tap on exit.
+class SubmissionCounter {
+public:
+    SubmissionCounter() : previous_(ThreadPool::set_dispatch_tap(&count_submission)) {
+        g_pool_submissions = 0;
+    }
+    ~SubmissionCounter() { ThreadPool::set_dispatch_tap(previous_); }
+    SubmissionCounter(const SubmissionCounter&) = delete;
+    SubmissionCounter& operator=(const SubmissionCounter&) = delete;
+
+    [[nodiscard]] std::uint64_t count() const { return g_pool_submissions; }
+
+private:
+    ThreadPool::DispatchTap previous_;
+};
+
+TEST(OneWorker, SweepsFleetsAndDaemonJobsSubmitNoPoolTasks) {
+    const SubmissionCounter submissions;
+    const sim::CpuProfile profile = sim::cometlake_i7_10510u();
+
+    plugvolt::ParallelCharacterizerConfig sweep;
+    sweep.cell.offset_step = Millivolts{10.0};
+    sweep.mode = plugvolt::SweepMode::Bisection;
+    sweep.workers = 1;
+    (void)plugvolt::ParallelCharacterizer(profile, sweep).characterize();
+    EXPECT_EQ(submissions.count(), 0u) << "one-worker sweep";
+
+    fleet::FleetConfig fleet_config;
+    fleet_config.units = 2;
+    fleet_config.workers = 1;
+    fleet_config.sweep = sweep;
+    (void)fleet::FleetOrchestrator(fleet::SiliconLot(profile, {}), fleet_config)
+        .characterize();
+    EXPECT_EQ(submissions.count(), 0u) << "one-worker fleet";
+
+    DaemonConfig config;
+    config.state_dir = fresh_dir("one_worker");
+    config.workers = 1;
+    CampaignDaemon daemon(config);
+    const std::vector<std::uint64_t> ids = {daemon.submit(characterize_spec()),
+                                            daemon.submit(campaign_spec()),
+                                            daemon.submit(fleet_spec())};
+    daemon.run_until_idle();
+    for (const std::uint64_t id : ids)
+        EXPECT_EQ(daemon.job(id)->state, JobState::Completed) << "job " << id;
+    EXPECT_EQ(submissions.count(), 0u) << "one-worker daemon jobs";
+
+    // The tap is live: two workers do go through a pool.
+    sweep.workers = 2;
+    (void)plugvolt::ParallelCharacterizer(profile, sweep).characterize();
+    EXPECT_GT(submissions.count(), 0u) << "two-worker sweep";
 }
 
 }  // namespace
