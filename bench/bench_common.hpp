@@ -1,19 +1,41 @@
 // Shared helpers for the reproduction benches.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "os/kernel.hpp"
-#include "plugvolt/characterizer.hpp"
+#include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "sim/cpu_profile.hpp"
 #include "util/table.hpp"
 
 namespace pv::bench {
+
+/// Largest worker count a bench accepts on its command line.
+inline constexpr unsigned kMaxWorkers = 256;
+
+/// Parse a worker-count argument strictly: decimal digits only, in
+/// [min, kMaxWorkers].  Anything else prints `usage` and exits 2, so a
+/// bad argument stops the bench before any engine or pool is built.
+inline unsigned parse_workers(const char* text, unsigned min, const char* usage) {
+    const char* end = text + std::strlen(text);
+    unsigned value = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ptr == text || ptr != end || ec != std::errc{} || value < min ||
+        value > kMaxWorkers) {
+        std::fprintf(stderr, "bad worker count '%s' (want %u..%u)\nusage: %s\n", text, min,
+                     kMaxWorkers, usage);
+        std::exit(2);
+    }
+    return value;
+}
 
 /// Wall-clock stopwatch for measuring real (not simulated) sweep cost.
 class Stopwatch {
@@ -62,17 +84,27 @@ inline std::string write_bench_json(const std::string& bench,
     return path;
 }
 
+/// The paper's Algorithm 2 sweep: one worker scanning every offset step
+/// of each frequency row, seeded with `seed`.
+inline plugvolt::ParallelCharacterizerConfig exhaustive_sweep(
+    const plugvolt::CharacterizerConfig& cell, std::uint64_t seed = 0xDAC2024) {
+    plugvolt::ParallelCharacterizerConfig config;
+    config.cell = cell;
+    config.workers = 1;
+    config.mode = plugvolt::SweepMode::Exhaustive;
+    config.seed = seed;
+    return config;
+}
+
 /// Run the paper's Algorithm 2 sweep on `profile` at the given offset
 /// resolution (the paper uses 1 mV).
 inline plugvolt::SafeStateMap characterize(const sim::CpuProfile& profile,
                                            Millivolts step = Millivolts{1.0},
                                            std::uint64_t seed = 0xDAC2024) {
-    sim::Machine machine(profile, seed);
-    os::Kernel kernel(machine);
-    plugvolt::CharacterizerConfig config;
-    config.offset_step = step;
-    plugvolt::Characterizer chr(kernel, config);
-    return chr.characterize();
+    plugvolt::CharacterizerConfig cell;
+    cell.offset_step = step;
+    return plugvolt::ParallelCharacterizer(profile, exhaustive_sweep(cell, seed))
+        .characterize();
 }
 
 /// Render one safe/unsafe characterization as a paper-figure-shaped

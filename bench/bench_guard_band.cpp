@@ -70,7 +70,7 @@ int main() {
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("Reading: at guard 0 the attacker sits ON the measured onset and farms\n"
-                "faults at ~3e-6/op; each 5 mV of guard cuts the residual by orders of\n"
+                "faults at ~2e-5/op; each 5 mV of guard cuts the residual by orders of\n"
                 "magnitude (the band's z-slope), at a linear cost in benign undervolt\n"
                 "depth.  The 15 mV default pushes the residual below ~1e-12/op.\n");
     return 0;

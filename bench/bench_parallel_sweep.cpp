@@ -5,15 +5,14 @@
 // strategies of the sweep engine at the paper's full resolution (1 mV x
 // 0.1 GHz, 10^6 imul per cell) and proves the maps agree cell-for-cell:
 //
-//   serial/legacy    — the original single-threaded Characterizer
+//   serial/legacy    — the original single-threaded sweep loop, kept
+//                      here as the pre-engine reference
 //   engine x1        — sharded engine, 1 worker, exhaustive (reference)
 //   engine x8        — 8 workers, exhaustive scan per row
 //   engine x8+bisect — 8 workers, O(log steps) boundary bisection
 //
 // Emits BENCH_parallel_sweep.json (name, wall-clock, cells, speedup).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench_common.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
@@ -27,6 +26,44 @@ struct Run {
     double wall_ms;
     std::uint64_t cells;
 };
+
+/// The pre-engine serial sweep: one machine, every cell of a row probed
+/// in order, a reboot after each crashing row.  Seeded once per sweep, so
+/// its map is not comparable cell-for-cell with the engine's.
+Run run_legacy(const sim::CpuProfile& profile) {
+    sim::Machine machine(profile, 0xDAC2024);
+    os::Kernel kernel(machine);
+    plugvolt::Characterizer chr(kernel, {});
+    const bench::Stopwatch watch;
+    plugvolt::SafeStateMap map(profile.name, chr.config().sweep_floor);
+    std::uint64_t cells = 0;
+    for (const Megahertz f : profile.frequency_table()) {
+        plugvolt::FreqCharacterization row{
+            .freq = f,
+            .onset = Millivolts{0.0},
+            .crash = chr.no_crash_sentinel(),
+            .fault_free = true,
+        };
+        for (std::uint64_t s = 1; s <= chr.sweep_steps(); ++s) {
+            const Millivolts offset = chr.offset_at_step(s);
+            const plugvolt::CellResult cell = chr.test_cell(f, offset);
+            ++cells;
+            if (cell.crashed) {
+                row.crash = offset;
+                if (row.fault_free) row.onset = offset;  // band narrower than the step
+                row.fault_free = false;
+                machine.reboot();
+                break;
+            }
+            if (cell.faults > 0 && row.fault_free) {
+                row.onset = offset;
+                row.fault_free = false;
+            }
+        }
+        map.add(row);
+    }
+    return Run{std::move(map), watch.elapsed_ms(), cells};
+}
 
 Run run_engine(const sim::CpuProfile& profile, unsigned workers,
                plugvolt::SweepMode mode) {
@@ -42,7 +79,8 @@ Run run_engine(const sim::CpuProfile& profile, unsigned workers,
 }  // namespace
 
 int main(int argc, char** argv) {
-    const unsigned workers = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 8u;
+    const unsigned workers =
+        argc > 1 ? bench::parse_workers(argv[1], 1, "bench_parallel_sweep [workers]") : 8u;
     const sim::CpuProfile profile = sim::cometlake_i7_10510u();
     std::printf("=== Parallel sharded characterization sweep (%s, %zu frequencies, "
                 "1 mV x 10^6 imul cells) ===\n\n",
@@ -50,22 +88,9 @@ int main(int argc, char** argv) {
 
     // Legacy serial sweep (the pre-engine baseline everything is judged
     // against).  Cell count: offsets visited until each column's crash.
-    double legacy_ms;
-    std::uint64_t legacy_cells = 0;
-    {
-        sim::Machine machine(profile, 0xDAC2024);
-        os::Kernel kernel(machine);
-        plugvolt::Characterizer chr(kernel, {});
-        const bench::Stopwatch watch;
-        const plugvolt::SafeStateMap map = chr.characterize();
-        legacy_ms = watch.elapsed_ms();
-        for (const auto& row : map.rows()) {
-            const bool crashed = row.crash >= map.sweep_floor();
-            legacy_cells += crashed
-                                ? static_cast<std::uint64_t>(-row.crash.value())
-                                : chr.sweep_steps();
-        }
-    }
+    const Run legacy = run_legacy(profile);
+    const double legacy_ms = legacy.wall_ms;
+    const std::uint64_t legacy_cells = legacy.cells;
 
     const Run serial = run_engine(profile, 1, plugvolt::SweepMode::Exhaustive);
     const Run sharded = run_engine(profile, workers, plugvolt::SweepMode::Exhaustive);

@@ -17,7 +17,6 @@
 // Emits BENCH_recovery.json: wall-clock per variant, cells probed, and
 // speedup vs fresh (resume > 1 means recovery is cheaper than redoing).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_common.hpp"
@@ -40,7 +39,8 @@ plugvolt::ParallelCharacterizerConfig bench_config(unsigned workers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const unsigned workers = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 4u;
+    const unsigned workers =
+        argc > 1 ? bench::parse_workers(argv[1], 1, "bench_recovery [workers]") : 4u;
     const sim::CpuProfile profile = sim::cometlake_i7_10510u();
     const std::string path = "bench_recovery.pvj";
     std::vector<bench::BenchRecord> records;

@@ -238,7 +238,9 @@ int main(int argc, char** argv) {
             return argv[++i];
         };
         if (arg == "--seed") config.seed = std::strtoull(next(), nullptr, 0);
-        else if (arg == "--workers") config.workers = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
+        else if (arg == "--workers")
+            config.workers =
+                bench::parse_workers(next(), 0, "campaign_demo --workers N (0 = default)");
         else if (arg == "--quick") {
             quick = true;
             config.tuning = quick_tuning();

@@ -88,9 +88,12 @@ int main() {
     {
         sim::Machine machine(profile, 31337);
         os::Kernel kernel(machine);
-        plugvolt::CharacterizerConfig sweep;
-        sweep.offset_step = Millivolts{2.0};
-        plugvolt::Characterizer characterizer(kernel, sweep);
+        plugvolt::ParallelCharacterizerConfig sweep;
+        sweep.cell.offset_step = Millivolts{2.0};
+        sweep.workers = 1;
+        sweep.mode = plugvolt::SweepMode::Exhaustive;
+        sweep.seed = 31337;
+        plugvolt::ParallelCharacterizer characterizer(profile, sweep);
         plugvolt::Protector protector(kernel, characterizer.characterize());
         protector.deploy(plugvolt::DeploymentLevel::KernelModule);
 

@@ -59,11 +59,12 @@ int main() {
 
     // Characterize once (any of the machines below share the silicon).
     plugvolt::SafeStateMap map = [&] {
-        sim::Machine m(profile, 1);
-        os::Kernel k(m);
-        plugvolt::CharacterizerConfig sweep;
-        sweep.offset_step = Millivolts{2.0};
-        return plugvolt::Characterizer(k, sweep).characterize();
+        plugvolt::ParallelCharacterizerConfig sweep;
+        sweep.cell.offset_step = Millivolts{2.0};
+        sweep.workers = 1;
+        sweep.mode = plugvolt::SweepMode::Exhaustive;
+        sweep.seed = 1;
+        return plugvolt::ParallelCharacterizer(profile, sweep).characterize();
     }();
 
     std::printf("scenario: an SGX enclave is loaded on the platform the whole time.\n\n");

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
     // The sharded sweep engine: frequency rows fan out across a worker
     // pool and each row bisects its onset/crash boundaries — same map as
-    // the serial exhaustive sweep, a fraction of the wall-clock.
+    // the exhaustive scan of every cell, a fraction of the wall-clock.
     plugvolt::ParallelCharacterizerConfig sweep;  // paper defaults: 1 mV, 10^6 imul
     sweep.seed = 0xC0DE;
     std::printf("characterizing %s (%s) at 1 mV / 0.1 GHz resolution "

@@ -19,13 +19,13 @@ using namespace pv;
 namespace {
 
 plugvolt::SafeStateMap characterize(const sim::CpuProfile& profile, double preheat_c) {
-    sim::Machine machine(profile, 0x7E47);
-    os::Kernel kernel(machine);
-    plugvolt::CharacterizerConfig config;
-    config.offset_step = Millivolts{2.0};
-    config.die_preheat_c = preheat_c;
-    plugvolt::Characterizer chr(kernel, config);
-    return chr.characterize();
+    plugvolt::ParallelCharacterizerConfig config;
+    config.cell.offset_step = Millivolts{2.0};
+    config.cell.die_preheat_c = preheat_c;
+    config.workers = 1;
+    config.mode = plugvolt::SweepMode::Exhaustive;
+    config.seed = 0x7E47;
+    return plugvolt::ParallelCharacterizer(profile, config).characterize();
 }
 
 // Attack a machine pinned hot at fmax with an offset chosen inside the

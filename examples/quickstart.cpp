@@ -24,12 +24,17 @@ int main() {
 
     // 2. Characterize: sweep frequency x undervolt-offset, 10^6 imul per
     //    cell, record fault onset and crash boundary per frequency.
-    plugvolt::CharacterizerConfig sweep;
-    sweep.offset_step = Millivolts{2.0};  // 2 mV resolution keeps this instant
-    plugvolt::Characterizer characterizer(kernel, sweep);
+    //    One worker scans every offset of each row in order.
+    plugvolt::ParallelCharacterizerConfig sweep;
+    sweep.cell.offset_step = Millivolts{2.0};  // 2 mV resolution keeps this instant
+    sweep.workers = 1;
+    sweep.mode = plugvolt::SweepMode::Exhaustive;
+    sweep.seed = 2024;
+    plugvolt::ParallelCharacterizer characterizer(machine.profile(), sweep);
     const plugvolt::SafeStateMap map = characterizer.characterize();
-    std::printf("characterized %zu frequency points (%u crash-reboots during the sweep)\n",
-                map.rows().size(), characterizer.crash_count());
+    std::printf("characterized %zu frequency points (%llu crash-reboots during the sweep)\n",
+                map.rows().size(),
+                static_cast<unsigned long long>(characterizer.stats().crash_probes));
     std::printf("maximal safe state: %.0f mV undervolt is safe at EVERY frequency\n",
                 map.maximal_safe_offset().value());
 

@@ -54,7 +54,9 @@ struct FleetConfig {
     /// calling thread with no pool.  Results are independent of this,
     /// like the row engine's worker count.
     unsigned workers = 0;
-    /// Warm-start each unit's bisection from finished lot neighbours.
+    /// Warm-start each unit from finished lot neighbours: their boundary
+    /// steps are gallop hints in Bisection mode and posterior priors in
+    /// Adaptive mode (ignored in Exhaustive mode).
     bool warm_start = true;
     EnvelopeConfig envelope{};
 };

@@ -7,7 +7,6 @@
 #include "sim/ocm.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace pv::plugvolt {
@@ -121,53 +120,6 @@ std::uint64_t Characterizer::sweep_steps() const {
 
 Millivolts Characterizer::offset_at_step(std::uint64_t s) const {
     return Millivolts{-static_cast<double>(s) * config_.offset_step.value()};
-}
-
-FreqCharacterization Characterizer::characterize_row(Megahertz f) {
-    sim::Machine& m = kernel_.machine();
-    FreqCharacterization row{
-        .freq = f,
-        .onset = Millivolts{0.0},
-        .crash = no_crash_sentinel(),
-        .fault_free = true,
-    };
-    const std::uint64_t steps = sweep_steps();
-    for (std::uint64_t s = 1; s <= steps; ++s) {
-        const Millivolts offset = offset_at_step(s);
-        const CellResult cell = test_cell(f, offset);
-        if (cell.crashed) {
-            row.crash = offset;
-            if (row.fault_free) row.onset = offset;  // band narrower than the step
-            row.fault_free = false;
-            ++crash_count_;
-            m.reboot();
-            break;
-        }
-        if (cell.faults > 0 && row.fault_free) {
-            row.onset = offset;
-            row.fault_free = false;
-        }
-    }
-    log_debug("characterized f=", f.value(), " MHz onset=", row.onset.value(),
-              " crash=", row.crash.value(), " fault_free=", row.fault_free);
-    return row;
-}
-
-SafeStateMap Characterizer::characterize(
-    const std::function<void(const FreqCharacterization&)>& progress) {
-    sim::Machine& m = kernel_.machine();
-    SafeStateMap map(m.profile().name, config_.sweep_floor);
-    crash_count_ = 0;
-
-    for (const Megahertz f : m.profile().frequency_table()) {
-        FreqCharacterization row = characterize_row(f);
-        map.add(row);
-        if (progress) progress(row);
-    }
-
-    // Leave the machine at its boot frequency, nominal voltage.
-    cpupower_.frequency_set(m.profile().freq_base);
-    return map;
 }
 
 }  // namespace pv::plugvolt

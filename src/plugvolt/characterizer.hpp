@@ -1,20 +1,19 @@
 // PlugVolt — empirical safe/unsafe characterization (Sec. 4.2, Algo. 2).
 //
-// Reproduces the paper's two-thread framework: a DVFS thread that walks
-// the Cartesian product of table frequencies and negative offsets
-// (written to MSR 0x150 through the userspace msr-tools path), and an
-// EXECUTE thread running 10^6 imul iterations per cell.  Cells with
-// wrong products are unsafe; each frequency column is pushed deeper
-// until the machine crashes (then rebooted), exactly like the paper's
-// sweep, producing the data behind Figs. 2-4.
+// Reproduces the paper's two-thread framework for one (frequency,
+// offset) cell: a DVFS thread that pins the frequency and commands the
+// negative offset (written to MSR 0x150 through the userspace msr-tools
+// path), and an EXECUTE thread running 10^6 imul iterations.  Cells with
+// wrong products are unsafe.  The sweep over the Cartesian product of
+// table frequencies and offsets — each column pushed deeper until the
+// machine crashes, producing the data behind Figs. 2-4 — is driven by
+// ParallelCharacterizer (parallel_characterizer.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "os/cpupower.hpp"
 #include "os/kernel.hpp"
-#include "plugvolt/safe_state.hpp"
 #include "resilience/retry.hpp"
 
 namespace pv::plugvolt {
@@ -50,7 +49,7 @@ struct CellResult {
     bool crashed = false;
 };
 
-/// The Algorithm 2 driver.
+/// The Algorithm 2 cell probe; ParallelCharacterizer drives the sweep.
 class Characterizer {
 public:
     Characterizer(os::Kernel& kernel, CharacterizerConfig config);
@@ -77,22 +76,6 @@ public:
     /// test_cell()'s own frequency_set then finds every core already at
     /// `f` and is state-neutral.
     void pin_frequency(Megahertz f);
-
-    /// One frequency column of the sweep: push the offset from one step
-    /// below nominal down toward the floor, classifying onset and crash
-    /// exactly like Algo. 2; reboots the machine if the column ends in a
-    /// crash.  This is the reusable unit the sharded parallel engine
-    /// dispatches per worker — rows are independent experiments.
-    [[nodiscard]] FreqCharacterization characterize_row(Megahertz f);
-
-    /// Full sweep over the profile's frequency table, producing the
-    /// safe-state map.  Reboots the machine after every crash cell.
-    /// `progress` (optional) is called once per completed column.
-    [[nodiscard]] SafeStateMap characterize(
-        const std::function<void(const FreqCharacterization&)>& progress = {});
-
-    /// Number of machine crashes (reboots) the last sweep caused.
-    [[nodiscard]] unsigned crash_count() const { return crash_count_; }
 
     /// Non-Ok mailbox write attempts absorbed by the retry budget since
     /// construction (0 unless a fault injector is attached upstream).
@@ -131,7 +114,6 @@ private:
     os::Kernel& kernel_;
     os::Cpupower cpupower_;
     CharacterizerConfig config_;
-    unsigned crash_count_ = 0;
     std::uint64_t msr_retries_ = 0;
 };
 

@@ -69,6 +69,33 @@ struct RowDelivery {
     }
 };
 
+/// A row verdict in 1-based offset steps, as every execution strategy
+/// reaches it, converted to the map's millivolt row.  `crash_step` past
+/// the sweep means "no crash inside the sweep"; `onset_step` 0 means "no
+/// faulting cell", and then a crashing column's onset is its crash cell
+/// (faults and crash within one step).
+FreqCharacterization row_from_steps(const Characterizer& chr, Megahertz f,
+                                    std::uint64_t crash_step, std::uint64_t onset_step) {
+    FreqCharacterization row{
+        .freq = f,
+        .onset = Millivolts{0.0},
+        .crash = chr.no_crash_sentinel(),
+        .fault_free = true,
+    };
+    const bool crashed = crash_step <= chr.sweep_steps();
+    if (crashed) {
+        row.crash = chr.offset_at_step(crash_step);
+        row.fault_free = false;
+    }
+    if (onset_step != 0) {
+        row.onset = chr.offset_at_step(onset_step);
+        row.fault_free = false;
+    } else if (crashed) {
+        row.onset = row.crash;
+    }
+    return row;
+}
+
 }  // namespace
 
 const char* to_string(SweepMode mode) {
@@ -193,31 +220,21 @@ ParallelCharacterizer::RowOutcome ParallelCharacterizer::characterize_row(
     worker.begin_row(f, row_seed);
     const Characterizer& chr = worker.characterizer();
     const std::uint64_t steps = chr.sweep_steps();
-
-    FreqCharacterization row{
-        .freq = f,
-        .onset = Millivolts{0.0},
-        .crash = chr.no_crash_sentinel(),
-        .fault_free = true,
+    const auto outcome = [&](std::uint64_t crash_step, std::uint64_t onset_step) {
+        return RowOutcome{row_from_steps(chr, f, crash_step, onset_step), worker.cells(),
+                          worker.crashes(), worker.row_retries()};
     };
 
     if (config_.mode == SweepMode::Exhaustive) {
         // The paper's scan, with per-cell boot-fresh state: walk deeper
         // until faults appear, keep walking until the machine dies.
+        std::uint64_t s_onset = 0;
         for (std::uint64_t s = 1; s <= steps; ++s) {
             const CellResult& cell = worker.probe(s);
-            if (cell.crashed) {
-                row.crash = chr.offset_at_step(s);
-                if (row.fault_free) row.onset = row.crash;  // band narrower than the step
-                row.fault_free = false;
-                break;
-            }
-            if (cell.faults > 0 && row.fault_free) {
-                row.onset = chr.offset_at_step(s);
-                row.fault_free = false;
-            }
+            if (cell.crashed) return outcome(s, s_onset);
+            if (cell.faults > 0 && s_onset == 0) s_onset = s;
         }
-        return RowOutcome{row, worker.cells(), worker.crashes(), worker.row_retries()};
+        return outcome(steps + 1, s_onset);
     }
 
     // --- Bisection mode -------------------------------------------------
@@ -345,18 +362,7 @@ ParallelCharacterizer::RowOutcome ParallelCharacterizer::characterize_row(
         }
         s_onset = s;
     }
-
-    if (s_crash <= steps) {
-        row.crash = chr.offset_at_step(s_crash);
-        row.fault_free = false;
-    }
-    if (s_onset != 0) {
-        row.onset = chr.offset_at_step(s_onset);
-        row.fault_free = false;
-    } else if (s_crash <= steps) {
-        row.onset = row.crash;  // faults and crash within one step
-    }
-    return RowOutcome{row, worker.cells(), worker.crashes(), worker.row_retries()};
+    return outcome(s_crash, s_onset);
 }
 
 std::uint64_t ParallelCharacterizer::config_hash() const {
@@ -390,13 +396,22 @@ std::uint64_t ParallelCharacterizer::config_hash() const {
 
 SafeStateMap ParallelCharacterizer::characterize(
     const std::function<void(const FreqCharacterization&)>& progress) {
-    return run_sweep(nullptr, progress);
+    return characterize_with({}, {}, progress);
 }
 
 SafeStateMap ParallelCharacterizer::characterize(
     resilience::SweepJournal& journal,
     const std::function<void(const FreqCharacterization&)>& progress) {
-    return run_sweep(&journal, progress);
+    resilience::require_identity(journal.identity(),
+                                 {resilience::SweepJournal::kFormat, config_hash()},
+                                 "sweep journal");
+    // Rows already durable in the journal are adopted, not re-probed.
+    const std::uint64_t bytes_base = journal.bytes_written();
+    SafeStateMap map = characterize_with(
+        journal.rows(),
+        [&journal](const resilience::RowRecord& rec) { journal.commit(rec); }, progress);
+    stats_.journal_bytes = journal.bytes_written() - bytes_base;
+    return map;
 }
 
 SafeStateMap ParallelCharacterizer::characterize_with(
@@ -404,6 +419,8 @@ SafeStateMap ParallelCharacterizer::characterize_with(
     const std::function<void(const resilience::RowRecord&)>& commit,
     const std::function<void(const FreqCharacterization&)>& progress) {
     const std::vector<Megahertz> table = profile_.frequency_table();
+    // FlatMap, not unordered_map: this path feeds the replay fingerprint,
+    // and flat iteration order is canonical (pv-lint determinism-unordered).
     FlatMap<std::uint64_t, resilience::RowRecord> done;
     for (const resilience::RowRecord& rec : adopted) {
         if (rec.row_index >= table.size() ||
@@ -415,37 +432,18 @@ SafeStateMap ParallelCharacterizer::characterize_with(
     return run_rows(done, commit, progress);
 }
 
-SafeStateMap ParallelCharacterizer::run_sweep(
-    resilience::SweepJournal* journal,
-    const std::function<void(const FreqCharacterization&)>& progress) {
-    const std::vector<Megahertz> table = profile_.frequency_table();
-
-    // Rows already durable in the journal are adopted, not re-probed.
-    // FlatMap, not unordered_map: this path feeds the replay fingerprint,
-    // and flat iteration order is canonical (pv-lint determinism-unordered).
-    FlatMap<std::uint64_t, resilience::RowRecord> done;
-    std::uint64_t journal_bytes_base = 0;
-    if (journal != nullptr) {
-        resilience::require_identity(
-            journal->identity(), {resilience::SweepJournal::kFormat, config_hash()},
-            "sweep journal");
-        journal_bytes_base = journal->bytes_written();
-        for (const resilience::RowRecord& rec : journal->rows()) {
-            if (rec.row_index >= table.size() ||
-                rec.freq_mhz != table[rec.row_index].value())
-                throw JournalError("journal row " + std::to_string(rec.row_index) +
-                                   " does not match the frequency table");
-            done.emplace(rec.row_index, rec);
-        }
-    }
-
-    std::function<void(const resilience::RowRecord&)> commit;
-    if (journal != nullptr)
-        commit = [journal](const resilience::RowRecord& rec) { journal->commit(rec); };
-    SafeStateMap map = run_rows(done, commit, progress);
-    if (journal != nullptr)
-        stats_.journal_bytes = journal->bytes_written() - journal_bytes_base;
-    return map;
+std::vector<std::unique_ptr<ParallelCharacterizer::Worker>>
+ParallelCharacterizer::make_workers() const {
+    // One simulator per worker, all from the same profile; the boot seed
+    // is irrelevant to results (every probe re-seeds) but kept distinct
+    // for hygiene.
+    std::vector<std::unique_ptr<Worker>> workers;
+    workers.reserve(config_.workers);
+    for (unsigned w = 0; w < config_.workers; ++w)
+        workers.push_back(std::make_unique<Worker>(profile_, config_.cell,
+                                                   mix_seed(config_.seed, 1'000'000 + w),
+                                                   config_.fault_plan));
+    return workers;
 }
 
 SafeStateMap ParallelCharacterizer::run_rows(
@@ -457,16 +455,9 @@ SafeStateMap ParallelCharacterizer::run_rows(
     stats_ = {};
     planned_rows_.clear();  // a planner verdict only exists for Adaptive sweeps
 
-    // One simulator per worker thread, all from the same profile; the
-    // boot seed is irrelevant to results (every probe re-seeds) but kept
-    // distinct for hygiene.  Declared before the pool so that on any
-    // unwind the pool joins (draining queued rows) before a Worker dies.
-    std::vector<std::unique_ptr<Worker>> workers;
-    workers.reserve(config_.workers);
-    for (unsigned w = 0; w < config_.workers; ++w)
-        workers.push_back(std::make_unique<Worker>(profile_, config_.cell,
-                                                   mix_seed(config_.seed, 1'000'000 + w),
-                                                   config_.fault_plan));
+    // Declared before the pool so that on any unwind the pool joins
+    // (draining queued rows) before a Worker dies.
+    const std::vector<std::unique_ptr<Worker>> workers = make_workers();
 
     // One worker: no pool — each fresh row is computed lazily on the
     // calling thread right where the pooled path would block on its
@@ -530,12 +521,7 @@ SafeStateMap ParallelCharacterizer::run_adaptive(
     // simulator contexts (every probe reseeds from the cell seed), so
     // results AND the probe sequence are worker-count-independent — the
     // acquisition-determinism PROP test pins that down.
-    std::vector<std::unique_ptr<Worker>> workers;
-    workers.reserve(config_.workers);
-    for (unsigned w = 0; w < config_.workers; ++w)
-        workers.push_back(std::make_unique<Worker>(profile_, config_.cell,
-                                                   mix_seed(config_.seed, 1'000'000 + w),
-                                                   config_.fault_plan));
+    const std::vector<std::unique_ptr<Worker>> workers = make_workers();
 
     const Characterizer& chr = workers[0]->characterizer();
     const std::uint64_t steps = chr.sweep_steps();
@@ -626,26 +612,12 @@ SafeStateMap ParallelCharacterizer::run_adaptive(
             (planned.onset_step != 0 && planned.onset_step > planned.crash_step))
             throw ConfigError("adaptive planner returned an invalid verdict for row " +
                               std::to_string(i));
-        FreqCharacterization row{
-            .freq = table[i],
-            .onset = Millivolts{0.0},
-            .crash = chr.no_crash_sentinel(),
-            .fault_free = true,
-        };
-        if (planned.crash_step <= steps) {
-            row.crash = chr.offset_at_step(planned.crash_step);
-            row.fault_free = false;
-        }
-        if (planned.onset_step != 0) {
-            row.onset = chr.offset_at_step(planned.onset_step);
-            row.fault_free = false;
-        } else if (planned.crash_step <= steps) {
-            row.onset = row.crash;  // faults and crash within one step
-        }
         if (row_cells[i] == 0) ++stats_.rows_interpolated;
         // cells == 0 doubles as the interpolated-row marker a resumed
         // plan reads back through ctx.adopted.
-        deliver.fresh(i, row, row_cells[i], row_crashes[i]);
+        deliver.fresh(i,
+                      row_from_steps(chr, table[i], planned.crash_step, planned.onset_step),
+                      row_cells[i], row_crashes[i]);
     }
     stats_.cells_evaluated = probe_log_.size();
     for (const ProbeLogEntry& entry : probe_log_)

@@ -16,9 +16,11 @@
 // state, cold die, fresh RNG.  A cell's outcome is therefore a pure
 // function of (profile, frequency, offset, sweep_seed) — independent of
 // which worker probes it, in which order, and of how many cells were
-// probed before it.  That is what makes the three execution strategies
-// (serial exhaustive, sharded exhaustive, sharded bisection) produce the
-// same SafeStateMap cell-for-cell.
+// probed before it.  That is what makes every worker count (one worker
+// runs the rows in order on the calling thread) and both row searches
+// (exhaustive scan, bisection) produce the same SafeStateMap
+// cell-for-cell.  This engine is the repo's only Algorithm 2 sweep
+// driver; Characterizer supplies the per-cell probe it runs.
 //
 // Bisection mode
 // --------------
@@ -42,6 +44,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -214,7 +217,9 @@ public:
     /// so calling this on a journal recovered after a crash IS the
     /// resume path, and the result is cell-identical to an
     /// uninterrupted sweep.  Throws ConfigError when the journal's
-    /// identity does not match this sweep's config_hash().
+    /// identity does not match this sweep's config_hash(), and, like
+    /// characterize_with(), JournalError when a journaled row does not
+    /// match the frequency table.
     [[nodiscard]] SafeStateMap characterize(
         resilience::SweepJournal& journal,
         const std::function<void(const FreqCharacterization&)>& progress = {});
@@ -277,9 +282,8 @@ private:
     [[nodiscard]] RowOutcome characterize_row(Worker& worker, std::size_t row_index,
                                               Megahertz f, std::uint64_t row_seed) const;
 
-    [[nodiscard]] SafeStateMap run_sweep(
-        resilience::SweepJournal* journal,
-        const std::function<void(const FreqCharacterization&)>& progress);
+    /// One simulator context per configured worker.
+    [[nodiscard]] std::vector<std::unique_ptr<Worker>> make_workers() const;
 
     /// Shared sweep core: `done` rows are adopted, fresh rows flow
     /// through `commit` (may be empty) before `progress`.  One worker

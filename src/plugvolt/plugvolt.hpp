@@ -8,18 +8,19 @@
 //
 // Typical use:
 //
-//   sim::Machine machine(sim::cometlake_i7_10510u(), seed);
+//   const sim::CpuProfile profile = sim::cometlake_i7_10510u();
+//   plugvolt::ParallelCharacterizer sweep(profile, {});  // Algo. 2
+//   sim::Machine machine(profile, seed);
 //   os::Kernel kernel(machine);
-//   plugvolt::Characterizer chr(kernel, {});
-//   plugvolt::Protector protector(kernel, chr.characterize());
+//   plugvolt::Protector protector(kernel, sweep.characterize());
 //   protector.deploy(plugvolt::DeploymentLevel::KernelModule);
 #pragma once
 
 #include <memory>
 
-#include "plugvolt/characterizer.hpp"
 #include "plugvolt/microcode_guard.hpp"
 #include "plugvolt/msr_clamp.hpp"
+#include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/polling_module.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "plugvolt/turnaround.hpp"

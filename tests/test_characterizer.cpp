@@ -1,4 +1,5 @@
-// Algo. 2 driver tests (the data behind Figs. 2-4).
+// Algo. 2 cell-probe tests and whole-sweep properties (the data behind
+// Figs. 2-4).
 #include "plugvolt/characterizer.hpp"
 
 #include <gtest/gtest.h>
@@ -122,43 +123,40 @@ TEST_P(CharacterizationSweep, OnsetMagnitudeShrinksWithFrequency) {
 
 INSTANTIATE_TEST_SUITE_P(PaperProfiles, CharacterizationSweep, ::testing::Values(0, 1, 2));
 
+// Whole sweeps run the cell probe under the engine's one-worker
+// exhaustive scan, the plain Algorithm 2 sweep.
 TEST(Characterizer, SweepIsDeterministic) {
     auto run = [] {
-        sim::Machine machine(sim::cometlake_i7_10510u(), 77);
-        os::Kernel kernel(machine);
         CharacterizerConfig config;
         config.offset_step = Millivolts{10.0};
-        Characterizer chr(kernel, config);
-        return chr.characterize().to_csv();
+        return test::exhaustive_map(sim::cometlake_i7_10510u(), config, 77).to_csv();
     };
     EXPECT_EQ(run(), run());
 }
 
 TEST(Characterizer, CrashCountMatchesCrashRows) {
-    sim::Machine machine(sim::cometlake_i7_10510u(), 78);
-    os::Kernel kernel(machine);
+    // Each crashing column ends the scan at its crash cell: exactly one
+    // crash probe per crash row.
     CharacterizerConfig config;
     config.offset_step = Millivolts{10.0};
-    Characterizer chr(kernel, config);
-    const SafeStateMap map = chr.characterize();
-    unsigned crash_rows = 0;
+    ParallelCharacterizer engine(sim::cometlake_i7_10510u(),
+                                 test::exhaustive_sweep(config, 78));
+    const SafeStateMap map = engine.characterize();
+    std::uint64_t crash_rows = 0;
     for (const auto& row : map.rows())
         if (row.crash >= map.sweep_floor()) ++crash_rows;
-    EXPECT_EQ(chr.crash_count(), crash_rows);
-    EXPECT_EQ(machine.boot_count(), 1u + crash_rows);
+    EXPECT_GT(crash_rows, 0u);
+    EXPECT_EQ(engine.stats().crash_probes, crash_rows);
 }
 
 TEST(Characterizer, PerClassMapsOrderByPathLength) {
     // FpMul's shorter path faults only at deeper offsets than imul's —
     // an imul-based map is the conservative choice for defense.
     auto characterize_class = [](sim::InstrClass cls) {
-        sim::Machine machine(sim::cometlake_i7_10510u(), 80);
-        os::Kernel kernel(machine);
         CharacterizerConfig config;
         config.offset_step = Millivolts{5.0};
         config.instr_class = cls;
-        Characterizer chr(kernel, config);
-        return chr.characterize();
+        return test::exhaustive_map(sim::cometlake_i7_10510u(), config, 80);
     };
     const SafeStateMap imul = characterize_class(sim::InstrClass::Imul);
     const SafeStateMap fpmul = characterize_class(sim::InstrClass::FpMul);
@@ -170,13 +168,10 @@ TEST(Characterizer, PerClassMapsOrderByPathLength) {
 
 TEST(Characterizer, PreheatedSweepMeasuresShallowerOnsets) {
     auto characterize_at = [](double preheat) {
-        sim::Machine machine(sim::cometlake_i7_10510u(), 81);
-        os::Kernel kernel(machine);
         CharacterizerConfig config;
         config.offset_step = Millivolts{5.0};
         config.die_preheat_c = preheat;
-        Characterizer chr(kernel, config);
-        return chr.characterize();
+        return test::exhaustive_map(sim::cometlake_i7_10510u(), config, 81);
     };
     const SafeStateMap cold = characterize_at(0.0);
     const SafeStateMap hot = characterize_at(85.0);
@@ -189,14 +184,12 @@ TEST(Characterizer, PreheatedSweepMeasuresShallowerOnsets) {
 }
 
 TEST(Characterizer, ProgressCallbackFiresPerColumn) {
-    sim::Machine machine(sim::skylake_i5_6500(), 79);
-    os::Kernel kernel(machine);
     CharacterizerConfig config;
     config.offset_step = Millivolts{20.0};
-    Characterizer chr(kernel, config);
+    ParallelCharacterizer engine(sim::skylake_i5_6500(), test::exhaustive_sweep(config, 79));
     unsigned calls = 0;
-    (void)chr.characterize([&](const FreqCharacterization&) { ++calls; });
-    EXPECT_EQ(calls, machine.profile().frequency_table().size());
+    (void)engine.characterize([&](const FreqCharacterization&) { ++calls; });
+    EXPECT_EQ(calls, sim::skylake_i5_6500().frequency_table().size());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 #pragma once
 
 #include "os/kernel.hpp"
-#include "plugvolt/characterizer.hpp"
+#include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "sim/cpu_profile.hpp"
 #include "sim/machine.hpp"
@@ -23,18 +23,35 @@ struct MachineRig {
     os::Kernel kernel;
 };
 
+/// The plain Algorithm 2 sweep: the engine with one worker (rows in
+/// order on the calling thread) scanning every offset step of each row.
+inline plugvolt::ParallelCharacterizerConfig exhaustive_sweep(
+    const plugvolt::CharacterizerConfig& cell, std::uint64_t seed) {
+    plugvolt::ParallelCharacterizerConfig config;
+    config.cell = cell;
+    config.workers = 1;
+    config.mode = plugvolt::SweepMode::Exhaustive;
+    config.seed = seed;
+    return config;
+}
+
+inline plugvolt::SafeStateMap exhaustive_map(const sim::CpuProfile& profile,
+                                             const plugvolt::CharacterizerConfig& cell,
+                                             std::uint64_t seed) {
+    return plugvolt::ParallelCharacterizer(profile, exhaustive_sweep(cell, seed))
+        .characterize();
+}
+
 /// Characterize a profile once per process (5 mV steps keep it fast) and
 /// hand out copies.  Characterization is deterministic, so sharing is safe.
 inline const plugvolt::SafeStateMap& cached_map(const sim::CpuProfile& profile) {
     static std::map<std::string, plugvolt::SafeStateMap> cache;
     const auto it = cache.find(profile.name);
     if (it != cache.end()) return it->second;
-    sim::Machine machine(profile, /*seed=*/0xC0FFEE);
-    os::Kernel kernel(machine);
     plugvolt::CharacterizerConfig config;
     config.offset_step = Millivolts{5.0};
-    plugvolt::Characterizer characterizer(kernel, config);
-    return cache.emplace(profile.name, characterizer.characterize()).first->second;
+    return cache.emplace(profile.name, exhaustive_map(profile, config, /*seed=*/0xC0FFEE))
+        .first->second;
 }
 
 inline const plugvolt::SafeStateMap& comet_map() {

@@ -103,13 +103,18 @@ TEST(Integration, CharacterizationUnaffectedByPriorProtection) {
     plugvolt::Protector protector(kernel, test::comet_map());
     protector.deploy(plugvolt::DeploymentLevel::KernelModule);
 
+    // The sweep engine boots machines of its own, so this walks the
+    // Algorithm 2 columns by hand on the protected kernel.
     plugvolt::CharacterizerConfig config;
     config.offset_step = Millivolts{25.0};
     plugvolt::Characterizer chr(kernel, config);
-    const plugvolt::SafeStateMap shadow = chr.characterize();
-    for (const auto& row : shadow.rows())
-        EXPECT_TRUE(row.fault_free) << row.freq.value() << " MHz";
-    EXPECT_EQ(chr.crash_count(), 0u);
+    for (const Megahertz f : machine.profile().frequency_table()) {
+        for (std::uint64_t s = 1; s <= chr.sweep_steps(); ++s) {
+            const plugvolt::CellResult cell = chr.test_cell(f, chr.offset_at_step(s));
+            ASSERT_FALSE(cell.crashed) << f.value() << " MHz, step " << s;
+            EXPECT_EQ(cell.faults, 0u) << f.value() << " MHz, step " << s;
+        }
+    }
 }
 
 TEST(Integration, MapsDifferAcrossGenerations) {

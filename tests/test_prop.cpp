@@ -10,13 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "check/state_hasher.hpp"
-#include "os/kernel.hpp"
-#include "plugvolt/characterizer.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "prop/prop.hpp"
 #include "sim/cpu_profile.hpp"
-#include "sim/machine.hpp"
 #include "sim/ocm.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace pv {
@@ -94,11 +92,9 @@ TEST(PropOcm, ClampedBeyondRangeStillDecodes) {
 
 const plugvolt::SafeStateMap& cometlake_map() {
     static const plugvolt::SafeStateMap map = [] {
-        sim::Machine machine(sim::cometlake_i7_10510u(), 0xDAC2024);
-        os::Kernel kernel(machine);
         plugvolt::CharacterizerConfig config;
         config.offset_step = Millivolts{5.0};
-        return plugvolt::Characterizer(kernel, config).characterize();
+        return test::exhaustive_map(sim::cometlake_i7_10510u(), config, 0xDAC2024);
     }();
     return map;
 }

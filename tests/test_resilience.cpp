@@ -714,6 +714,20 @@ TEST(JournaledSweep, ConfigMismatchIsRejected) {
     EXPECT_NE(engine.config_hash(), other.config_hash());
     EXPECT_THROW((void)other.characterize(journal), ConfigError);
     std::remove(path.c_str());
+
+    // A journal with the right identity must still hold rows of this
+    // frequency table: a row whose frequency disagrees, or whose index
+    // lies past the table, is rejected before any row is adopted.
+    const std::vector<Megahertz> table = profile.frequency_table();
+    for (const RowRecord bad :
+         {RowRecord{.row_index = 1, .freq_mhz = table[1].value() + 100.0},
+          RowRecord{.row_index = table.size(), .freq_mhz = table.back().value()}}) {
+        std::remove(path.c_str());
+        SweepJournal rows = SweepJournal::open(path, engine.config_hash(), JournalOptions{});
+        rows.commit(bad);
+        EXPECT_THROW((void)engine.characterize(rows), JournalError) << bad.row_index;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(JournaledSweep, InjectedFaultSweepReplaysAcrossWorkerCounts) {
