@@ -16,6 +16,12 @@
 // A planner optimization that is meant to be invisible must leave these
 // fingerprints unchanged.
 //
+// The same six cases also pin what the planner CONCLUDED, apart from
+// how it got there: `adaptive_*_map.golden` holds the state_hash of every
+// resulting map, every planned row (crash and onset step, anchored or
+// interpolated) and, for a fleet, the envelope hash.  A change to the
+// probe search regoldens the probe streams; it must leave these alone.
+//
 // Regoldening (after an INTENDED change to the probe stream):
 // `PV_REGOLDEN=1 ctest -R Golden`; commit the diff alongside the change
 // that explains it.
@@ -183,6 +189,124 @@ std::uint64_t fleet_stream_hash(const GoldenCase& c, StreamHash& stream) {
     for (const std::uint64_t h : map_hashes) stream.hasher.mix(h);
     stream.hasher.mix(fleet::state_hash(envelope));
     return stream.hasher.digest();
+}
+
+/// The verdict side of one case: map hashes, planned rows and (fleet
+/// only) the envelope hash.
+struct MapFingerprint {
+    std::uint64_t maps = 0;
+    std::uint64_t plan = 0;
+    std::optional<std::uint64_t> envelope;
+};
+
+/// The infer planner, wrapped to fold the rows it returns into `plan`.
+plugvolt::AdaptivePlannerFn recording_planner(check::StateHasher& plan) {
+    const plugvolt::AdaptivePlannerFn inner = adaptive_planner();
+    return [&plan, inner](const plugvolt::AdaptiveContext& ctx,
+                          const plugvolt::CellProbeFn& probe) {
+        std::vector<plugvolt::PlannedRow> rows = inner(ctx, probe);
+        for (const plugvolt::PlannedRow& r : rows)
+            plan.mix(r.crash_step).mix(r.onset_step).mix(r.anchored);
+        return rows;
+    };
+}
+
+MapFingerprint map_fingerprint(const GoldenCase& c) {
+    check::StateHasher maps;
+    check::StateHasher plan;
+    MapFingerprint out;
+    if (c.fleet) {
+        fleet::FleetConfig config;
+        config.units = kFleetUnits;
+        config.workers = 1;
+        config.warm_start = true;
+        config.sweep.cell.offset_step = Millivolts{kStepMv};
+        config.sweep.mode = plugvolt::SweepMode::Adaptive;
+        config.sweep.workers = 1;
+        config.sweep.planner = recording_planner(plan);
+        fleet::FleetOrchestrator fleet(fleet::SiliconLot(c.profile(), {}), config);
+        const fleet::PopulationEnvelope envelope = fleet.characterize(
+            [&maps](std::uint64_t, const plugvolt::SafeStateMap& map) {
+                maps.mix(plugvolt::state_hash(map));
+            });
+        out.envelope = fleet::state_hash(envelope);
+    } else {
+        plugvolt::ParallelCharacterizerConfig config;
+        config.cell.offset_step = Millivolts{kStepMv};
+        config.mode = plugvolt::SweepMode::Adaptive;
+        config.workers = 1;
+        config.planner = recording_planner(plan);
+        plugvolt::ParallelCharacterizer sweep(c.profile(), config);
+        maps.mix(plugvolt::state_hash(sweep.characterize()));
+    }
+    out.maps = maps.digest();
+    out.plan = plan.digest();
+    return out;
+}
+
+std::string map_golden_path(const GoldenCase& c) {
+    return std::string(PV_GOLDEN_DIR) + "/" + c.slug + "_map.golden";
+}
+
+std::string hex(std::uint64_t v) {
+    char text[32];
+    std::snprintf(text, sizeof text, "0x%016" PRIx64, v);
+    return text;
+}
+
+/// "key value" lines; '#' lines are comments.
+std::optional<MapFingerprint> read_map_golden(const std::string& path) {
+    std::ifstream in(path);
+    if (!in) return std::nullopt;
+    MapFingerprint out;
+    std::string key, value;
+    while (in >> key) {
+        if (key[0] == '#') {
+            std::getline(in, value);
+            continue;
+        }
+        if (!(in >> value)) return std::nullopt;
+        const std::uint64_t v = std::strtoull(value.c_str(), nullptr, 0);
+        if (key == "maps") out.maps = v;
+        else if (key == "plan") out.plan = v;
+        else if (key == "envelope") out.envelope = v;
+        else return std::nullopt;
+    }
+    return out;
+}
+
+void write_map_golden(const GoldenCase& c, const MapFingerprint& f) {
+    std::ofstream out(map_golden_path(c));
+    ASSERT_TRUE(out) << "cannot write " << map_golden_path(c);
+    out << "# Adaptive 1 mV verdicts for " << c.slug
+        << " (map state_hash, planned rows, envelope).\n"
+        << "# Probe-search changes must leave this file alone; regolden only after\n"
+        << "# an intended change to the maps: PV_REGOLDEN=1 ctest -R Golden\n"
+        << "maps " << hex(f.maps) << "\n"
+        << "plan " << hex(f.plan) << "\n";
+    if (f.envelope) out << "envelope " << hex(*f.envelope) << "\n";
+}
+
+TEST(AdaptiveGolden, OneMillivoltMapsAndPlansReproduceCommittedFingerprints) {
+    for (const GoldenCase& c : golden_cases()) {
+        SCOPED_TRACE(c.slug);
+        const MapFingerprint got = map_fingerprint(c);
+        if (regolden_requested()) {
+            write_map_golden(c, got);
+            continue;
+        }
+        const auto committed = read_map_golden(map_golden_path(c));
+        ASSERT_TRUE(committed.has_value())
+            << "missing or malformed golden file " << map_golden_path(c)
+            << " — generate with: PV_REGOLDEN=1 ctest -R Golden";
+        EXPECT_EQ(hex(got.maps), hex(committed->maps)) << c.slug << ": maps drifted";
+        EXPECT_EQ(hex(got.plan), hex(committed->plan)) << c.slug << ": planned rows drifted";
+        EXPECT_EQ(got.envelope.has_value(), committed->envelope.has_value());
+        if (got.envelope && committed->envelope) {
+            EXPECT_EQ(hex(*got.envelope), hex(*committed->envelope))
+                << c.slug << ": envelope drifted";
+        }
+    }
 }
 
 TEST(AdaptiveGolden, OneMillivoltProbeStreamsReproduceCommittedFingerprints) {
