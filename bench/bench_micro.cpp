@@ -7,9 +7,9 @@
 #include "bench_common.hpp"
 #include <memory>
 
-#include "infer/acquisition.hpp"
 #include "infer/adaptive_planner.hpp"
-#include "infer/boundary_posterior.hpp"
+#include "plugvolt/acquisition.hpp"
+#include "plugvolt/boundary_posterior.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/polling_module.hpp"
 #include "plugvolt/safe_state.hpp"
@@ -178,13 +178,13 @@ void BM_SelectCrashProbe(benchmark::State& state) {
     // A 1 mV column's support (300 steps + "no crash"), with the prior
     // recentred mid-support the way an interpolation prediction does.
     constexpr std::uint64_t kSupport = 301;
-    infer::BoundaryPosterior posterior(kSupport);
-    const infer::AcquisitionConfig config;
+    plugvolt::BoundaryPosterior posterior(kSupport);
+    const plugvolt::AcquisitionConfig config;
     posterior.recenter(kSupport / 2, config.prior_decay, config.prior_floor);
     Rng rng(0x5E1EC7);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            infer::select_crash_probe(posterior, config, kSupport - 1, rng));
+            plugvolt::select_crash_probe(posterior, config, kSupport - 1, rng));
 }
 BENCHMARK(BM_SelectCrashProbe);
 

@@ -1,6 +1,5 @@
 #include "fleet/fleet_orchestrator.hpp"
 
-#include <cmath>
 #include <future>
 #include <string>
 #include <utility>
@@ -16,29 +15,30 @@
 namespace pv::fleet {
 
 /// Lock-guarded per-row boundary aggregate the warm starts draw from.
-/// Finished units fold their row boundaries in (as offset STEPS, the
-/// bisection's coordinate); later units' rows start from the running
-/// mean of their lot neighbours.  Folds and reads race benignly across
-/// unit tasks: WHICH hints a unit sees depends on completion order, but
-/// hints only shrink probe counts (parallel_characterizer.hpp), so every
+/// Finished units fold their row boundaries in (as offset STEPS, the row
+/// search's coordinate); later units' row searches take the running mean
+/// of their lot neighbours as a prior.  Folds and reads race benignly
+/// across unit tasks: WHICH priors a unit sees depends on completion
+/// order, but priors only move probes (row_search.hpp), so every
 /// downstream result stays order-independent.
 class FleetOrchestrator::Aggregate {
 public:
-    Aggregate(std::size_t rows, double step_mv, double sentinel_mv)
-        : step_mv_(step_mv), sentinel_mv_(sentinel_mv), rows_(rows) {}
+    Aggregate(std::size_t rows, const plugvolt::CharacterizerConfig& cell)
+        : cell_(cell), steps_(plugvolt::sweep_steps(cell)), rows_(rows) {}
 
     /// Fold one completed row (local index) into the running means.
-    /// Sentinel crash values (column never crashed) and fault-free rows
-    /// contribute nothing — a hint must point at a real boundary.
+    /// Columns that never crashed and fault-free rows contribute nothing
+    /// to that boundary — a prior must point at a real boundary.
     void fold(const resilience::RowRecord& rec) {
+        const plugvolt::PlannedRow row = plugvolt::steps_from_row(rec, cell_);
         MutexLock lock(mutex_);
         RowSum& sum = rows_[rec.row_index];
-        if (rec.crash_mv != sentinel_mv_) {
-            sum.crash_steps += to_step(rec.crash_mv);
+        if (row.crash_step <= steps_) {
+            sum.crash_steps += row.crash_step;
             ++sum.crash_units;
         }
-        if (!rec.fault_free && rec.onset_mv != 0.0) {
-            sum.onset_steps += to_step(rec.onset_mv);
+        if (row.onset_step != 0) {
+            sum.onset_steps += row.onset_step;
             ++sum.onset_units;
         }
     }
@@ -69,12 +69,8 @@ private:
         std::uint64_t onset_units = 0;
     };
 
-    [[nodiscard]] std::uint64_t to_step(double offset_mv) const {
-        return static_cast<std::uint64_t>(std::llround(-offset_mv / step_mv_));
-    }
-
-    double step_mv_;
-    double sentinel_mv_;
+    const plugvolt::CharacterizerConfig cell_;
+    const std::uint64_t steps_;
     Mutex mutex_;
     std::vector<RowSum> rows_ PV_GUARDED_BY(mutex_);
     std::uint64_t hints_served_ PV_GUARDED_BY(mutex_) = 0;
@@ -86,11 +82,10 @@ FleetOrchestrator::FleetOrchestrator(SiliconLot lot, FleetConfig config)
     if (config_.sweep.warm_start)
         throw ConfigError("the fleet orchestrator owns warm_start; leave it unset");
     if (config_.workers == 0) config_.workers = ThreadPool::default_worker_count();
-    // Adaptive per-unit sweeps default to the infer planner; the same
-    // Aggregate that fuels bisection gallops then warm-starts each
-    // unit's boundary POSTERIOR from lot-neighbour onset/crash means
-    // (hints shape priors only, so per-unit maps stay bit-identical to
-    // cold solo adaptive runs — the adaptive fleet differential's
+    // Adaptive per-unit sweeps default to the infer planner.  In both
+    // fast modes the lot-neighbour onset/crash means are priors of the
+    // row search (they move probes only, so per-unit maps stay
+    // bit-identical to cold solo runs — the fleet differentials'
     // contract).  A caller-supplied planner is kept as-is.
     if (config_.sweep.mode == plugvolt::SweepMode::Adaptive && !config_.sweep.planner)
         config_.sweep.planner = infer::adaptive_planner();
@@ -141,9 +136,6 @@ PopulationEnvelope FleetOrchestrator::run_fleet(resilience::SweepJournal* journa
                                                 const UnitProgress& progress) {
     stats_ = {};
     const std::uint64_t units = config_.units;
-    const double step_mv = config_.sweep.cell.offset_step.value();
-    const double sentinel_mv =
-        (config_.sweep.cell.sweep_floor - config_.sweep.cell.offset_step).value();
 
     // Journaled rows, re-framed from the global unit*stride + row index
     // to each unit's local row index (characterize_with validates them
@@ -167,7 +159,7 @@ PopulationEnvelope FleetOrchestrator::run_fleet(resilience::SweepJournal* journa
         }
     }
 
-    Aggregate aggregate(stride_, step_mv, sentinel_mv);
+    Aggregate aggregate(stride_, config_.sweep.cell);
     plugvolt::WarmStartFn hint_fn;
     if (config_.warm_start) {
         // Adopted rows are finished results: seed the hint pool with

@@ -9,10 +9,10 @@
 // on whichever thread picked the unit up — no pool nested inside a pool.
 //
 // Warm starts: units finished earlier publish their row boundaries into
-// a lock-guarded per-row aggregate; later units' bisections start from
-// the lot-neighbour mean boundary instead of the full sweep range.
-// Hints shrink probe counts only — results are hint-independent (see
-// parallel_characterizer.hpp and DESIGN §5h), so per-unit maps stay
+// a lock-guarded per-row aggregate; later units' row searches take the
+// lot-neighbour mean boundary as their posterior prior.  Priors shrink
+// probe counts only — results are prior-independent (see
+// row_search.hpp and DESIGN §5h), so per-unit maps stay
 // bit-identical to cold solo runs even though WHICH hints a unit saw
 // depends on completion order.  That is the envelope's determinism
 // story, and the fleet differential test enforces it cell-for-cell.
@@ -45,18 +45,16 @@ struct FleetConfig {
     /// worker whatever `workers` says (characterize_unit uses it); the
     /// per-unit sweep seed is derived as mix_seed(sweep.seed, unit_id).
     /// With mode == SweepMode::Adaptive and no planner set, the
-    /// orchestrator attaches the src/infer planner and the lot-neighbour
-    /// aggregate warm-starts each unit's boundary posterior instead of
-    /// fueling bisection gallops.
+    /// orchestrator attaches the src/infer planner.
     plugvolt::ParallelCharacterizerConfig sweep{};
     /// Fleet pool width (units in flight); 0 means
     /// ThreadPool::default_worker_count(), and 1 runs units on the
     /// calling thread with no pool.  Results are independent of this,
     /// like the row engine's worker count.
     unsigned workers = 0;
-    /// Warm-start each unit from finished lot neighbours: their boundary
-    /// steps are gallop hints in Bisection mode and posterior priors in
-    /// Adaptive mode (ignored in Exhaustive mode).
+    /// Warm-start each unit from finished lot neighbours: their mean
+    /// boundary steps are the row search's posterior priors in both fast
+    /// modes (ignored in Exhaustive mode).
     bool warm_start = true;
     EnvelopeConfig envelope{};
 };

@@ -6,22 +6,16 @@
 #include <vector>
 
 #include "check/assert.hpp"
+#include "plugvolt/row_search.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace pv::infer {
 namespace {
 
-/// Salt for the planner's own RNG stream (acquisition tie-breaks); each
-/// row forks its own child stream so the draws a row consumes are
-/// independent of how many probes earlier rows needed — including the
-/// zero probes an adopted (resumed) anchor needs.
-constexpr std::uint64_t kPlannerSeedTag = 0xADA'B0DE;
-
+using plugvolt::AcquisitionConfig;
 using plugvolt::AdaptiveContext;
 using plugvolt::CellProbeFn;
-using plugvolt::CellResult;
 using plugvolt::PlannedRow;
 
 /// Effective step encodings for interpolation: both boundaries live on
@@ -64,9 +58,8 @@ public:
             const AcquisitionConfig& acq)
         : ctx_(ctx),
           probe_(probe),
-          acq_(acq),
-          rows_(ctx.rows),
-          decay_powers_(BoundaryPosterior::decay_powers(acq.prior_decay, ctx.steps + 1)) {}
+          search_(ctx.steps, ctx.refine_window, acq),
+          rows_(ctx.rows) {}
 
     [[nodiscard]] std::vector<PlannedRow> run() {
         PV_ASSERT(ctx_.rows > 0 && ctx_.steps >= 1,
@@ -98,89 +91,19 @@ private:
         rows_[r] = solve(r);
     }
 
+    /// Anchor row r with the row search.  A lot-neighbour hint is the
+    /// prior where it has a boundary; otherwise the interpolation between
+    /// the nearest certified anchors is.
     [[nodiscard]] PlannedRow solve(std::size_t r) {
-        const std::uint64_t steps = ctx_.steps;
-        Rng rng(mix_seed(mix_seed(ctx_.seed, kPlannerSeedTag), r));
-        std::optional<plugvolt::RowWarmStart> hint;
-        if (ctx_.warm_start) hint = ctx_.warm_start(r);
-
-        // --- crash boundary: EIG-per-cost loop to a 0-cell bracket ----
-        BoundaryPosterior crash(steps + 1);
-        const std::uint64_t crash_hint =
-            hint.has_value() && hint->crash_step >= 1
-                ? std::min(hint->crash_step, steps + 1)
-                : 0;
-        if (crash_hint != 0) {
-            crash.recenter(crash_hint, decay_powers_, acq_.prior_floor);
-        } else if (const auto pred = predict(r, Axis::Crash)) {
-            crash.recenter(*pred, decay_powers_, acq_.prior_floor);
+        plugvolt::RowWarmStart prior;
+        if (ctx_.warm_start) {
+            if (const auto hint = ctx_.warm_start(r)) prior = *hint;
         }
-        while (!crash.certified()) {
-            const std::uint64_t s = select_crash_probe(crash, acq_, steps, rng);
-            const CellResult cell = probe_(r, s);
-            if (cell.crashed) {
-                crash.restrict_leq(s);
-            } else {
-                crash.restrict_geq(s + 1);
-            }
-            note_update(r, crash.hard_lo(), crash.hard_hi());
-        }
-        const std::uint64_t crash_step = crash.hard_lo();
-
-        // --- fault onset: guided descent + the certification walk -----
-        // The gate probe at the deepest surviving cell decides fault-free
-        // columns exactly like the bisection mode (and is usually free:
-        // the crash bracket already probed that cell).  From a faulting
-        // gate, posterior-guided jumps try to land near the predicted
-        // onset, then the refine-window walk — verbatim the bisection's
-        // — certifies the shallowest faulting cell; from ANY faulting
-        // start the walk descends to the same bottom (DESIGN §5h), so
-        // priors move probes, never the verdict.  Only the jumps read
-        // the onset posterior; the walk reads nothing but its bracket
-        // [1, s], so it tracks that in s and leaves the posterior alone.
-        std::uint64_t onset_step = 0;
-        const std::uint64_t limit = crash_step <= steps ? crash_step - 1 : steps;
-        if (limit >= 1 && probe_(r, limit).faults > 0) {
-            BoundaryPosterior onset(limit);
-            const std::uint64_t onset_hint =
-                hint.has_value() && hint->onset_step >= 1
-                    ? std::min(hint->onset_step, limit)
-                    : 0;
-            if (onset_hint != 0) {
-                onset.recenter(onset_hint, decay_powers_, acq_.prior_floor);
-            } else if (const auto pred = predict(r, Axis::Onset)) {
-                onset.recenter(std::min(*pred, limit), decay_powers_, acq_.prior_floor);
-            }
-            std::uint64_t s = limit;
-            for (int jumps = 0; jumps < 2 && s > 1; ++jumps) {
-                const std::uint64_t cand = onset.map_estimate();
-                if (cand >= s || s - cand <= ctx_.refine_window) break;
-                const bool faulted = probe_(r, cand).faults > 0;
-                if (faulted) {
-                    s = cand;
-                    onset.restrict_leq(cand);
-                }
-                note_update(r, onset.hard_lo(), onset.hard_hi());
-                if (!faulted) break;
-            }
-            while (s > 1) {
-                const std::uint64_t stop =
-                    s > ctx_.refine_window ? s - ctx_.refine_window : 1;
-                std::uint64_t found = 0;
-                for (std::uint64_t t = s - 1; t >= stop; --t) {
-                    if (probe_(r, t).faults > 0) {
-                        found = t;
-                        break;
-                    }
-                    if (t == stop) break;
-                }
-                note_update(r, 1, found != 0 ? found : s);
-                if (found == 0) break;
-                s = found;
-            }
-            onset_step = s;
-        }
-        return PlannedRow{crash_step, onset_step, /*anchored=*/true};
+        if (prior.crash_step == 0) prior.crash_step = predict(r, Axis::Crash).value_or(0);
+        if (prior.onset_step == 0) prior.onset_step = predict(r, Axis::Onset).value_or(0);
+        return search_.solve(
+            ctx_.seed, r, prior, [this, r](std::uint64_t s) { return probe_(r, s); },
+            [this, r](std::uint64_t lo, std::uint64_t hi) { note_update(r, lo, hi); });
     }
 
     /// Recursive row-axis subdivision: compatible anchor pairs enclose
@@ -254,10 +177,8 @@ private:
 
     const AdaptiveContext& ctx_;
     const CellProbeFn& probe_;
-    const AcquisitionConfig& acq_;
+    const plugvolt::RowSearch search_;
     std::vector<std::optional<PlannedRow>> rows_;
-    /// decay^k for every distance a prior of this plan can reach.
-    std::vector<double> decay_powers_;
     std::uint64_t updates_ = 0;
 };
 

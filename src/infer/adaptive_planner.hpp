@@ -1,16 +1,13 @@
 // infer — the adaptive sweep planner (SweepMode::Adaptive's strategy).
 //
-// Replaces the per-row sweeps with posterior-driven probing under a
-// plan-level 1-cell accuracy certificate:
+// Replaces per-row searches with a row-axis plan under a plan-level
+// 1-cell accuracy certificate:
 //
-//   1. ANCHOR rows are solved exactly: the crash boundary by a
-//      cost-aware expected-information-gain loop over a
-//      BoundaryPosterior (stopping only when the hard bracket collapses
-//      to one step — the bisection bracket invariant), the fault onset
-//      by a posterior-guided descent ending in the same
-//      refine-window-certified walk the bisection mode uses.  Anchor
-//      verdicts are therefore bit-identical to what Bisection/Exhaustive
-//      report for those rows.
+//   1. ANCHOR rows are certified by plugvolt's row search
+//      (row_search.hpp) — the same search Bisection runs on every row,
+//      here with the acquisition's reboot surcharge.  Anchor verdicts
+//      are therefore bit-identical to what Bisection/Exhaustive report
+//      for those rows.
 //
 //   2. The row axis is subdivided recursively: when two neighbouring
 //      anchors agree to within 2 steps on BOTH boundaries, every row
@@ -23,17 +20,17 @@
 //      differential tests hold the certificate against the exhaustive
 //      maps on all six golden profile x resolution cases.
 //
-// Warm starts (fleet lot-neighbour aggregates) and anchor-interpolation
-// predictions enter ONLY as soft posterior priors — they move probes,
-// never verdicts — which is what lets the fleet replace its gallop-only
-// hint path while keeping per-unit maps bit-identical to cold solo runs.
+// An anchor's prior is the fleet's lot-neighbour boundary where one
+// exists, else the interpolation between the nearest certified anchors.
+// Priors move probes, never verdicts, which keeps per-unit fleet maps
+// bit-identical to cold solo runs.
 // Resume: adopted anchored rows contribute their certified values
 // without probes, and the subdivision recursion depends only on row
 // indices and certified values, so a killed-and-resumed plan reproduces
 // the uninterrupted plan row-for-row.
 #pragma once
 
-#include "infer/acquisition.hpp"
+#include "plugvolt/acquisition.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 
 namespace pv::infer {
@@ -43,6 +40,6 @@ namespace pv::infer {
 /// state lives per call), so one instance may be shared across the fleet
 /// orchestrator's concurrent per-unit sweeps.
 [[nodiscard]] plugvolt::AdaptivePlannerFn adaptive_planner(
-    AcquisitionConfig config = {});
+    plugvolt::AcquisitionConfig config = {});
 
 }  // namespace pv::infer

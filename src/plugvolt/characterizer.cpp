@@ -113,9 +113,9 @@ CellResult Characterizer::test_cell_impl(Megahertz f, Millivolts offset,
     return {batch.faults, m.crashed()};
 }
 
-std::uint64_t Characterizer::sweep_steps() const {
+std::uint64_t sweep_steps(const CharacterizerConfig& config) {
     return static_cast<std::uint64_t>(
-        std::floor(-config_.sweep_floor.value() / config_.offset_step.value()));
+        std::floor(-config.sweep_floor.value() / config.offset_step.value()));
 }
 
 Millivolts Characterizer::offset_at_step(std::uint64_t s) const {

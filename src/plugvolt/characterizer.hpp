@@ -43,6 +43,9 @@ struct CharacterizerConfig {
     resilience::RetryPolicy retry{};
 };
 
+/// Number of offset steps one full column visits (floor / step).
+[[nodiscard]] std::uint64_t sweep_steps(const CharacterizerConfig& config);
+
 /// Result of probing one (frequency, offset) cell.
 struct CellResult {
     std::uint64_t faults = 0;
@@ -81,8 +84,8 @@ public:
     /// construction (0 unless a fault injector is attached upstream).
     [[nodiscard]] std::uint64_t msr_retries() const { return msr_retries_; }
 
-    /// Number of offset steps one full column visits (floor / step).
-    [[nodiscard]] std::uint64_t sweep_steps() const;
+    /// sweep_steps(config()).
+    [[nodiscard]] std::uint64_t sweep_steps() const { return plugvolt::sweep_steps(config_); }
 
     /// Offset commanded at 1-based step `s` (step 1 is one offset_step
     /// below nominal; sweep_steps() is the floor).

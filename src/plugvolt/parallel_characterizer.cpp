@@ -12,6 +12,7 @@
 #include "util/flat_map.hpp"
 #include "check/state_hasher.hpp"
 #include "os/kernel.hpp"
+#include "plugvolt/row_search.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -98,6 +99,19 @@ FreqCharacterization row_from_steps(const Characterizer& chr, Megahertz f,
 
 }  // namespace
 
+PlannedRow steps_from_row(const resilience::RowRecord& rec, const CharacterizerConfig& cell) {
+    const double step_mv = cell.offset_step.value();
+    const auto to_step = [step_mv](double offset_mv) {
+        return static_cast<std::uint64_t>(std::llround(-offset_mv / step_mv));
+    };
+    PlannedRow row;
+    row.crash_step = rec.crash_mv == (cell.sweep_floor - cell.offset_step).value()
+                         ? sweep_steps(cell) + 1
+                         : to_step(rec.crash_mv);
+    row.onset_step = rec.fault_free || rec.onset_mv == 0.0 ? 0 : to_step(rec.onset_mv);
+    return row;
+}
+
 const char* to_string(SweepMode mode) {
     switch (mode) {
         case SweepMode::Exhaustive: return "exhaustive";
@@ -136,7 +150,7 @@ public:
     }
 
     /// Probe offset step `s` of the current row from a fresh boot with
-    /// the cell's derived seed; memoized, so bisection and refinement
+    /// the cell's derived seed; memoized, so the row search and its walk
     /// never pay for (or re-randomize) a cell twice.
     ///
     /// The boot -> row-frequency pin draws no random numbers, so its
@@ -216,10 +230,10 @@ ParallelCharacterizer::ParallelCharacterizer(sim::CpuProfile profile,
 }
 
 ParallelCharacterizer::RowOutcome ParallelCharacterizer::characterize_row(
-    Worker& worker, std::size_t row_index, Megahertz f, std::uint64_t row_seed) const {
+    Worker& worker, const RowSearch& search, std::size_t row_index, Megahertz f,
+    std::uint64_t row_seed) const {
     worker.begin_row(f, row_seed);
     const Characterizer& chr = worker.characterizer();
-    const std::uint64_t steps = chr.sweep_steps();
     const auto outcome = [&](std::uint64_t crash_step, std::uint64_t onset_step) {
         return RowOutcome{row_from_steps(chr, f, crash_step, onset_step), worker.cells(),
                           worker.crashes(), worker.row_retries()};
@@ -228,6 +242,7 @@ ParallelCharacterizer::RowOutcome ParallelCharacterizer::characterize_row(
     if (config_.mode == SweepMode::Exhaustive) {
         // The paper's scan, with per-cell boot-fresh state: walk deeper
         // until faults appear, keep walking until the machine dies.
+        const std::uint64_t steps = chr.sweep_steps();
         std::uint64_t s_onset = 0;
         for (std::uint64_t s = 1; s <= steps; ++s) {
             const CellResult& cell = worker.probe(s);
@@ -237,132 +252,15 @@ ParallelCharacterizer::RowOutcome ParallelCharacterizer::characterize_row(
         return outcome(steps + 1, s_onset);
     }
 
-    // --- Bisection mode -------------------------------------------------
-    // Warm-start hints (lot-neighbour boundaries) narrow the searches
-    // without changing their answers; see the soundness notes inline.
-    std::optional<RowWarmStart> hint;
-    if (config_.warm_start) hint = config_.warm_start(row_index);
-
-    // Crash boundary first: crashed(s) is a deterministic monotone
-    // predicate (would_crash is a timing threshold), and step 0 (nominal
-    // voltage) is crash-free by Machine's construction-time validation.
-    // The cold search brackets with [0, steps]; a hinted search gallops
-    // outward from the hint until it brackets the boundary (or reaches
-    // the sweep edge, where it degenerates into the cold verdict).  Both
-    // establish the same invariant — !crashed(lo) && crashed(hi) — and
-    // the predicate is deterministic, so bisection converges to the SAME
-    // boundary step regardless of how the bracket was found.
-    std::uint64_t s_crash = steps + 1;  // "no crash inside the sweep"
-    if (steps >= 1) {
-        std::uint64_t lo = 0, hi = 0;
-        bool bracketed = false, no_crash = false;
-        const std::uint64_t crash_hint =
-            hint != std::nullopt && hint->crash_step >= 1
-                ? (hint->crash_step < steps ? hint->crash_step : steps)
-                : 0;
-        if (crash_hint != 0) {
-            if (worker.probe(crash_hint).crashed) {
-                hi = crash_hint;
-                std::uint64_t stride = 1;
-                while (hi > 1) {
-                    const std::uint64_t cand = hi > stride ? hi - stride : 1;
-                    if (!worker.probe(cand).crashed) {
-                        lo = cand;
-                        break;
-                    }
-                    hi = cand;
-                    stride *= 2;
-                }
-                bracketed = true;  // hi==1 leaves lo==0: nominal is crash-free
-            } else {
-                lo = crash_hint;
-                std::uint64_t stride = 1;
-                while (lo < steps) {
-                    const std::uint64_t cand =
-                        lo + stride < steps ? lo + stride : steps;
-                    if (worker.probe(cand).crashed) {
-                        hi = cand;
-                        bracketed = true;
-                        break;
-                    }
-                    lo = cand;
-                    stride *= 2;
-                }
-                // Galloped to the sweep edge without a crash: the deepest
-                // cell survived, which is exactly the cold no-crash test.
-                no_crash = !bracketed;
-            }
-        } else if (worker.probe(steps).crashed) {
-            lo = 0;
-            hi = steps;
-            bracketed = true;
-        } else {
-            no_crash = true;
-        }
-        if (bracketed && !no_crash) {
-            while (hi - lo > 1) {
-                const std::uint64_t mid = lo + (hi - lo) / 2;
-                (worker.probe(mid).crashed ? hi : lo) = mid;
-            }
-            s_crash = hi;
-        }
+    // Bisection: the row search with every row anchored and a zero
+    // reboot cost; a fleet's lot-neighbour boundaries are its prior.
+    RowWarmStart prior;
+    if (config_.warm_start) {
+        if (const auto hint = config_.warm_start(row_index)) prior = *hint;
     }
-
-    // Fault onset inside the surviving range [1, s_crash - 1].  The
-    // deepest surviving cell is the most fault-prone; if even it shows
-    // no faults the whole column is fault-free (the band, if any, is
-    // narrower than one step and hides under the crash cell).  A warm
-    // start keeps that gate probe — it decides fault-free columns, so
-    // skipping it could diverge from the cold verdict — and replaces
-    // only the bisection that locates a faulting cell to refine from.
-    std::uint64_t s_onset = 0;  // 0 = no faulting cell found
-    const std::uint64_t limit = (s_crash <= steps ? s_crash - 1 : steps);
-    if (limit >= 1 && worker.probe(limit).faults > 0) {
-        const std::uint64_t onset_hint =
-            hint != std::nullopt && hint->onset_step >= 1
-                ? (hint->onset_step < limit ? hint->onset_step : limit)
-                : 0;
-        std::uint64_t start;
-        if (onset_hint != 0 && worker.probe(onset_hint).faults > 0) {
-            // The neighbours' onset cell faults here too: refine from it
-            // directly, skipping the bisection entirely.
-            start = onset_hint;
-        } else {
-            // No usable hint (or the hint cell came up clean — this die's
-            // band sits deeper): bisect down to a faulting cell.  A clean
-            // hint cell still helps as the bisection's lower bound.
-            std::uint64_t lo = onset_hint, hi = limit;
-            while (hi - lo > 1) {
-                const std::uint64_t mid = lo + (hi - lo) / 2;
-                (worker.probe(mid).faults > 0 ? hi : lo) = mid;
-            }
-            start = hi;
-        }
-        // Refinement: fault observation is stochastic cell-by-cell, so
-        // the faulting cell found above may not be the *shallowest*
-        // faulting cell.  Scan up to refine_window shallower cells; each
-        // hit restarts the window below it.  An exhaustive scan would
-        // report the shallowest faulting cell — with the window covering
-        // the observability band, so do we, from ANY faulting start:
-        // inside the band no two faulting cells are more than a window
-        // apart, so every walk descends the same chain to its bottom.
-        std::uint64_t s = start;
-        while (s > 1) {
-            const std::uint64_t stop = s > config_.refine_window ? s - config_.refine_window : 1;
-            std::uint64_t found = 0;
-            for (std::uint64_t t = s - 1; t >= stop; --t) {
-                if (worker.probe(t).faults > 0) {
-                    found = t;
-                    break;
-                }
-                if (t == stop) break;
-            }
-            if (found == 0) break;
-            s = found;
-        }
-        s_onset = s;
-    }
-    return outcome(s_crash, s_onset);
+    const PlannedRow planned = search.solve(
+        config_.seed, row_index, prior, [&worker](std::uint64_t s) { return worker.probe(s); });
+    return outcome(planned.crash_step, planned.onset_step);
 }
 
 std::uint64_t ParallelCharacterizer::config_hash() const {
@@ -458,6 +356,8 @@ SafeStateMap ParallelCharacterizer::run_rows(
     // Declared before the pool so that on any unwind the pool joins
     // (draining queued rows) before a Worker dies.
     const std::vector<std::unique_ptr<Worker>> workers = make_workers();
+    const RowSearch search(workers[0]->characterizer().sweep_steps(), config_.refine_window,
+                           AcquisitionConfig{.reboot_cost = 0.0});
 
     // One worker: no pool — each fresh row is computed lazily on the
     // calling thread right where the pooled path would block on its
@@ -474,7 +374,7 @@ SafeStateMap ParallelCharacterizer::run_rows(
             if (done.contains(i)) continue;
             const Megahertz f = table[i];
             const std::uint64_t row_seed = mix_seed(config_.seed, i);
-            futures[i] = pool->submit([this, &workers, i, f, row_seed] {
+            futures[i] = pool->submit([this, &workers, &search, i, f, row_seed] {
                 // The workers vector is shared across threads but strictly
                 // partitioned by worker index: each pool thread only ever
                 // touches its own Worker, so no lock is needed — the index
@@ -483,7 +383,7 @@ SafeStateMap ParallelCharacterizer::run_rows(
                 PV_ASSERT(w >= 0 && static_cast<std::size_t>(w) < workers.size(),
                           "row task ran outside the pool: worker index " << w << " of "
                                                                          << workers.size());
-                return characterize_row(*workers[static_cast<std::size_t>(w)], i, f,
+                return characterize_row(*workers[static_cast<std::size_t>(w)], search, i, f,
                                         row_seed);
             });
         }
@@ -498,7 +398,8 @@ SafeStateMap ParallelCharacterizer::run_rows(
             continue;
         }
         RowOutcome outcome =
-            serial ? characterize_row(*workers[0], i, table[i], mix_seed(config_.seed, i))
+            serial ? characterize_row(*workers[0], search, i, table[i],
+                                      mix_seed(config_.seed, i))
                    : futures[i].get();  // rethrows worker exceptions
         stats_.cells_evaluated += outcome.cells;
         stats_.crash_probes += outcome.crashes;
@@ -525,11 +426,6 @@ SafeStateMap ParallelCharacterizer::run_adaptive(
 
     const Characterizer& chr = workers[0]->characterizer();
     const std::uint64_t steps = chr.sweep_steps();
-    const double step_mv = config_.cell.offset_step.value();
-    const double sentinel_mv = chr.no_crash_sentinel().value();
-    const auto to_step = [step_mv](double offset_mv) {
-        return static_cast<std::uint64_t>(std::llround(-offset_mv / step_mv));
-    };
 
     AdaptiveContext ctx;
     ctx.rows = table.size();
@@ -543,12 +439,8 @@ SafeStateMap ParallelCharacterizer::run_adaptive(
         // boundary millivolts; onset == crash collapses to the same
         // effective encoding the planner's interpolation logic uses, so
         // replanning from adopted rows reproduces the uninterrupted plan.
-        PlannedRow adopted;
+        PlannedRow adopted = steps_from_row(rec, config_.cell);
         adopted.anchored = rec.cells > 0;  // cells == 0 marks interpolated rows
-        adopted.crash_step =
-            rec.crash_mv == sentinel_mv ? steps + 1 : to_step(rec.crash_mv);
-        adopted.onset_step =
-            rec.fault_free || rec.onset_mv == 0.0 ? 0 : to_step(rec.onset_mv);
         ctx.adopted[i] = adopted;
     }
 

@@ -17,26 +17,24 @@
 // function of (profile, frequency, offset, sweep_seed) — independent of
 // which worker probes it, in which order, and of how many cells were
 // probed before it.  That is what makes every worker count (one worker
-// runs the rows in order on the calling thread) and both row searches
-// (exhaustive scan, bisection) produce the same SafeStateMap
+// runs the rows in order on the calling thread) and both row strategies
+// (the exhaustive scan and the row search) produce the same SafeStateMap
 // cell-for-cell.  This engine is the repo's only Algorithm 2 sweep
 // driver; Characterizer supplies the per-cell probe it runs.
 //
 // Bisection mode
 // --------------
-// The fault physics guarantee monotonicity in offset at a fixed
-// frequency: fault probability only grows as the offset deepens, and the
-// crash condition (FaultModel::would_crash) is a deterministic
-// threshold.  Exploit both:
-//   - the crash boundary is found by exact bisection (the predicate is
-//     deterministic and monotone), O(log steps) probes;
-//   - the fault-onset boundary is found by bisection on "any faults
-//     observed in 10^6 ops", then *refined* by scanning a small window
-//     of shallower cells: fault observation is a per-cell Bernoulli
-//     draw, so the observable boundary is fuzzy over the few steps where
-//     the expected fault count crosses ~1.  The window (refine_window)
-//     bounds that band; within it bisection+refinement lands on exactly
-//     the cell an exhaustive scan would report first.
+// Each row runs the one fast row search (row_search.hpp) with every row
+// anchored, a zero reboot cost and, in a fleet, the lot neighbours'
+// boundaries as its prior.  The fault physics make each column monotone
+// in offset: the crash condition (FaultModel::would_crash) is a
+// deterministic threshold, so the crash search is exact whatever order
+// its probes come in; fault probability only grows as the offset
+// deepens, but fault observation is a per-cell Bernoulli draw, so the
+// observable onset is fuzzy over the few steps where the expected fault
+// count crosses ~1.  The search's refine walk scans refine_window
+// shallower cells from a faulting start; with the window covering that
+// band it lands on exactly the cell an exhaustive scan reports first.
 // Use Exhaustive mode to validate maps (it probes every cell up to the
 // crash boundary, exactly like the paper's sweep); use Bisection for the
 // production fast path.
@@ -57,41 +55,43 @@
 
 namespace pv::plugvolt {
 
+class RowSearch;
+
 /// How each frequency row locates its onset and crash boundaries.
 enum class SweepMode {
     Exhaustive,  ///< probe every offset step down to the crash (validation)
-    Bisection,   ///< O(log steps) boundary search (production fast path)
-    Adaptive,    ///< posterior-driven probe selection (src/infer planner)
+    Bisection,   ///< the row search on every row (production fast path)
+    Adaptive,    ///< the row search on anchor rows, the rest interpolated (src/infer)
 };
 
 [[nodiscard]] const char* to_string(SweepMode mode);
 
-/// Warm-start hint for one frequency row of a Bisection sweep: the
-/// boundary steps a lot-neighbour (an already-characterized unit of the
-/// same silicon lot) reported for this row.  0 means "no hint" for that
-/// boundary.  Hints NEVER change sweep results — the crash boundary is a
-/// deterministic monotone predicate, so any bracketing search finds the
-/// same cell, and the onset refinement walk lands on the same shallowest
-/// faulting cell from any faulting start (see DESIGN §5h for the
-/// soundness argument) — they only shrink the probe count, which is why
-/// they are excluded from config_hash().
+/// Prior for one frequency row of the row search: the boundary steps a
+/// lot-neighbour (an already-characterized unit of the same silicon lot)
+/// reported for this row, or the adaptive planner's interpolation.  0
+/// means "no prior" (flat) for that boundary.  Priors NEVER change sweep
+/// results — the crash boundary is a deterministic monotone predicate,
+/// so any bracketing search finds the same cell, and the onset refine
+/// walk lands on the same shallowest faulting cell from any faulting
+/// start (see DESIGN §5h for the soundness argument) — they only shrink
+/// the probe count, which is why they are excluded from config_hash().
 struct RowWarmStart {
     std::uint64_t crash_step = 0;  ///< neighbours' crash boundary (1-based step)
     std::uint64_t onset_step = 0;  ///< neighbours' fault-onset step (1-based)
 };
 
-/// Per-row hint source consulted at the start of each Bisection row;
-/// return std::nullopt (or zero steps) to fall back to the cold search.
-/// Called on the worker thread that characterizes the row.
+/// Per-row hint source consulted at the start of each searched row (a
+/// Bisection row or an Adaptive anchor); return std::nullopt (or zero
+/// steps) for a flat prior.  Called on the thread that searches the row.
 using WarmStartFn = std::function<std::optional<RowWarmStart>(std::size_t row_index)>;
 
 // --- Adaptive-mode delegation ------------------------------------------
-// The Adaptive sweep strategy is IMPLEMENTED one layer up, in src/infer
-// (posterior model + cost-aware acquisition); plugvolt only defines the
-// delegation surface so the layering DAG stays acyclic: infer includes
-// plugvolt, and callers that want adaptive sweeps (fleet, bench, tests)
-// inject an infer planner through ParallelCharacterizerConfig::planner —
-// the same inversion the fleet orchestrator already uses for WarmStartFn.
+// The Adaptive sweep's row-axis planner (which rows to anchor, which to
+// interpolate) is IMPLEMENTED one layer up, in src/infer; it anchors rows
+// with this layer's row search.  plugvolt defines the delegation surface
+// so the layering DAG stays acyclic: infer includes plugvolt, and
+// callers that want adaptive sweeps (fleet, bench, tests) inject an
+// infer planner through ParallelCharacterizerConfig::planner.
 
 /// One cell probe actually executed by an adaptive sweep, in selection
 /// order.  `step` is the 1-based offset step of the row's column.
@@ -102,8 +102,8 @@ struct ProbeLogEntry {
     bool crashed = false;
 };
 
-/// An adaptive planner's verdict for one frequency row, in 1-based
-/// offset steps (the bisection's coordinate system):
+/// A row search's or adaptive planner's verdict for one frequency row,
+/// in 1-based offset steps:
 ///   crash_step in [1, steps]  — certified crash boundary;
 ///   crash_step == steps + 1   — no crash inside the sweep;
 ///   onset_step in [1, steps]  — shallowest faulting cell;
@@ -139,6 +139,14 @@ struct AdaptiveContext {
     WarmStartFn warm_start;
 };
 
+/// A journaled row back in step coordinates — the inverse of the
+/// engine's step-to-row conversion: crash_step == steps + 1 for a column
+/// that never crashed, onset_step == 0 for a fault-free one (a row whose
+/// onset sits on its crash cell reads back onset_step == crash_step).
+/// `anchored` is left false; the caller knows the row's provenance.
+[[nodiscard]] PlannedRow steps_from_row(const resilience::RowRecord& rec,
+                                        const CharacterizerConfig& cell);
+
 /// Probe offset step `s` (1-based, <= steps) of row `row`.  Memoized by
 /// the engine: repeated calls are free and logged once.
 using CellProbeFn = std::function<CellResult(std::size_t row, std::uint64_t step)>;
@@ -163,7 +171,7 @@ struct ParallelCharacterizerConfig {
     SweepMode mode = SweepMode::Bisection;
     /// Root seed of the deterministic per-row / per-cell seeding scheme.
     std::uint64_t seed = 0xDAC2024;
-    /// Shallow verification window of the bisection onset search, in
+    /// Shallow verification window of the row search's onset walk, in
     /// offset steps.  Must cover the stochastic observability band (a
     /// few steps at 1 mV resolution); the equality tests pin it down.
     std::uint64_t refine_window = 8;
@@ -172,9 +180,9 @@ struct ParallelCharacterizerConfig {
     /// accesses fault is a pure function of (plan, cell) — independent
     /// of worker count and probe order, like the cells themselves.
     std::optional<resilience::FaultPlan> fault_plan;
-    /// Optional warm-start hint source for Bisection rows (ignored in
-    /// Exhaustive mode).  Affects probe cost only, never results, and is
-    /// therefore excluded from config_hash().
+    /// Optional prior source for searched rows (ignored in Exhaustive
+    /// mode).  Affects probe cost only, never results, and is therefore
+    /// excluded from config_hash().
     WarmStartFn warm_start;
     /// Adaptive-mode strategy (required when mode == SweepMode::Adaptive,
     /// rejected otherwise).  Like warm_start it is excluded from
@@ -279,8 +287,9 @@ private:
     };
     class Worker;
 
-    [[nodiscard]] RowOutcome characterize_row(Worker& worker, std::size_t row_index,
-                                              Megahertz f, std::uint64_t row_seed) const;
+    [[nodiscard]] RowOutcome characterize_row(Worker& worker, const RowSearch& search,
+                                              std::size_t row_index, Megahertz f,
+                                              std::uint64_t row_seed) const;
 
     /// One simulator context per configured worker.
     [[nodiscard]] std::vector<std::unique_ptr<Worker>> make_workers() const;

@@ -1,10 +1,12 @@
 // Sharded sweep engine: determinism across worker counts, bisection vs
-// exhaustive map equality, and agreement with the legacy serial driver.
+// exhaustive map equality under every kind of prior, and agreement with
+// the legacy serial driver.
 #include "plugvolt/parallel_characterizer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -62,20 +64,72 @@ TEST(ParallelCharacterizer, RepeatedSweepsAreBitIdentical) {
 // The acceptance property: the bisection fast path must reproduce the
 // exhaustive reference map cell-for-cell.  Run at the paper's full 1 mV
 // resolution — the stochastic observability band near the onset is
-// widest there, which is exactly what refine_window has to cover.
+// widest there, which is exactly what refine_window has to cover — and
+// under every kind of prior the row search can receive: none, the
+// reference's own boundaries, those boundaries 3 steps off either way,
+// and the sweep's extremes.  Priors move probes, never verdicts.
+enum class HintSource { None, Exact, ShallowBy3, DeeperBy3, FirstStep, PastTheSweep };
+
+constexpr int kHintSources = 6;
+
+/// Parameter p: profile p % 2 (Sky Lake, Comet Lake), hint source p / 2,
+/// so instances 0 and 1 are the unhinted sweeps.
 class BisectionEquality : public ::testing::TestWithParam<int> {
 protected:
     [[nodiscard]] sim::CpuProfile profile() const {
-        return GetParam() == 0 ? sim::skylake_i5_6500() : sim::cometlake_i7_10510u();
+        return GetParam() % 2 == 0 ? sim::skylake_i5_6500() : sim::cometlake_i7_10510u();
     }
+    [[nodiscard]] HintSource source() const { return static_cast<HintSource>(GetParam() / 2); }
 };
+
+/// The reference row's boundaries in steps, as the prior `source` sees
+/// them.
+RowWarmStart hint_for(HintSource source, const PlannedRow& ref, std::uint64_t steps) {
+    const auto shifted = [steps](std::uint64_t step, int by) -> std::uint64_t {
+        if (step == 0) return 0;
+        const auto moved = static_cast<std::int64_t>(step) + by;
+        return static_cast<std::uint64_t>(
+            std::clamp<std::int64_t>(moved, 1, static_cast<std::int64_t>(steps) + 1));
+    };
+    switch (source) {
+        case HintSource::None: break;
+        case HintSource::Exact: return {ref.crash_step, ref.onset_step};
+        case HintSource::ShallowBy3:
+            return {shifted(ref.crash_step, -3), shifted(ref.onset_step, -3)};
+        case HintSource::DeeperBy3:
+            return {shifted(ref.crash_step, 3), shifted(ref.onset_step, 3)};
+        case HintSource::FirstStep: return {1, 1};
+        case HintSource::PastTheSweep: return {steps + 1, steps + 1};
+    }
+    return {};
+}
 
 TEST_P(BisectionEquality, MatchesExhaustiveReferenceCellForCell) {
     const sim::CpuProfile prof = profile();
-    const SafeStateMap reference =
-        sweep(prof, fast_config(4, SweepMode::Exhaustive, /*step_mv=*/1.0));
-    const SafeStateMap fast = sweep(prof, fast_config(4, SweepMode::Bisection,
-                                                      /*step_mv=*/1.0));
+    const ParallelCharacterizerConfig exhaustive =
+        fast_config(4, SweepMode::Exhaustive, /*step_mv=*/1.0);
+    const SafeStateMap reference = sweep(prof, exhaustive);
+    std::vector<PlannedRow> ref_steps;
+    for (std::size_t i = 0; i < reference.rows().size(); ++i) {
+        const FreqCharacterization& row = reference.rows()[i];
+        ref_steps.push_back(steps_from_row(
+            resilience::RowRecord{.row_index = i,
+                                  .freq_mhz = row.freq.value(),
+                                  .onset_mv = row.onset.value(),
+                                  .crash_mv = row.crash.value(),
+                                  .fault_free = row.fault_free},
+            exhaustive.cell));
+    }
+
+    ParallelCharacterizerConfig config = fast_config(4, SweepMode::Bisection, /*step_mv=*/1.0);
+    const HintSource source = this->source();
+    if (source != HintSource::None) {
+        const std::uint64_t steps = sweep_steps(config.cell);
+        config.warm_start = [source, ref_steps, steps](std::size_t row) {
+            return std::optional<RowWarmStart>(hint_for(source, ref_steps[row], steps));
+        };
+    }
+    const SafeStateMap fast = sweep(prof, config);
     ASSERT_EQ(reference.rows().size(), fast.rows().size());
     for (std::size_t i = 0; i < reference.rows().size(); ++i) {
         const FreqCharacterization& a = reference.rows()[i];
@@ -88,7 +142,34 @@ TEST_P(BisectionEquality, MatchesExhaustiveReferenceCellForCell) {
     EXPECT_EQ(reference.to_csv(), fast.to_csv());
 }
 
-INSTANTIATE_TEST_SUITE_P(SkyLakeAndCometLake, BisectionEquality, ::testing::Values(0, 1));
+INSTANTIATE_TEST_SUITE_P(SkyLakeAndCometLake, BisectionEquality,
+                         ::testing::Range(0, 2 * kHintSources));
+
+TEST(ParallelCharacterizer, StepsFromRowInvertsTheStepToRowConversion) {
+    CharacterizerConfig cell;
+    cell.offset_step = Millivolts{7.0};  // 42 steps; the sentinel is -307 mV
+    const auto row = [&cell](double onset_mv, double crash_mv, bool fault_free) {
+        return steps_from_row(resilience::RowRecord{.row_index = 3,
+                                                    .freq_mhz = 2000.0,
+                                                    .onset_mv = onset_mv,
+                                                    .crash_mv = crash_mv,
+                                                    .fault_free = fault_free},
+                              cell);
+    };
+    PlannedRow r = row(-140.0, -175.0, false);
+    EXPECT_EQ(r.crash_step, 25u);
+    EXPECT_EQ(r.onset_step, 20u);
+    r = row(0.0, -307.0, true);  // never crashed, fault-free
+    EXPECT_EQ(r.crash_step, 43u);
+    EXPECT_EQ(r.onset_step, 0u);
+    r = row(-294.0, -307.0, false);  // faults, no crash inside the sweep
+    EXPECT_EQ(r.crash_step, 43u);
+    EXPECT_EQ(r.onset_step, 42u);
+    r = row(-175.0, -175.0, false);  // onset on the crash cell
+    EXPECT_EQ(r.crash_step, 25u);
+    EXPECT_EQ(r.onset_step, 25u);
+    EXPECT_FALSE(r.anchored);
+}
 
 TEST(ParallelCharacterizer, BisectionEvaluatesFarFewerCells) {
     const sim::CpuProfile profile = sim::cometlake_i7_10510u();
