@@ -20,7 +20,12 @@
 //                       sweeps must spend <= 60% of the cold bisection
 //                       fleet's probes (the fleet bench's existing
 //                       warm/cold budget), and never more than the cold
-//                       adaptive fleet.
+//                       adaptive fleet;
+//   5. mode parity    — cold solo Bisection and Adaptive sweeps of every
+//                       profile at 1, 5 and 10 mV, both with the engine's
+//                       default refine window: Adaptive must probe no
+//                       more cells than Bisection at every point (cells
+//                       and crash probes are printed for both).
 //
 // Emits BENCH_adaptive.json.  --quick shrinks the fleet lot for CI
 // smoke runs; every gate is enforced in both modes.
@@ -155,6 +160,23 @@ ProfileResult run_profile(const sim::CpuProfile& profile) {
     return r;
 }
 
+/// Cold solo probe cost of one fast mode at one resolution.
+struct ModeCost {
+    std::uint64_t cells = 0;
+    std::uint64_t crashes = 0;
+};
+
+ModeCost cold_cost(const sim::CpuProfile& profile, SweepMode mode, double step_mv) {
+    ParallelCharacterizerConfig cfg;  // the engine's default refine window
+    cfg.cell.offset_step = Millivolts{step_mv};
+    cfg.workers = 1;
+    cfg.mode = mode;
+    if (mode == SweepMode::Adaptive) cfg.planner = infer::adaptive_planner();
+    ParallelCharacterizer engine(profile, cfg);
+    (void)engine.characterize();
+    return {engine.stats().cells_evaluated, engine.stats().crash_probes};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,6 +218,27 @@ int main(int argc, char** argv) {
                                static_cast<double>(r.adaptive_cells)});
     }
     std::printf("%s\n", table.render().c_str());
+
+    // Gate 5: the two fast modes side by side, same window, cold and solo.
+    const std::uint64_t window = ParallelCharacterizerConfig{}.refine_window;
+    std::printf("Cold solo probes, Bisection vs Adaptive (refine window %llu; "
+                "cells / crash probes):\n",
+                static_cast<unsigned long long>(window));
+    Table parity({"profile", "step (mV)", "bisection", "adaptive", "adaptive <= bisection"});
+    for (const Case& c : cases) {
+        for (const double step_mv : {1.0, 5.0, 10.0}) {
+            const ModeCost bis = cold_cost(c.profile, SweepMode::Bisection, step_mv);
+            const ModeCost ad = cold_cost(c.profile, SweepMode::Adaptive, step_mv);
+            const bool parity_ok = ad.cells <= bis.cells;
+            ok = ok && parity_ok;
+            const auto cost = [](const ModeCost& m) {
+                return std::to_string(m.cells) + " / " + std::to_string(m.crashes);
+            };
+            parity.add_row({c.name, std::to_string(static_cast<int>(step_mv)), cost(bis),
+                            cost(ad), parity_ok ? "yes" : "NO"});
+        }
+    }
+    std::printf("%s\n", parity.render().c_str());
 
     // Gate 4: the warm-started adaptive fleet against the cold bisection
     // fleet (the fleet bench's reference) and the cold adaptive fleet.

@@ -37,6 +37,24 @@ inline unsigned parse_workers(const char* text, unsigned min, const char* usage)
     return value;
 }
 
+/// Parse an unsigned 64-bit argument strictly: decimal digits, or hex
+/// digits after a 0x/0X prefix, and nothing else — no sign, no spaces,
+/// no trailing characters.  Anything else prints `what`, `usage` and
+/// exits 2, like parse_workers.
+inline std::uint64_t parse_u64(const char* text, const char* what, const char* usage) {
+    const bool hex = text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
+    const char* begin = hex ? text + 2 : text;
+    const char* end = text + std::strlen(text);
+    std::uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(begin, end, value, hex ? 16 : 10);
+    if (ptr == begin || ptr != end || ec != std::errc{}) {
+        std::fprintf(stderr, "bad %s '%s' (want decimal or 0x hex)\nusage: %s\n", what, text,
+                     usage);
+        std::exit(2);
+    }
+    return value;
+}
+
 /// Wall-clock stopwatch for measuring real (not simulated) sweep cost.
 class Stopwatch {
 public:

@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -213,6 +214,30 @@ std::string trace_csv_path(const std::string& json_path) {
     return json_path + ".csv";
 }
 
+constexpr const char* kUsage =
+    "campaign_demo [--seed N] [--workers N] [--quick]\n"
+    "                     [--no-serial-check] [--replay seed:cell]\n"
+    "                     [--trace out.json]\n"
+    "                     [--journal run.pvcj] [--resume]";
+
+/// A --replay argument, `<seed>:<cell>`, each part parsed strictly.
+struct ReplaySpec {
+    std::uint64_t seed = 0;
+    std::uint64_t cell = 0;
+};
+
+ReplaySpec parse_replay(const char* text) {
+    const std::string spec(text);
+    const std::size_t colon = spec.find(':');
+    if (colon == std::string::npos) {
+        std::fprintf(stderr, "--replay wants <seed>:<cell>, got '%s'\nusage: %s\n", text,
+                     kUsage);
+        std::exit(2);
+    }
+    return {bench::parse_u64(spec.substr(0, colon).c_str(), "replay seed", kUsage),
+            bench::parse_u64(spec.substr(colon + 1).c_str(), "replay cell", kUsage)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,7 +248,7 @@ int main(int argc, char** argv) {
     campaign::CampaignConfig config;
     bool serial_check = true;
     bool quick = false;
-    const char* replay = nullptr;
+    std::optional<ReplaySpec> replay;
     const char* trace_path = nullptr;
     const char* journal_path = nullptr;
     bool resume = false;
@@ -237,7 +262,7 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
-        if (arg == "--seed") config.seed = std::strtoull(next(), nullptr, 0);
+        if (arg == "--seed") config.seed = bench::parse_u64(next(), "seed", kUsage);
         else if (arg == "--workers")
             config.workers =
                 bench::parse_workers(next(), 0, "campaign_demo --workers N (0 = default)");
@@ -247,16 +272,12 @@ int main(int argc, char** argv) {
             config.char_step = Millivolts{5.0};
         }
         else if (arg == "--no-serial-check") serial_check = false;
-        else if (arg == "--replay") replay = next();
+        else if (arg == "--replay") replay = parse_replay(next());
         else if (arg == "--trace") trace_path = next();
         else if (arg == "--journal") journal_path = next();
         else if (arg == "--resume") resume = true;
         else {
-            std::fprintf(stderr,
-                         "usage: campaign_demo [--seed N] [--workers N] [--quick]\n"
-                         "                     [--no-serial-check] [--replay seed:cell]\n"
-                         "                     [--trace out.json]\n"
-                         "                     [--journal run.pvcj] [--resume]\n");
+            std::fprintf(stderr, "usage: %s\n", kUsage);
             return 2;
         }
     }
@@ -276,13 +297,8 @@ int main(int argc, char** argv) {
     if (trace_path) config.trace = &trace_session;
 
     if (replay) {
-        char* colon = nullptr;
-        const std::uint64_t seed = std::strtoull(replay, &colon, 0);
-        if (colon == nullptr || *colon != ':') {
-            std::fprintf(stderr, "--replay wants <seed>:<cell>, got '%s'\n", replay);
-            return 2;
-        }
-        const std::size_t index = std::strtoull(colon + 1, nullptr, 0);
+        const std::uint64_t seed = replay->seed;
+        const std::size_t index = replay->cell;
         config.seed = seed;
         campaign::CampaignEngine engine(config);
         const std::vector<campaign::CellSpec> specs = engine.cells();
