@@ -127,8 +127,8 @@ int main(int argc, char** argv) {
         std::printf("%s\n", stability.render().c_str());
     }
 
-    std::printf("Reading: each die's bisection starts from the running mean boundary\n"
-                "of its finished lot neighbours instead of the full sweep range, so\n"
+    std::printf("Reading: each die's row search takes the running mean boundary of\n"
+                "its finished lot neighbours as its prior instead of a flat one, so\n"
                 "the fleet amortizes the search cost the paper pays per machine -- \n"
                 "without changing a single cell (hints move probes, never results;\n"
                 "the sampled maps above and the fleet differential suite prove it).\n"
