@@ -177,16 +177,34 @@ BENCHMARK(BM_CharacterizeCell);
 void BM_SelectCrashProbe(benchmark::State& state) {
     // A 1 mV column's support (300 steps + "no crash"), with the prior
     // recentred mid-support the way an interpolation prediction does.
+    // The score's peak is solved once, outside the loop, as a row search
+    // does.
     constexpr std::uint64_t kSupport = 301;
     plugvolt::BoundaryPosterior posterior(kSupport);
     const plugvolt::AcquisitionConfig config;
     posterior.recenter(kSupport / 2, config.prior_decay, config.prior_floor);
+    const plugvolt::CrashScore score(config.reboot_cost);
     Rng rng(0x5E1EC7);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            plugvolt::select_crash_probe(posterior, config, kSupport - 1, rng));
+            plugvolt::select_crash_probe(posterior, score, kSupport - 1, rng));
 }
 BENCHMARK(BM_SelectCrashProbe);
+
+void BM_SelectCrashProbeFlatTail(benchmark::State& state) {
+    // A 420-step column with a lot-neighbour prior near its deep end:
+    // 379 floor-weight steps (1e-9) lie between hard_lo and the peak.
+    constexpr std::uint64_t kSupport = 421;
+    plugvolt::BoundaryPosterior posterior(kSupport);
+    const plugvolt::AcquisitionConfig config;
+    posterior.recenter(380, config.prior_decay, config.prior_floor);
+    const plugvolt::CrashScore score(config.reboot_cost);
+    Rng rng(0x5E1EC8);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            plugvolt::select_crash_probe(posterior, score, kSupport - 1, rng));
+}
+BENCHMARK(BM_SelectCrashProbeFlatTail);
 
 void BM_AdaptivePlan1mv(benchmark::State& state) {
     // One cold Comet Lake adaptive map at 1 mV: planner plus cell probes.

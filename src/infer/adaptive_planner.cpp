@@ -177,7 +177,7 @@ private:
 
     const AdaptiveContext& ctx_;
     const CellProbeFn& probe_;
-    const plugvolt::RowSearch search_;
+    plugvolt::RowSearch search_;
     std::vector<std::optional<PlannedRow>> rows_;
     std::uint64_t updates_ = 0;
 };

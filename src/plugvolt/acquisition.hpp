@@ -42,13 +42,33 @@ struct AcquisitionConfig {
 [[nodiscard]] double crash_probe_score(const BoundaryPosterior& posterior,
                                        std::uint64_t s, double reboot_cost);
 
+/// The crash score at one reboot cost, with the P(b <= s) at which it
+/// peaks solved once (a few Newton steps, a few hundred ns): the
+/// selection's scan starts there.  A row search keeps one for all its
+/// selections.
+class CrashScore {
+public:
+    /// Requires a non-negative reboot_cost.
+    explicit CrashScore(double reboot_cost);
+
+    [[nodiscard]] double reboot_cost() const { return reboot_cost_; }
+    /// A lower bound on the P(b <= s) at which the score peaks; 0 when
+    /// none could be certified.
+    [[nodiscard]] double peak_floor() const { return peak_floor_; }
+
+private:
+    double reboot_cost_;
+    double peak_floor_;
+};
+
 /// The next crash probe: argmax of crash_probe_score over the
-/// informative candidates [hard_lo, min(hard_hi - 1, max_step)].
-/// Linear in the bracket width: one cumulative pass that stops once no
-/// later candidate can reach the best score.  Requires an uncertified
-/// posterior with hard_lo <= max_step and a non-negative reboot_cost.
+/// informative candidates [hard_lo, min(hard_hi - 1, max_step)], ties
+/// drawn from `rng`.  Additions alone carry P(b <= s) up to the score's
+/// peak; only the few candidates around it take logarithms, and the
+/// scan stops once no later candidate can reach the best score.
+/// Requires an uncertified posterior with hard_lo <= max_step.
 [[nodiscard]] std::uint64_t select_crash_probe(const BoundaryPosterior& posterior,
-                                               const AcquisitionConfig& config,
+                                               const CrashScore& crash_score,
                                                std::uint64_t max_step, Rng& rng);
 
 }  // namespace pv::plugvolt

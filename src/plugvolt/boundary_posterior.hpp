@@ -32,6 +32,12 @@ public:
     /// when the support is empty.
     explicit BoundaryPosterior(std::uint64_t support_max);
 
+    /// Back to the uniform prior over {1 .. support_max}, bit-equal to a
+    /// fresh posterior, reusing the storage (no allocation once it has
+    /// held that many steps).  Throws ConfigError when the support is
+    /// empty.
+    void reset(std::uint64_t support_max);
+
     /// Re-shape the (soft) prior around `center`: weight
     /// floor + decay^|b - center| per step, renormalized.  Used for
     /// lot-neighbour warm starts and anchor-interpolation predictions;
@@ -63,7 +69,8 @@ public:
 
     /// Weight of step b in {1 .. support_max}; zero outside the bracket.
     /// Summing weight(hard_lo()) .. weight(s) in order gives p_leq(s)
-    /// bit for bit, which is what lets the acquisition scan in one pass.
+    /// bit for bit, which is what lets the acquisition carry P(b <= s)
+    /// with one addition per step.
     [[nodiscard]] double weight(std::uint64_t b) const { return w_[b - 1]; }
 
     /// Shannon entropy (nats) of the posterior.
@@ -96,8 +103,8 @@ private:
     [[nodiscard]] double weight_sum() const;
 
     std::vector<double> w_;  // w_[i] is the weight of step i + 1
-    std::uint64_t hard_lo_;
-    std::uint64_t hard_hi_;
+    std::uint64_t hard_lo_ = 1;
+    std::uint64_t hard_hi_ = 1;
 };
 
 }  // namespace pv::plugvolt

@@ -25,6 +25,19 @@ namespace {
 /// keeps the fault stream independent of the machine's own RNG stream.
 constexpr std::uint64_t kFaultSeedTag = 0xFA'5EED;
 
+/// Probe memos are dense tables indexed by offset step, one u64 per
+/// cell: faults << 2 | crashed << 1 | 1 for a probed cell, 0 for an
+/// unprobed one.
+[[nodiscard]] std::uint64_t pack_cell(const CellResult& cell) {
+    PV_ASSERT(cell.faults < (std::uint64_t{1} << 62),
+              "fault count " << cell.faults << " overflows a probe memo entry");
+    return cell.faults << 2 | (cell.crashed ? 2 : 0) | 1;
+}
+
+[[nodiscard]] CellResult unpack_cell(std::uint64_t entry) {
+    return CellResult{entry >> 2, (entry & 2) != 0};
+}
+
 /// Frequency-order row delivery, shared by every execution strategy.
 struct RowDelivery {
     SafeStateMap& map;
@@ -142,7 +155,7 @@ public:
     void begin_row(Megahertz f, std::uint64_t row_seed) {
         freq_ = f;
         row_seed_ = row_seed;
-        memo_.clear();
+        memo_.assign(characterizer_.sweep_steps() + 1, 0);
         pinned_.reset();
         cells_ = 0;
         crashes_ = 0;
@@ -159,9 +172,9 @@ public:
     /// later probe restores the snapshot and reseeds — bit-identical to
     /// reset + re-pin (the perfpath differential suite holds this to
     /// state-hash equality), at a fraction of the per-cell cost.
-    [[nodiscard]] const CellResult& probe(std::uint64_t s) {
-        const auto it = memo_.find(s);
-        if (it != memo_.end()) return it->second;
+    [[nodiscard]] CellResult probe(std::uint64_t s) {
+        PV_ASSERT(s >= 1 && s < memo_.size(), "cell probe of step " << s << " outside the row");
+        if (const std::uint64_t entry = memo_[s]; entry != 0) return unpack_cell(entry);
         const std::uint64_t cell_seed = mix_seed(row_seed_, s);
         if (pinned_) {
             context_.machine->restore_snapshot(*pinned_, cell_seed);
@@ -183,7 +196,8 @@ public:
             characterizer_.test_cell_pinned(freq_, characterizer_.offset_at_step(s));
         ++cells_;
         if (cell.crashed) ++crashes_;
-        return memo_.emplace(s, cell).first->second;
+        memo_[s] = pack_cell(cell);
+        return cell;
     }
 
     [[nodiscard]] const Characterizer& characterizer() const { return characterizer_; }
@@ -203,7 +217,7 @@ private:
     std::optional<resilience::FaultInjector> injector_;
     Megahertz freq_{};
     std::uint64_t row_seed_ = 0;
-    FlatMap<std::uint64_t, CellResult> memo_;  // begin_row clear keeps capacity
+    std::vector<std::uint64_t> memo_;  // pack_cell entries; begin_row keeps capacity
     std::optional<sim::Machine::Snapshot> pinned_;  // per-row pinned state
     std::uint64_t cells_ = 0;
     std::uint64_t crashes_ = 0;
@@ -230,7 +244,7 @@ ParallelCharacterizer::ParallelCharacterizer(sim::CpuProfile profile,
 }
 
 ParallelCharacterizer::RowOutcome ParallelCharacterizer::characterize_row(
-    Worker& worker, const RowSearch& search, std::size_t row_index, Megahertz f,
+    Worker& worker, RowSearch& search, std::size_t row_index, Megahertz f,
     std::uint64_t row_seed) const {
     worker.begin_row(f, row_seed);
     const Characterizer& chr = worker.characterizer();
@@ -245,7 +259,7 @@ ParallelCharacterizer::RowOutcome ParallelCharacterizer::characterize_row(
         const std::uint64_t steps = chr.sweep_steps();
         std::uint64_t s_onset = 0;
         for (std::uint64_t s = 1; s <= steps; ++s) {
-            const CellResult& cell = worker.probe(s);
+            const CellResult cell = worker.probe(s);
             if (cell.crashed) return outcome(s, s_onset);
             if (cell.faults > 0 && s_onset == 0) s_onset = s;
         }
@@ -356,8 +370,10 @@ SafeStateMap ParallelCharacterizer::run_rows(
     // Declared before the pool so that on any unwind the pool joins
     // (draining queued rows) before a Worker dies.
     const std::vector<std::unique_ptr<Worker>> workers = make_workers();
-    const RowSearch search(workers[0]->characterizer().sweep_steps(), config_.refine_window,
-                           AcquisitionConfig{.reboot_cost = 0.0});
+    // One row search per worker: a search reuses its buffers row to row.
+    std::vector<RowSearch> searches(
+        workers.size(), RowSearch(workers[0]->characterizer().sweep_steps(),
+                                  config_.refine_window, AcquisitionConfig{.reboot_cost = 0.0}));
 
     // One worker: no pool — each fresh row is computed lazily on the
     // calling thread right where the pooled path would block on its
@@ -374,17 +390,18 @@ SafeStateMap ParallelCharacterizer::run_rows(
             if (done.contains(i)) continue;
             const Megahertz f = table[i];
             const std::uint64_t row_seed = mix_seed(config_.seed, i);
-            futures[i] = pool->submit([this, &workers, &search, i, f, row_seed] {
-                // The workers vector is shared across threads but strictly
-                // partitioned by worker index: each pool thread only ever
-                // touches its own Worker, so no lock is needed — the index
-                // bound is the invariant that partitioning rests on.
+            futures[i] = pool->submit([this, &workers, &searches, i, f, row_seed] {
+                // The workers and searches vectors are shared across threads
+                // but strictly partitioned by worker index: each pool thread
+                // only ever touches its own Worker and RowSearch, so no lock
+                // is needed — the index bound is the invariant that
+                // partitioning rests on.
                 const int w = ThreadPool::current_worker_index();
                 PV_ASSERT(w >= 0 && static_cast<std::size_t>(w) < workers.size(),
                           "row task ran outside the pool: worker index " << w << " of "
                                                                          << workers.size());
-                return characterize_row(*workers[static_cast<std::size_t>(w)], search, i, f,
-                                        row_seed);
+                const auto slot = static_cast<std::size_t>(w);
+                return characterize_row(*workers[slot], searches[slot], i, f, row_seed);
             });
         }
     }
@@ -398,7 +415,7 @@ SafeStateMap ParallelCharacterizer::run_rows(
             continue;
         }
         RowOutcome outcome =
-            serial ? characterize_row(*workers[0], search, i, table[i],
+            serial ? characterize_row(*workers[0], searches[0], i, table[i],
                                       mix_seed(config_.seed, i))
                    : futures[i].get();  // rethrows worker exceptions
         stats_.cells_evaluated += outcome.cells;
@@ -447,14 +464,16 @@ SafeStateMap ParallelCharacterizer::run_adaptive(
     // Engine-level probe memo: the per-worker caches are row-scoped (and
     // reset when a worker switches rows), but the planner's certificate
     // logic may revisit a (row, step) pair at any point; every pair is
-    // probed and logged at most once per sweep.
-    FlatMap<std::uint64_t, CellResult> memo;
+    // probed and logged at most once per sweep.  One dense table per row,
+    // allocated when the planner first probes that row.
+    std::vector<std::vector<std::uint64_t>> memo(table.size());
     std::vector<std::size_t> worker_row(workers.size(), table.size());
     const CellProbeFn probe = [&](std::size_t row, std::uint64_t step) -> CellResult {
         PV_ASSERT(row < table.size() && step >= 1 && step <= steps,
                   "adaptive probe out of range: row " << row << " step " << step);
-        const std::uint64_t key = static_cast<std::uint64_t>(row) * (steps + 2) + step;
-        if (const auto it = memo.find(key); it != memo.end()) return it->second;
+        std::vector<std::uint64_t>& row_memo = memo[row];
+        if (row_memo.empty()) row_memo.assign(steps + 1, 0);
+        if (const std::uint64_t entry = row_memo[step]; entry != 0) return unpack_cell(entry);
         const std::size_t w = row % workers.size();
         if (worker_row[w] != row) {
             workers[w]->begin_row(table[row], mix_seed(config_.seed, row));
@@ -467,7 +486,7 @@ SafeStateMap ParallelCharacterizer::run_adaptive(
         // the ordinal is just as deterministic.
         PV_TRACE_EVENT(trace::EventKind::ProbeSelected, "adaptive-probe",
                        static_cast<std::int64_t>(probe_log_.size()), row, step);
-        memo.emplace(key, cell);
+        row_memo[step] = pack_cell(cell);
         return cell;
     };
 

@@ -287,7 +287,7 @@ private:
     };
     class Worker;
 
-    [[nodiscard]] RowOutcome characterize_row(Worker& worker, const RowSearch& search,
+    [[nodiscard]] RowOutcome characterize_row(Worker& worker, RowSearch& search,
                                               std::size_t row_index, Megahertz f,
                                               std::uint64_t row_seed) const;
 

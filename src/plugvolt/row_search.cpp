@@ -1,10 +1,7 @@
 #include "plugvolt/row_search.hpp"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 
-#include "plugvolt/boundary_posterior.hpp"
 #include "util/rng.hpp"
 
 namespace pv::plugvolt {
@@ -20,10 +17,13 @@ RowSearch::RowSearch(std::uint64_t steps, std::uint64_t refine_window,
     : steps_(steps),
       refine_window_(refine_window),
       acquisition_(acquisition),
-      decay_powers_(BoundaryPosterior::decay_powers(acquisition.prior_decay, steps + 1)) {}
+      crash_score_(acquisition.reboot_cost),
+      decay_powers_(BoundaryPosterior::decay_powers(acquisition.prior_decay, steps + 1)),
+      crash_(steps + 1),
+      onset_(steps + 1) {}
 
 PlannedRow RowSearch::solve(std::uint64_t seed, std::uint64_t row, const RowWarmStart& prior,
-                            const Probe& probe, const Observer& observe) const {
+                            const Probe& probe, const Observer& observe) {
     const auto note = [&observe](std::uint64_t lo, std::uint64_t hi) {
         if (observe) observe(lo, hi);
     };
@@ -32,8 +32,10 @@ PlannedRow RowSearch::solve(std::uint64_t seed, std::uint64_t row, const RowWarm
     // --- crash boundary: acquisition loop to a 0-cell bracket ----------
     // Every surviving probe is onset evidence too: its fault count says
     // which side of the onset it sits on.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> survivors;  // (step, faults)
-    BoundaryPosterior crash(steps_ + 1);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>>& survivors = survivors_;
+    survivors.clear();
+    BoundaryPosterior& crash = crash_;
+    crash.reset(steps_ + 1);
     const auto crash_probe = [&](std::uint64_t s) {
         const CellResult cell = probe(s);
         if (cell.crashed) {
@@ -59,7 +61,7 @@ PlannedRow RowSearch::solve(std::uint64_t seed, std::uint64_t row, const RowWarm
     }
     while (!crash.certified())
         crash_probe(free_reboots ? crash.median()
-                                 : select_crash_probe(crash, acquisition_, steps_, rng));
+                                 : select_crash_probe(crash, crash_score_, steps_, rng));
     const std::uint64_t crash_step = crash.hard_lo();
 
     // --- fault onset: gate, median descent, certification walk --------
@@ -67,7 +69,8 @@ PlannedRow RowSearch::solve(std::uint64_t seed, std::uint64_t row, const RowWarm
     const std::uint64_t limit = crash_step <= steps_ ? crash_step - 1 : steps_;
     if (limit == 0 || probe(limit).faults == 0)
         return PlannedRow{crash_step, /*onset_step=*/0, /*anchored=*/true};
-    BoundaryPosterior onset(limit);  // hard_hi is the shallowest faulting cell
+    BoundaryPosterior& onset = onset_;  // hard_hi is the shallowest faulting cell
+    onset.reset(limit);
     if (prior.onset_step >= 1)
         onset.recenter(std::min(prior.onset_step, limit), decay_powers_,
                        acquisition_.prior_floor);

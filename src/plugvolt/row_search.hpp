@@ -35,9 +35,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "plugvolt/acquisition.hpp"
+#include "plugvolt/boundary_posterior.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 
 namespace pv::plugvolt {
@@ -60,16 +62,24 @@ public:
     /// leave that boundary's prior flat.  Acquisition ties draw from a
     /// stream forked per (seed, row), so a row's probes do not depend on
     /// how many probes other rows needed.  Returns an anchored row.
+    /// Reuses the search's posterior and survivor buffers, so one search
+    /// serves one thread at a time.
     [[nodiscard]] PlannedRow solve(std::uint64_t seed, std::uint64_t row,
                                    const RowWarmStart& prior, const Probe& probe,
-                                   const Observer& observe = {}) const;
+                                   const Observer& observe = {});
 
 private:
     std::uint64_t steps_;
     std::uint64_t refine_window_;
     AcquisitionConfig acquisition_;
+    CrashScore crash_score_;
     /// decay^k for every distance a prior can reach.
     std::vector<double> decay_powers_;
+    /// Per-row state, reset by every solve(): the two boundaries'
+    /// posteriors and the crash search's surviving (step, faults) cells.
+    BoundaryPosterior crash_;
+    BoundaryPosterior onset_;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> survivors_;
 };
 
 }  // namespace pv::plugvolt

@@ -1,8 +1,8 @@
 // PlugVolt — sorted flat-vector map (flat_map-style).
 //
 // The simulator hot path keeps several small key->value tables (the MSR
-// register file, the driver's stale-read cache, the kthread table, the
-// per-row probe memo) that node-based maps serve badly: every insert is
+// register file, the driver's stale-read cache, the kthread table) that
+// node-based maps serve badly: every insert is
 // an allocation, every reset walks and frees nodes, and unordered
 // iteration has to be re-sorted wherever determinism matters.  A sorted
 // vector fixes all three at once — one contiguous buffer, binary-search

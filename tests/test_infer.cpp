@@ -33,6 +33,7 @@ namespace {
 using plugvolt::AcquisitionConfig;
 using plugvolt::BoundaryPosterior;
 using plugvolt::crash_probe_score;
+using plugvolt::CrashScore;
 using plugvolt::select_crash_probe;
 
 TEST(BoundaryPosterior, UniformPriorCoversTheFullSupport) {
@@ -150,9 +151,7 @@ TEST(Acquisition, UniformPosteriorDegeneratesToBisection) {
     // median split s = 8, so the acquisition IS bisection's first query.
     const BoundaryPosterior posterior(16);
     Rng rng(0xACC'2026);
-    AcquisitionConfig config;
-    config.reboot_cost = 0.0;
-    EXPECT_EQ(select_crash_probe(posterior, config, 16, rng), 8u);
+    EXPECT_EQ(select_crash_probe(posterior, CrashScore(0.0), 16, rng), 8u);
     // Scores are symmetric around the median and fall off it.
     EXPECT_GT(crash_probe_score(posterior, 8, 0.0), crash_probe_score(posterior, 4, 0.0));
     EXPECT_DOUBLE_EQ(crash_probe_score(posterior, 4, 0.0),
@@ -162,20 +161,21 @@ TEST(Acquisition, UniformPosteriorDegeneratesToBisection) {
 TEST(Acquisition, RebootSurchargeDriftsProbesShallow) {
     const BoundaryPosterior posterior(16);
     Rng rng(0xACC'2027);
-    AcquisitionConfig config;
-    config.reboot_cost = 10.0;
-    const std::uint64_t probe = select_crash_probe(posterior, config, 16, rng);
+    const CrashScore score(10.0);
+    const std::uint64_t probe = select_crash_probe(posterior, score, 16, rng);
     EXPECT_LT(probe, 8u);  // crash-risky deep probes price themselves out
     EXPECT_GE(probe, 1u);
     // max_step caps candidates (the onset channel probes under the crash).
-    EXPECT_LE(select_crash_probe(posterior, config, 3, rng), 3u);
+    EXPECT_LE(select_crash_probe(posterior, score, 3, rng), 3u);
 }
 
 /// The acquisition as first written: every informative candidate scored
 /// through crash_probe_score (an O(W) p_leq each), no early exit.  The
 /// fast path must return the same step and consume the same draws.
+/// `plateau_size` receives the size of the tie plateau drawn from.
 std::uint64_t reference_crash_probe(const BoundaryPosterior& posterior, double reboot_cost,
-                                    std::uint64_t max_step, Rng& rng) {
+                                    std::uint64_t max_step, Rng& rng,
+                                    std::size_t* plateau_size = nullptr) {
     const std::uint64_t lo = posterior.hard_lo();
     const std::uint64_t hi = std::min(posterior.hard_hi() - 1, max_step);
     constexpr double kTieTolerance = 1e-12;
@@ -190,6 +190,7 @@ std::uint64_t reference_crash_probe(const BoundaryPosterior& posterior, double r
             plateau.push_back(s);
         }
     }
+    if (plateau_size != nullptr) *plateau_size = plateau.size();
     return plateau[rng.uniform_below(plateau.size())];
 }
 
@@ -211,11 +212,37 @@ std::vector<double> reference_recenter(const BoundaryPosterior& posterior,
     return w;
 }
 
-// PROP: the linear-time acquisition (one cumulative pass with an early
+/// One selection, fast path against the reference: same step, same Rng
+/// state afterwards.  Returns the reference's plateau size.
+std::size_t expect_same_selection(const BoundaryPosterior& posterior, double reboot_cost,
+                                  std::uint64_t max_step, std::uint64_t draw_seed) {
+    Rng fast_rng(draw_seed);
+    Rng reference_rng(draw_seed);
+    std::size_t plateau = 0;
+    EXPECT_EQ(select_crash_probe(posterior, CrashScore(reboot_cost), max_step, fast_rng),
+              reference_crash_probe(posterior, reboot_cost, max_step, reference_rng, &plateau))
+        << "bracket [" << posterior.hard_lo() << ", " << posterior.hard_hi() << "] max_step "
+        << max_step << " cost " << reboot_cost;
+    EXPECT_EQ(fast_rng.state_fingerprint(), reference_rng.state_fingerprint());
+    return plateau;
+}
+
+// PROP: the acquisition (an addition-only run up to the score's peak, a
+// short walk back to a rising step, then one scoring pass with an early
 // exit) selects exactly the probe the all-candidates reference selects
-// and leaves the Rng in exactly the same state, over seeded posteriors
-// reshaped by random priors and truthful hard evidence; and the
-// table-driven recenter is bit-equal to one std::pow per step.
+// and leaves the Rng in exactly the same state; and the table-driven
+// recenter is bit-equal to one std::pow per step.  Four families of
+// posteriors:
+//   - seeded posteriors reshaped by random priors and truthful hard
+//     evidence;
+//   - floor-1e-9 priors whose peak sits 200 or more steps above hard_lo,
+//     the shape lot-neighbour and interpolation priors give at 1 mV;
+//   - uniform posteriors at zero reboot cost with an odd bracket, whose
+//     two middle steps tie: the plateau straddles the score's peak, so
+//     the walk back has to step over a tie;
+//   - extreme reboot costs with tiny floors, where the score is so flat
+//     around its peak that the walk back finds no rising step near it
+//     and the scan starts at hard_lo.
 TEST(PropAcquisition, LinearScanMatchesTheFullReference) {
     constexpr std::uint64_t kSeedRoot = 0xACC'5CA7'2026;
     constexpr double kRebootCosts[] = {0.0, 0.5, 4.0, 10.0};
@@ -252,21 +279,66 @@ TEST(PropAcquisition, LinearScanMatchesTheFullReference) {
             if (posterior.certified()) break;
             const std::uint64_t max_step =
                 posterior.hard_lo() + rng.uniform_below(support - posterior.hard_lo() + 1);
-            const double reboot_cost = kRebootCosts[rng.uniform_below(4)];
-            AcquisitionConfig config;
-            config.reboot_cost = reboot_cost;
-            const std::uint64_t draw_seed = rng.next_u64();
-            Rng fast_rng(draw_seed);
-            Rng reference_rng(draw_seed);
-            ASSERT_EQ(select_crash_probe(posterior, config, max_step, fast_rng),
-                      reference_crash_probe(posterior, reboot_cost, max_step, reference_rng))
-                << "support " << support << " bracket [" << posterior.hard_lo() << ", "
-                << posterior.hard_hi() << "] max_step " << max_step << " cost " << reboot_cost;
-            ASSERT_EQ(fast_rng.state_fingerprint(), reference_rng.state_fingerprint());
+            (void)expect_same_selection(posterior, kRebootCosts[rng.uniform_below(4)],
+                                        max_step, rng.next_u64());
+            ASSERT_FALSE(HasFailure());
             ++selections;
         }
     }
     EXPECT_GT(selections, 2000u);
+
+    constexpr std::uint64_t kFarPeakRoot = 0xFA2'BEA7'2026;
+    for (std::uint64_t trial = 0; trial < 300; ++trial) {
+        Rng rng(mix_seed(kFarPeakRoot, trial));
+        SCOPED_TRACE("far-peak trial " + std::to_string(trial));
+        const std::uint64_t support = 250 + rng.uniform_below(172);
+        BoundaryPosterior posterior(support);
+        posterior.restrict_geq(1 + rng.uniform_below(40));
+        const std::uint64_t lo = posterior.hard_lo();
+        const std::uint64_t center = lo + 200 + rng.uniform_below(support - lo - 199);
+        const double decay = rng.uniform(0.05, 0.95);
+        posterior.recenter(center, BoundaryPosterior::decay_powers(decay, support), 1e-9);
+        if (rng.uniform_below(2) == 0)
+            posterior.restrict_leq(center + rng.uniform_below(support - center + 1));
+        const std::uint64_t max_step = rng.uniform_below(4) == 0
+                                           ? center - rng.uniform_below(3)
+                                           : support;
+        (void)expect_same_selection(posterior, kRebootCosts[rng.uniform_below(4)], max_step,
+                                    rng.next_u64());
+        ASSERT_FALSE(HasFailure());
+    }
+
+    constexpr std::uint64_t kTieRoot = 0x71E'5CA7'2026;
+    std::uint64_t ties = 0;
+    for (std::uint64_t trial = 0; trial < 300; ++trial) {
+        Rng rng(mix_seed(kTieRoot, trial));
+        SCOPED_TRACE("tie trial " + std::to_string(trial));
+        const std::uint64_t support = 3 + 2 * rng.uniform_below(300);
+        BoundaryPosterior posterior(support);
+        // Truthful evidence about a boundary at the support's top keeps the
+        // posterior uniform; an even shift keeps the bracket width odd.
+        posterior.restrict_geq(1 + 2 * rng.uniform_below(support / 4 + 1));
+        if (expect_same_selection(posterior, 0.0, support, rng.next_u64()) >= 2) ++ties;
+        ASSERT_FALSE(HasFailure());
+    }
+    EXPECT_GT(ties, 200u);
+
+    constexpr std::uint64_t kFlatRoot = 0xF1A7'5CA7'2026;
+    constexpr double kExtremeCosts[] = {1e10, 1e11, 1e12, 1e13};
+    constexpr double kTinyFloors[] = {1e-11, 1e-12, 1e-13};
+    for (std::uint64_t trial = 0; trial < 200; ++trial) {
+        Rng rng(mix_seed(kFlatRoot, trial));
+        SCOPED_TRACE("flat trial " + std::to_string(trial));
+        const std::uint64_t support = 100 + rng.uniform_below(322);
+        BoundaryPosterior posterior(support);
+        const std::uint64_t center = support - 1 - rng.uniform_below(4);
+        const double decay = rng.uniform(0.3, 0.6);
+        posterior.recenter(center, BoundaryPosterior::decay_powers(decay, support),
+                           kTinyFloors[rng.uniform_below(3)]);
+        (void)expect_same_selection(posterior, kExtremeCosts[rng.uniform_below(4)], support,
+                                    rng.next_u64());
+        ASSERT_FALSE(HasFailure());
+    }
 }
 
 TEST(AdaptivePlanner, RejectsInvalidConfigurationsEagerly) {

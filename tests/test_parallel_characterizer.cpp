@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -236,6 +239,66 @@ TEST(ParallelCharacterizer, HonorsDiePreheat) {
     const SafeStateMap cold = sweep(profile, cold_config);
     const SafeStateMap hot = sweep(profile, hot_config);
     EXPECT_GT(hot.maximal_safe_offset(), cold.maximal_safe_offset());
+}
+
+// The Adaptive engine's probe memo, driven by a planner that jumps
+// between rows and asks again for cells it has already seen: every
+// repeat returns the first result without a new probe, the probe log
+// holds each (row, step) pair once in first-probe order, and the map
+// hashes to the value the engine produced before its memo became a
+// per-row table.
+TEST(ParallelCharacterizer, AdaptiveMemoAnswersRepeatsOutOfRowOrder) {
+    using Cell = std::pair<std::size_t, std::uint64_t>;
+    std::vector<Cell> firsts;
+    std::map<Cell, CellResult> seen;
+    ParallelCharacterizerConfig config = fast_config(2, SweepMode::Adaptive, 10.0);
+    config.planner = [&](const AdaptiveContext& ctx, const CellProbeFn& probe) {
+        std::vector<PlannedRow> plan(ctx.rows, PlannedRow{ctx.steps + 1, 0, false});
+        const std::size_t rows[] = {ctx.rows - 1, 0, ctx.rows / 2, 0, ctx.rows - 1, 1};
+        const std::uint64_t steps[] = {ctx.steps, 1, ctx.steps / 2, ctx.steps / 3 + 1,
+                                       ctx.steps};
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const std::size_t row : rows) {
+                for (const std::uint64_t step : steps) {
+                    const CellResult cell = probe(row, step);
+                    const auto [it, fresh] = seen.try_emplace(Cell{row, step}, cell);
+                    if (fresh) {
+                        firsts.emplace_back(row, step);
+                    } else {
+                        EXPECT_EQ(cell.faults, it->second.faults) << row << ":" << step;
+                        EXPECT_EQ(cell.crashed, it->second.crashed) << row << ":" << step;
+                    }
+                    PlannedRow& verdict = plan[row];
+                    verdict.anchored = true;
+                    if (cell.crashed) {
+                        verdict.crash_step = std::min(verdict.crash_step, step);
+                    } else if (cell.faults > 0 &&
+                               (verdict.onset_step == 0 || step < verdict.onset_step)) {
+                        verdict.onset_step = step;
+                    }
+                }
+            }
+        }
+        for (PlannedRow& verdict : plan)
+            verdict.onset_step = std::min(verdict.onset_step, verdict.crash_step);
+        return plan;
+    };
+    ParallelCharacterizer engine(sim::skylake_i5_6500(), config);
+    const SafeStateMap map = engine.characterize();
+
+    // 60 asks of 4 rows x 4 steps.
+    ASSERT_EQ(firsts.size(), 16u);
+    const std::vector<ProbeLogEntry>& log = engine.adaptive_probe_log();
+    ASSERT_EQ(log.size(), firsts.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        EXPECT_EQ(log[i].row, firsts[i].first) << "entry " << i;
+        EXPECT_EQ(log[i].step, firsts[i].second) << "entry " << i;
+        const CellResult& first = seen.at(firsts[i]);
+        EXPECT_EQ(log[i].faults, first.faults) << "entry " << i;
+        EXPECT_EQ(log[i].crashed, first.crashed) << "entry " << i;
+    }
+    EXPECT_EQ(engine.stats().cells_evaluated, firsts.size());
+    EXPECT_EQ(state_hash(map), 0x3DAA'86F4'0B0E'1793u);
 }
 
 }  // namespace
