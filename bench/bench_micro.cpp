@@ -122,6 +122,33 @@ void BM_EnclaveEntryMulChain(benchmark::State& state) {
 }
 BENCHMARK(BM_EnclaveEntryMulChain);
 
+void BM_ExecuteOpSettled(benchmark::State& state, bool at_onset) {
+    // One single-stepped imul on settled rails, the V0LTpwn victim's
+    // step, while the die warms.  Fault-free at nominal voltage, every
+    // draw clears the class certificate's skip threshold; parked at the
+    // 100-op imul onset (p ~ 0.03), a few draws in a hundred fall below
+    // it and take the exact probability.
+    sim::Machine machine(sim::cometlake_i7_10510u(), 1);
+    const Megahertz f = from_ghz(2.0);
+    machine.set_all_frequencies(f);
+    machine.advance_to(machine.rail_settle_time());
+    if (at_onset)
+        machine.regulator().force(
+            sim::VoltagePlane::Core,
+            machine.fault_model().onset_offset(f, sim::InstrClass::Imul, 100));
+    std::uint64_t faults = 0;
+    for (auto _ : state) {
+        faults += machine.execute_op(1, sim::InstrClass::Imul);
+        benchmark::DoNotOptimize(faults);
+    }
+    if (machine.crashed()) state.SkipWithError("machine crashed at the benchmark offset");
+    state.counters["faults"] = static_cast<double>(faults);
+    state.counters["die_c"] = machine.thermal().temperature_c();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ExecuteOpSettled, fault_free, false);
+BENCHMARK_CAPTURE(BM_ExecuteOpSettled, at_onset, true);
+
 void BM_MsrReadPerfStatus(benchmark::State& state) {
     sim::Machine machine(sim::cometlake_i7_10510u(), 1);
     for (auto _ : state) benchmark::DoNotOptimize(machine.read_msr(0, sim::kMsrPerfStatus));

@@ -61,12 +61,11 @@ int main() {
     const plugvolt::SafeStateMap hot = characterize(profile, 85.0);
 
     const Megahertz fmax = profile.freq_max;
+    const double gap_mv =
+        (hot.safe_limit(fmax, Millivolts{0.0}) - cold.safe_limit(fmax, Millivolts{0.0})).value();
     std::printf("onset at %.1f GHz:  cold map %.0f mV   hot map %.0f mV   (gap %.0f mV)\n",
                 fmax.gigahertz(), cold.safe_limit(fmax, Millivolts{0.0}).value(),
-                hot.safe_limit(fmax, Millivolts{0.0}).value(),
-                (hot.safe_limit(fmax, Millivolts{0.0}) -
-                 cold.safe_limit(fmax, Millivolts{0.0}))
-                    .value());
+                hot.safe_limit(fmax, Millivolts{0.0}).value(), gap_mv);
     std::printf("maximal safe state: cold map %.0f mV   hot map %.0f mV\n\n",
                 cold.maximal_safe_offset().value(), hot.maximal_safe_offset().value());
 
@@ -85,6 +84,6 @@ int main() {
     std::printf("\nrule: characterize at the highest die temperature the deployment "
                 "will see,\nor budget the thermal shift (~%.2f mV/K here) into the "
                 "guard band.\n",
-                profile.thermal.delay_per_c * 1000.0 * 0.22);  // dD/dV ~ 0.22 ps/mV
+                gap_mv / (85.0 - profile.thermal.ambient_c));  // the two maps' slope
     return hot_faults == 0 ? 0 : 1;
 }

@@ -11,9 +11,20 @@ namespace pv::plugvolt {
 BoundaryPosterior::BoundaryPosterior(std::uint64_t support_max) { reset(support_max); }
 
 void BoundaryPosterior::reset(std::uint64_t support_max) {
+    open_bracket(support_max);
+    std::fill(w_.begin(), w_.end(), 1.0 / static_cast<double>(support_max));
+}
+
+void BoundaryPosterior::reset(std::uint64_t support_max, std::uint64_t center,
+                              std::span<const double> powers, double floor) {
+    open_bracket(support_max);
+    recenter(center, powers, floor);  // writes every weight of the bracket
+}
+
+void BoundaryPosterior::open_bracket(std::uint64_t support_max) {
     if (support_max == 0)
         throw ConfigError("a boundary posterior needs a non-empty support");
-    w_.assign(support_max, 1.0 / static_cast<double>(support_max));
+    w_.resize(support_max);
     hard_lo_ = 1;
     hard_hi_ = support_max;
 }

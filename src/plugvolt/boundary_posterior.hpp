@@ -38,6 +38,11 @@ public:
     /// empty.
     void reset(std::uint64_t support_max);
 
+    /// reset(support_max) then recenter(center, powers, floor), bit-equal,
+    /// without the uniform fill that recenter() overwrites at once.
+    void reset(std::uint64_t support_max, std::uint64_t center, std::span<const double> powers,
+               double floor);
+
     /// Re-shape the (soft) prior around `center`: weight
     /// floor + decay^|b - center| per step, renormalized.  Used for
     /// lot-neighbour warm starts and anchor-interpolation predictions;
@@ -97,6 +102,9 @@ public:
     [[nodiscard]] bool certified() const { return hard_lo_ == hard_hi_; }
 
 private:
+    /// Size the support to {1 .. support_max} and open the bracket over
+    /// it, leaving the weights to the caller.
+    void open_bracket(std::uint64_t support_max);
     void renormalize();
     /// Largest |b - center| over the bracket.
     [[nodiscard]] std::uint64_t reach(std::uint64_t center) const;

@@ -35,7 +35,6 @@ PlannedRow RowSearch::solve(std::uint64_t seed, std::uint64_t row, const RowWarm
     std::vector<std::pair<std::uint64_t, std::uint64_t>>& survivors = survivors_;
     survivors.clear();
     BoundaryPosterior& crash = crash_;
-    crash.reset(steps_ + 1);
     const auto crash_probe = [&](std::uint64_t s) {
         const CellResult cell = probe(s);
         if (cell.crashed) {
@@ -54,10 +53,11 @@ PlannedRow RowSearch::solve(std::uint64_t seed, std::uint64_t row, const RowWarm
     // log2(steps) probes to reach the no-crash verdict.
     const bool free_reboots = acquisition_.reboot_cost == 0.0;
     if (prior.crash_step >= 1) {
-        crash.recenter(std::min(prior.crash_step, steps_ + 1), decay_powers_,
-                       acquisition_.prior_floor);
-    } else if (free_reboots && steps_ >= 1) {
-        crash_probe(steps_);
+        crash.reset(steps_ + 1, std::min(prior.crash_step, steps_ + 1), decay_powers_,
+                    acquisition_.prior_floor);
+    } else {
+        crash.reset(steps_ + 1);
+        if (free_reboots && steps_ >= 1) crash_probe(steps_);
     }
     while (!crash.certified())
         crash_probe(free_reboots ? crash.median()
@@ -70,10 +70,11 @@ PlannedRow RowSearch::solve(std::uint64_t seed, std::uint64_t row, const RowWarm
     if (limit == 0 || probe(limit).faults == 0)
         return PlannedRow{crash_step, /*onset_step=*/0, /*anchored=*/true};
     BoundaryPosterior& onset = onset_;  // hard_hi is the shallowest faulting cell
-    onset.reset(limit);
     if (prior.onset_step >= 1)
-        onset.recenter(std::min(prior.onset_step, limit), decay_powers_,
-                       acquisition_.prior_floor);
+        onset.reset(limit, std::min(prior.onset_step, limit), decay_powers_,
+                    acquisition_.prior_floor);
+    else
+        onset.reset(limit);
     for (const auto& [s, faults] : survivors)
         if (faults > 0) onset.restrict_leq(s);
     for (const auto& [s, faults] : survivors)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 
 #include "check/assert.hpp"
 #include "check/state_hasher.hpp"
@@ -17,6 +18,12 @@ std::uint64_t storage_key(unsigned core_id, std::uint32_t addr) {
 }
 
 std::atomic<SteppingMode> g_default_stepping{SteppingMode::Batched};
+
+// The delay-scale headroom of one settled-op certificate: the die heats
+// by far less than this per op, so a certificate lasts many ops.  One
+// built at scale s serves [s - step, s + step], so a cooling die also
+// keeps a tight one.
+constexpr double kCertScaleStep = 1e-6;
 
 }  // namespace
 
@@ -239,14 +246,10 @@ Picoseconds Machine::rail_settle_time() const {
 }
 
 Megahertz Machine::max_active_frequency() const {
-    Megahertz best = profile_.freq_min;
-    bool any_active = false;
-    for (const auto& c : cores_) {
-        if (c.power_state() != PowerState::Active) continue;
-        any_active = true;
-        best = std::max(best, c.frequency());
-    }
-    return any_active ? best : profile_.freq_min;
+    Megahertz best = profile_.freq_min;  // also the answer with no core active
+    for (const auto& c : cores_)
+        if (c.power_state() == PowerState::Active) best = std::max(best, c.frequency());
+    return best;
 }
 
 Millivolts Machine::package_voltage() const { return voltage_at(clock_); }
@@ -274,6 +277,10 @@ void Machine::integrate_power_to(Picoseconds t, Millivolts v_from, Millivolts v_
     // Linear interpolation between the endpoint voltages; ramp kinks
     // inside the window introduce a negligible quadratic-term error.
     power_.integrate_leakage(clock_, t, v_from, v_to, leakage_scale());
+    heat_die_to(t);
+}
+
+void Machine::heat_die_to(Picoseconds t) {
     // Feed the thermal RC model with the window's average power (dynamic
     // energy from retires since the last update is included).
     const double dt_s = (t - clock_).seconds();
@@ -590,8 +597,10 @@ bool Machine::execute_op(unsigned core_id, InstrClass c, double cpi) {
     return faulted && !crashed_;
 }
 
-bool Machine::draw_fault(InstrClass c, double p) {
-    const bool faulted = rng_.uniform() < p;
+bool Machine::draw_fault(InstrClass c, double p) { return fault_drawn(c, rng_.uniform(), p); }
+
+bool Machine::fault_drawn(InstrClass c, double u, double p) {
+    const bool faulted = u < p;
     if (faulted)
         PV_TRACE_EVENT(trace::EventKind::FaultInjected, "op-fault", clock_.value(), 1,
                        static_cast<std::uint64_t>(c));
@@ -609,33 +618,76 @@ bool Machine::general_op(const Core& cr, InstrClass c, Picoseconds end) {
     return faulted;
 }
 
-double Machine::cached_delay(PointCache& cache, Millivolts v) {
-    return cache.get(v.value(), [&] { return memo_.get(v); });
-}
-
-double Machine::cached_slack(Megahertz f) {
-    return slack_.get(f.value(), [&] { return fault_model_.timing().slack_ps(f); });
+Machine::OpCertificate Machine::certify(InstrClass c, const CertificateKey& key,
+                                        Millivolts v_core, Millivolts v_cache, Megahertz f_op,
+                                        Megahertz f_max, double scale) const {
+    const TimingModel& timing = fault_model_.timing();
+    OpCertificate k{.key = key,
+                    .scale_hi = scale + kCertScaleStep,
+                    .delay_core = memo_.get(v_core),
+                    .delay_cache = memo_.get(v_cache),
+                    .slack_op = timing.slack_ps(f_op),
+                    .slack_max = timing.slack_ps(f_max)};
+    // Short of the slack (the class delay in fault_probability_at's
+    // association), the z-score is monotone in the scale under rounding;
+    // the margin covers erfc's few-ulp error, the floor its subnormal tail.
+    const double d_op = c == InstrClass::Load ? k.delay_cache : k.delay_core;
+    if (k.scale_hi * (path_factor(c) * d_op) < k.slack_op)
+        k.skip_below = std::max(
+            fault_model_.fault_probability_at(k.slack_op, d_op, c, k.scale_hi) * (1.0 + 1e-9),
+            std::numeric_limits<double>::min());
+    // Exact: each crash operand is a product of rounded multiplications,
+    // monotone in the scale.
+    k.crash_free =
+        !fault_model_.would_crash_at(k.slack_max, k.delay_core, k.scale_hi) &&
+        !fault_model_.would_crash_at(k.slack_max, k.delay_cache,
+                                     k.scale_hi * path_factor(InstrClass::Load));
+    return k;
 }
 
 bool Machine::settled_op(const Core& cr, InstrClass c, Picoseconds end) {
     // Settled rails hold every plane at its target over [clock_, end], and
     // no event falls inside, so this is advance_to(end) with each voltage
-    // read once and its physics taken from the point cache: the same
-    // operations in the same order as general_op, hence bit-identical.
+    // read once and its physics decided by the class's certificate:
+    // general_op's draws and updates in the same order, bit-identical
+    // (DESIGN 5f).
     const Millivolts base = base_rail_.offset_at(VoltagePlane::Core, clock_);
     const Millivolts v_core = base + regulator_.offset_at(VoltagePlane::Core, clock_);
     const Millivolts v_cache = base + regulator_.offset_at(VoltagePlane::Cache, clock_);
-    const PlanePoint core_p{v_core, cached_delay(delay_core_, v_core)};
-    const PlanePoint cache_p{v_cache, cached_delay(delay_cache_, v_cache)};
-    const double d_op = c == InstrClass::Load ? cache_p.delay_ps : core_p.delay_ps;
-    const bool faulted = draw_fault(c, fault_model_.fault_probability_at(
-                                           cached_slack(cr.frequency()), d_op, c,
-                                           thermal_.delay_scale()));
-    power_.on_retire(1, core_p.v);
-    integrate_power_to(end, core_p.v, core_p.v);
+    // One pass for max_active_frequency() and the leaking-core count.
+    Megahertz f_max = profile_.freq_min;
+    std::uint64_t leaking = 0;
+    for (const Core& k : cores_) {
+        if (k.power_state() == PowerState::Active) f_max = std::max(f_max, k.frequency());
+        if (k.cstate() != CState::C6) ++leaking;
+    }
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    const CertificateKey key{bits(v_core.value()), bits(v_cache.value()),
+                             bits(cr.frequency().value()), bits(f_max.value())};
+    const double scale = thermal_.delay_scale();
+    OpCertificate& cert = certs_[static_cast<std::size_t>(c)];
+    if (cert.key != key || !(scale <= cert.scale_hi && scale >= cert.scale_hi - 2 * kCertScaleStep))
+        cert = certify(c, key, v_core, v_cache, cr.frequency(), f_max, scale);
+
+    const double u = rng_.uniform();
+    const double d_op = c == InstrClass::Load ? cert.delay_cache : cert.delay_core;
+    const bool faulted =
+        u < cert.skip_below &&
+        fault_drawn(c, u, fault_model_.fault_probability_at(cert.slack_op, d_op, c, scale));
+    power_.on_retire(1, v_core);
+    const std::array<std::uint64_t, 3> leak_key{key[0], leaking,
+                                                static_cast<std::uint64_t>((end - clock_).value())};
+    if (leak_key == leak_key_) {
+        power_.add_leakage(leak_joules_);
+    } else {
+        leak_key_ = leak_key;
+        leak_joules_ = power_.integrate_leakage(clock_, end, v_core, v_core, leakage_scale());
+    }
+    heat_die_to(end);
     clock_ = end;
-    const Megahertz f = max_active_frequency();
-    crash_if_violated(f, cached_slack(f), core_p, cache_p);
+    if (!cert.crash_free || thermal_.delay_scale() > cert.scale_hi)
+        crash_if_violated(f_max, cert.slack_max, {v_core, cert.delay_core},
+                          {v_cache, cert.delay_cache});
     invariants_.tick();
     return faulted;
 }

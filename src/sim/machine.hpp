@@ -371,27 +371,6 @@ public:
 private:
     void restore_boot_state();
     void register_builtin_invariants();
-    // One remembered (x, f(x)) pair of a pure function of a double, keyed
-    // on the full 64-bit pattern of x, so a hit returns exactly what a
-    // recompute would.  It starts as a genuine pair: there is no empty
-    // marker for a live argument to alias.
-    class PointCache {
-    public:
-        PointCache(double x, double fx) : bits_(std::bit_cast<std::uint64_t>(x)), value_(fx) {}
-        template <class Recompute>
-        [[nodiscard]] double get(double x, Recompute recompute) {
-            const auto bits = std::bit_cast<std::uint64_t>(x);
-            if (bits != bits_) {
-                bits_ = bits;
-                value_ = recompute();
-            }
-            return value_;
-        }
-
-    private:
-        std::uint64_t bits_;
-        double value_;
-    };
 
     // A plane voltage and its path delay (TimingModel::path_delay_ps).
     struct PlanePoint {
@@ -407,6 +386,8 @@ private:
     void apply_pending_raises();
     [[nodiscard]] Millivolts voltage_at(Picoseconds t) const;
     void integrate_power_to(Picoseconds t, Millivolts v_from, Millivolts v_to);
+    // integrate_power_to's thermal half: the die update over [clock_, t].
+    void heat_die_to(Picoseconds t);
 
     // execute_op's two bodies after wake-up and stolen time; both return
     // whether the op faulted and advance the clock to `end` (or to the
@@ -414,9 +395,32 @@ private:
     bool general_op(const Core& cr, InstrClass c, Picoseconds end);
     bool settled_op(const Core& cr, InstrClass c, Picoseconds end);
     bool draw_fault(InstrClass c, double p);
-    // settled_op's lookups through the point cache below.
-    [[nodiscard]] double cached_delay(PointCache& cache, Millivolts v);
-    [[nodiscard]] double cached_slack(Megahertz f);
+    // Whether a draw `u` against probability `p` is a fault (traced).
+    bool fault_drawn(InstrClass c, double u, double p);
+
+    // settled_op's certificate for one instruction class (DESIGN 5f):
+    // the plane delays and slacks of one settled operating point, and
+    // two verdicts that hold at every delay scale up to scale_hi — a
+    // draw u >= skip_below cannot fault, and crash_free rules out the
+    // crash check.  Keyed on the bit patterns of the live state it was
+    // built from (v_core, v_cache, the op core's frequency and
+    // max_active_frequency()), so a hit is exact and no write has to
+    // invalidate it; scale_hi starts below every delay scale, so each
+    // certificate starts stale.
+    using CertificateKey = std::array<std::uint64_t, 4>;
+    struct OpCertificate {
+        CertificateKey key{};
+        double scale_hi = 0.0;
+        double delay_core = 0.0;
+        double delay_cache = 0.0;
+        double slack_op = 0.0;   // at the op core's frequency
+        double slack_max = 0.0;  // at max_active_frequency()
+        double skip_below = 2.0;
+        bool crash_free = false;
+    };
+    [[nodiscard]] OpCertificate certify(InstrClass c, const CertificateKey& key,
+                                        Millivolts v_core, Millivolts v_cache, Megahertz f_op,
+                                        Megahertz f_max, double scale) const;
 
     // Fault physics through the path-delay memo (bit-equal to FaultModel).
     [[nodiscard]] double memo_fault_probability(Megahertz f, Millivolts v, InstrClass c,
@@ -463,14 +467,14 @@ private:
 
     SteppingMode stepping_mode_ = default_stepping_mode();
     mutable PathDelayMemo memo_{fault_model_.timing()};
-    // settled_op's point cache: path delays keyed on the bits of the
-    // core- and cache-plane voltages, slack on the bits of a frequency.
-    // Every use re-reads its key from live state, so writes that bypass
-    // Machine (regulator(), core(i)) need no invalidation hook.
-    PointCache delay_core_{0.0, fault_model_.timing().path_delay_ps(Millivolts{0.0})};
-    PointCache delay_cache_{0.0, fault_model_.timing().path_delay_ps(Millivolts{0.0})};
-    PointCache slack_{profile_.freq_base.value(),
-                      fault_model_.timing().slack_ps(profile_.freq_base)};
+    // settled_op's per-class certificates and its leakage increment, the
+    // latter keyed on the core-plane voltage bits, the leaking-core count
+    // and the op's duration in ps (it starts as the genuine all-zero
+    // key's 0 J).  Every use re-reads its key from live state, so writes
+    // that bypass Machine (regulator(), core(i)) need no invalidation hook.
+    std::array<OpCertificate, kAllInstrClasses.size()> certs_{};
+    std::array<std::uint64_t, 3> leak_key_{};
+    double leak_joules_ = 0.0;
     std::uint64_t batched_iterations_ = 0;
     std::uint64_t batch_windows_ = 0;
 };

@@ -45,8 +45,9 @@ public:
     /// Integrate leakage over [from, to] with the rail moving linearly
     /// from `v_from` to `v_to` (exact for the quadratic integrand).
     /// `scale` discounts power-gated cores (C6): 1.0 = whole package.
-    void integrate_leakage(Picoseconds from, Picoseconds to, Millivolts v_from,
-                           Millivolts v_to, double scale = 1.0) {
+    /// Returns the joules added.
+    double integrate_leakage(Picoseconds from, Picoseconds to, Millivolts v_from,
+                             Millivolts v_to, double scale = 1.0) {
         if (to < from) throw SimError("leakage integration backwards in time");
         if (scale < 0.0 || scale > 1.0) throw SimError("leakage scale out of [0,1]");
         const double dt_s = (to - from).seconds();
@@ -54,8 +55,14 @@ public:
         const double v1 = v_to.volts();
         // Integral of (v0 + (v1-v0)t)^2 over t in [0,1] = (v0^2+v0*v1+v1^2)/3.
         const double mean_v2 = (v0 * v0 + v0 * v1 + v1 * v1) / 3.0;
-        leakage_j_ += scale * params_.leak_mw_per_v2 * 1e-3 * mean_v2 * dt_s;
+        const double joules = scale * params_.leak_mw_per_v2 * 1e-3 * mean_v2 * dt_s;
+        leakage_j_ += joules;
+        return joules;
     }
+
+    /// Add leakage that an earlier integrate_leakage() over an identical
+    /// window returned: bit-equal to integrating it again.
+    void add_leakage(double joules) { leakage_j_ += joules; }
 
     /// Total accumulated energy in joules.
     [[nodiscard]] double total_joules() const { return dynamic_j_ + leakage_j_; }

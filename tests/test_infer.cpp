@@ -102,6 +102,30 @@ TEST(BoundaryPosterior, SoftEvidenceAndPriorsNeverMoveTheBracket) {
     EXPECT_THROW(posterior.recenter(5, 0.5, 0.0), ConfigError);
 }
 
+TEST(BoundaryPosterior, ResetAroundAPriorEqualsResetThenRecenter) {
+    // The row search resets its reused posteriors straight to a prior;
+    // that must be bit-equal to the uniform reset it skips plus
+    // recenter(), whatever the posterior held before, larger or smaller.
+    const std::vector<double> powers = BoundaryPosterior::decay_powers(0.45, 64);
+    BoundaryPosterior reused(50);
+    reused.restrict_geq(20);
+    for (const std::uint64_t support : {1u, 7u, 33u, 64u, 12u}) {
+        for (const std::uint64_t center : {std::uint64_t{1}, (support + 1) / 2, support}) {
+            BoundaryPosterior expected(support);
+            expected.recenter(center, powers, 1e-9);
+            reused.reset(support, center, powers, 1e-9);
+            ASSERT_EQ(reused.hard_lo(), 1u);
+            ASSERT_EQ(reused.hard_hi(), support);
+            for (std::uint64_t b = 1; b <= support; ++b)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(reused.weight(b)),
+                          std::bit_cast<std::uint64_t>(expected.weight(b)))
+                    << "support " << support << ", center " << center << ", step " << b;
+            reused.restrict_leq(center);
+        }
+    }
+    EXPECT_THROW(reused.reset(0, 1, powers, 1e-9), ConfigError);
+}
+
 // PROP: for ANY consistent observation sequence (hard evidence derived
 // from a hidden truth, arbitrary re-priors and draws mixed in),
 // the certified bracket never widens, always contains the truth, and

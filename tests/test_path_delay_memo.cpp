@@ -2,12 +2,12 @@
 //
 // Machine evaluates its fault physics through PathDelayMemo, a
 // direct-mapped cache of TimingModel::path_delay_ps(v) keyed on the bit
-// pattern of v, and single ops on settled rails through a point cache
-// in front of it.  These tests hold both to bitwise equality with direct
-// evaluation: across slot collisions and voltages one ulp apart, over
-// random operating points (thresholds included), after writes that
-// bypass Machine, and across reset/restore_snapshot, which leave the
-// caches in place.
+// pattern of v, and single ops on settled rails through per-class
+// certificates built on it.  These tests hold both to bitwise equality
+// with direct evaluation: across slot collisions and voltages one ulp
+// apart, over random operating points (thresholds included), after
+// writes that bypass Machine, and across reset/restore_snapshot, which
+// leave the caches in place.
 #include "sim/machine.hpp"
 
 #include <gtest/gtest.h>

@@ -10,6 +10,7 @@
 // have seen.  Sliced machines also run every execute_op through the
 // general advance_to path, so the V0LTpwn cells check the settled-rail
 // op step the same way.  See DESIGN.md 5f for the soundness argument.
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -105,6 +106,133 @@ TEST(PerfPath, BatchedAndSlicedMachineHistoriesBitIdentical) {
     ASSERT_EQ(batched.size(), sliced.size());
     for (std::size_t i = 0; i < batched.size(); ++i)
         EXPECT_EQ(batched[i], sliced[i]) << "histories diverged at phase " << i;
+}
+
+/// The smallest delay scale at which the machine's crash check fires for
+/// a core-plane voltage `v` at `f` (bisection on doubles to adjacency).
+double crash_scale(const sim::FaultModel& fm, Megahertz f, Millivolts v) {
+    double lo = 1.0;  // no crash
+    double hi = 2.0;  // crash
+    while (std::nextafter(lo, hi) < hi) {
+        const double mid = lo + (hi - lo) / 2;  // strictly inside: hi - lo is exact
+        if (fm.would_crash(f, v, mid))
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return hi;
+}
+
+/// The die temperature whose thermal delay scale is `scale`.
+double temperature_for_scale(const sim::CpuProfile& p, double scale) {
+    return 25.0 + (scale - 1.0) / p.thermal.delay_per_c;
+}
+
+/// Single-stepped ops at the edges of the settled-op certificate
+/// (DESIGN 5f): every class interleaved with each fault-reachable class
+/// parked at its onset (draws on both sides of the skip threshold), a
+/// core plane past the slack (no threshold at all), die heating by
+/// set_die_temperature across the certificate's delay-scale bound, a
+/// C0<->C6 flip of another core (leaking-core count), frequency changes
+/// of the op core and of another core, a crash on a heat jump and a
+/// crash the die's own heating drives inside a settled stretch.
+/// Returns the state hash and fault count after every phase.
+std::vector<std::uint64_t> certificate_edges_history(sim::SteppingMode mode) {
+    // A die with a 1 ms thermal time constant: its own heating crosses
+    // certificate bounds within a few thousand ops.
+    sim::CpuProfile profile = sim::skylake_i5_6500();
+    profile.thermal.tau_ms = 1.0;
+    sim::Machine m(profile, /*seed=*/2024);
+    m.set_stepping_mode(mode);
+    const sim::FaultModel& fm = m.fault_model();
+    const Megahertz f = from_ghz(3.0);
+    std::vector<std::uint64_t> out;
+    const auto pin = [&] {
+        m.set_all_frequencies(f);
+        m.advance_to(m.rail_settle_time());
+    };
+    const auto run_ops = [&](std::uint64_t n) {  // returns the ops run
+        std::uint64_t faults = 0;
+        std::uint64_t i = 0;
+        for (; i < n && !m.crashed(); ++i)
+            faults += m.execute_op(1, sim::kAllInstrClasses[i % sim::kAllInstrClasses.size()]);
+        out.push_back(m.state_hash());
+        out.push_back(faults);
+        return i;
+    };
+    pin();
+
+    // Imul on the core plane and Load on the cache plane at their
+    // 100-op onsets (p ~ 0.03); the other classes' onsets lie past the
+    // crash edge, so they draw far below it.  Halfway, the die jumps
+    // 10 K hotter: every certificate is past its scale bound.
+    m.regulator().force(sim::VoltagePlane::Core, fm.onset_offset(f, sim::InstrClass::Imul, 100));
+    m.regulator().force(sim::VoltagePlane::Cache,
+                        fm.onset_offset(f, sim::InstrClass::Load, 100));
+    run_ops(6'000);
+    m.set_die_temperature(m.thermal().temperature_c() + 10.0);
+    run_ops(6'000);
+
+    // Another core to C6 and back (the leaking count, a wake with exit
+    // latency), then frequency changes: the op core's lowered through
+    // PERF_CTL (the op's duration moves), then the other cores' set
+    // directly on the Core (max_active_frequency falls, the rail stays).
+    m.enter_cstate(2, sim::CState::C6);
+    run_ops(3'000);
+    m.wake_core(2);
+    run_ops(3'000);
+    m.set_core_frequency(1, from_ghz(2.4));
+    run_ops(3'000);
+    for (const unsigned id : {0u, 2u, 3u}) m.core(id).set_frequency(from_ghz(2.6));
+    run_ops(3'000);
+
+    // The core plane at the crash edge of a die 0.5 K warmer than the one
+    // the reboot leaves, a temperature the load's own heating passes:
+    // Imul's class delay is past the slack there, so it draws exactly on
+    // every op.  A jump to 40 C crashes the next op.
+    m.reboot();
+    pin();
+    m.regulator().force(sim::VoltagePlane::Cache, Millivolts{0.0});
+    const Millivolts edge =
+        fm.crash_offset(f, m.thermal().delay_scale() + 0.5 * profile.thermal.delay_per_c);
+    m.regulator().force(sim::VoltagePlane::Core, edge);
+    m.advance(Picoseconds{0});
+    run_ops(3'000);
+    m.set_die_temperature(40.0);
+    run_ops(100);
+    out.push_back(m.crashed());
+
+    // The same edge, with the die set 1.2e-6 of delay scale short of the
+    // crash: it heats across its certificates' bounds, op by op, until
+    // the crash check fires inside the settled stretch.
+    m.reboot();
+    pin();
+    m.regulator().force(sim::VoltagePlane::Core, edge);
+    const double s_crash =
+        crash_scale(fm, m.max_active_frequency(), m.plane_voltage(sim::VoltagePlane::Core));
+    m.set_die_temperature(temperature_for_scale(profile, s_crash - 1.2e-6));
+    m.advance(Picoseconds{0});
+    const bool survived_setup = !m.crashed();
+    const std::uint64_t ops_to_crash = run_ops(200'000);
+    out.push_back(survived_setup && m.crashed() ? ops_to_crash : 0);
+    return out;
+}
+
+TEST(PerfPath, CertifiedOpStepMatchesGeneralPathAtTheEdges) {
+    const std::vector<std::uint64_t> batched =
+        certificate_edges_history(sim::SteppingMode::Batched);
+    const std::vector<std::uint64_t> sliced = certificate_edges_history(sim::SteppingMode::Sliced);
+    ASSERT_EQ(batched.size(), sliced.size());
+    for (std::size_t i = 0; i < batched.size(); ++i)
+        EXPECT_EQ(batched[i], sliced[i]) << "histories diverged at entry " << i;
+    // The script must reach what it is about: faults in the onset
+    // phases, the heat-jump crash and the crash the die's heating drives.
+    EXPECT_GT(sliced[1], 0u);
+    EXPECT_GT(sliced[3], sliced[1]) << "the hotter die must fault more";
+    const std::size_t n = sliced.size();
+    EXPECT_EQ(sliced[n - 4], 1u) << "the heat jump must crash the machine";
+    EXPECT_GT(sliced[n - 1], 1'000u) << "the die's own heating must crash the machine, "
+                                        "well inside the settled stretch";
 }
 
 std::uint64_t sweep_hash(sim::CpuProfile (*profile)(), double step_mv) {
