@@ -16,6 +16,7 @@
 #include "sgx/enclave.hpp"
 #include "sgx/program.hpp"
 #include "sgx/runtime.hpp"
+#include "sgx/sgx_step.hpp"
 #include "sim/thermal.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/machine.hpp"
@@ -99,12 +100,7 @@ void BM_MachineRunBatch1M(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineRunBatch1M);
 
-void BM_EnclaveEntryMulChain(benchmark::State& state) {
-    // One V0LTpwn-style enclave entry: the 66-instruction multiply chain
-    // runs op by op at a settled -100 mV offset while the die warms, so
-    // the thermal delay scale moves on every op.  The fault physics must
-    // stay a memo hit plus arithmetic here; a pow per op shows up as a
-    // regression of this row.
+void enclave_entry_mul_chain(benchmark::State& state, bool stepped) {
     sim::Machine machine(sim::cometlake_i7_10510u(), 1);
     os::Kernel kernel(machine);
     sgx::SgxRuntime runtime(kernel);
@@ -114,13 +110,37 @@ void BM_EnclaveEntryMulChain(benchmark::State& state) {
     machine.advance_to(machine.rail_settle_time());
     auto enclave = runtime.create_enclave("bench-victim", 1);
     const sgx::Program program = sgx::make_mul_chain(0x5EED, 0xC0FFEE, 32);
+    const std::size_t last_mul = sgx::last_mul_index(program);
+    sgx::SgxStep stepper(sgx::StepperCapabilities{.single_step = true, .zero_step = true});
+    stepper.set_on_step([last_mul](std::size_t idx) {
+        return idx >= last_mul ? sgx::StepAction::SuppressProgress : sgx::StepAction::Continue;
+    });
+    if (stepped) enclave->attach_stepper(&stepper);
     for (auto _ : state) benchmark::DoNotOptimize(enclave->run(program));
     if (machine.crashed()) state.SkipWithError("machine crashed at the benchmark offset");
     state.counters["die_c"] = machine.thermal().temperature_c();
     state.counters["p_imul"] = machine.fault_probability(1, sim::InstrClass::Imul);
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(program.size()));
+    const std::size_t ops = stepped ? last_mul + 1 : program.size();
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
+}
+
+void BM_EnclaveEntryMulChain(benchmark::State& state) {
+    // One V0LTpwn-style enclave entry: the 66-instruction multiply chain
+    // runs op by op at a settled -100 mV offset while the die warms, so
+    // the thermal delay scale moves on every op.  The fault physics must
+    // stay a memo hit plus arithmetic here; a pow per op shows up as a
+    // regression of this row.
+    enclave_entry_mul_chain(state, /*stepped=*/false);
 }
 BENCHMARK(BM_EnclaveEntryMulChain);
+
+void BM_EnclaveEntryMulChainStepped(benchmark::State& state) {
+    // The same entry as the V0LTpwn + SGX-Step victim runs it: an AEX
+    // after every instruction, progress suppressed after the last
+    // multiply.  Each op is one step of a settled-op stretch.
+    enclave_entry_mul_chain(state, /*stepped=*/true);
+}
+BENCHMARK(BM_EnclaveEntryMulChainStepped);
 
 void BM_ExecuteOpSettled(benchmark::State& state, bool at_onset) {
     // One single-stepped imul on settled rails, the V0LTpwn victim's

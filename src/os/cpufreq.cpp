@@ -1,6 +1,7 @@
 #include "os/cpufreq.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -76,7 +77,9 @@ void Cpufreq::report_load(unsigned cpu, double utilization) {
     apply(cpu, target);
 }
 
-Megahertz Cpufreq::current(unsigned cpu) const { return machine_.core(cpu).frequency(); }
+Megahertz Cpufreq::current(unsigned cpu) const {
+    return std::as_const(machine_).core(cpu).frequency();  // a read, not a write
+}
 
 void Cpufreq::apply(unsigned cpu, Megahertz target) {
     const Policy& pol = policy(cpu);

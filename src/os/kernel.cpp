@@ -1,6 +1,7 @@
 #include "os/kernel.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -32,7 +33,7 @@ void Kernel::arm(KthreadId id, Picoseconds first_wake) {
         const Kthread& kt = *it->second;
         // A timer firing on an idle core wakes it first (exit latency is
         // charged inside wake_core).
-        if (machine_.core(kt.options.cpu).cstate() != sim::CState::C0)
+        if (std::as_const(machine_).core(kt.options.cpu).cstate() != sim::CState::C0)
             machine_.wake_core(kt.options.cpu);
         machine_.add_steal(kt.options.cpu,
                            Cycles{machine_.profile().costs.kthread_wake_cycles});

@@ -120,6 +120,7 @@ void Machine::register_builtin_invariants() {
 
 Core& Machine::core(unsigned id) {
     if (id >= cores_.size()) throw ConfigError("core id out of range");
+    touch();
     return cores_[id];
 }
 
@@ -136,7 +137,7 @@ Megahertz Machine::snap_to_table(Megahertz f) const {
 }
 
 void Machine::set_core_frequency(unsigned id, Megahertz f) {
-    Core& c = core(id);  // bounds check before touching requested_freq_
+    Core& c = core(id);  // bounds check before touching requested_freq_; a write
     f = snap_to_table(f);
     requested_freq_[id] = f;
     // Lowering (or equal) is the safe direction: switch immediately, the
@@ -147,6 +148,7 @@ void Machine::set_core_frequency(unsigned id, Megahertz f) {
 }
 
 void Machine::set_all_frequencies(Megahertz f) {
+    touch();
     f = snap_to_table(f);
     for (auto& c : cores_) {
         requested_freq_[c.id()] = f;
@@ -162,6 +164,7 @@ Megahertz Machine::requested_frequency(unsigned id) const {
 }
 
 void Machine::update_rail_target() {
+    touch();
     // C6 cores are power-gated and do not constrain the rail; C0 and C1
     // (merely clock-gated) do.
     Megahertz want = profile_.freq_min;
@@ -185,6 +188,7 @@ void Machine::update_rail_target() {
 }
 
 void Machine::apply_pending_raises() {
+    touch();
     Megahertz want = profile_.freq_min;
     for (const auto& c : cores_)
         if (c.cstate() != CState::C6)
@@ -208,7 +212,7 @@ void Machine::apply_pending_raises() {
 }
 
 void Machine::enter_cstate(unsigned id, CState state) {
-    Core& c = core(id);
+    Core& c = core(id);  // a write
     if (state == CState::C0) {
         wake_core(id);
         return;
@@ -219,7 +223,7 @@ void Machine::enter_cstate(unsigned id, CState state) {
 }
 
 void Machine::wake_core(unsigned id) {
-    Core& c = core(id);
+    Core& c = core(id);  // a write
     if (c.cstate() == CState::C0) return;
     const Picoseconds latency = c.cstate() == CState::C6
                                     ? profile_.cstates.c6_exit_latency
@@ -342,7 +346,9 @@ void Machine::advance_to(Picoseconds t) {
         // after dispatching the events at et.
         maybe_crash();
         if (crashed_) return;
+        touch();
         events_.run_until(et);
+        touch();
         maybe_crash();
         if (crashed_) return;
         invariants_.tick();
@@ -405,7 +411,7 @@ std::uint64_t Machine::read_msr(unsigned core_id, std::uint32_t addr) const {
 
 bool Machine::write_msr(unsigned core_id, std::uint32_t addr, std::uint64_t value) {
     if (crashed_) return false;
-    (void)core(core_id);  // bounds check
+    (void)core(core_id);  // bounds check; a write
     for (auto& [token, hook] : write_hooks_) {
         (void)token;
         if (hook(core_id, addr, value) == MsrWriteAction::Ignore) return false;
@@ -499,7 +505,7 @@ void Machine::validate_window(const Core& cr, InstrClass c, VoltagePlane plane,
 }
 
 BatchResult Machine::run_batch(unsigned core_id, InstrClass c, std::uint64_t n_ops, double cpi) {
-    if (cpi <= 0.0) throw ConfigError("cpi must be positive");
+    if (!(cpi > 0.0 && std::isfinite(cpi))) throw ConfigError("cpi must be positive and finite");
     Core& cr = core(core_id);
     BatchResult r;
     r.started = clock_;
@@ -581,20 +587,75 @@ BatchResult Machine::run_batch(unsigned core_id, InstrClass c, std::uint64_t n_o
 }
 
 bool Machine::execute_op(unsigned core_id, InstrClass c, double cpi) {
+    if (!(cpi > 0.0 && std::isfinite(cpi))) throw ConfigError("cpi must be positive and finite");
     if (crashed_) return false;
-    Core& cr = core(core_id);
+    if (core_id >= cores_.size()) throw ConfigError("core id out of range");
+    Core& cr = cores_[core_id];  // not core(): the op path is no write
+    if (stretch_current(core_id, cpi)) {
+        if (stepping_mode_ == SteppingMode::Sliced) {
+            check_stretch(cr);
+        } else {
+            // Nothing settled_op reads has changed since the stretch began:
+            // the core is awake with no stolen time, the rails are settled.
+            const Picoseconds end = clock_ + stretch_.dt;
+            if (events_.empty() || events_.next_time() > end) {
+                const bool faulted = settled_op(cr, c, end, stretch_.point);
+                cr.retire(1);
+                return faulted && !crashed_;
+            }
+        }
+    }
     if (cr.cstate() != CState::C0) wake_core(core_id);
     const Picoseconds steal = cr.drain_steal(Picoseconds{INT64_MAX});
     if (steal > Picoseconds{0}) advance(steal);
     if (crashed_) return false;
-    const double op_ps = cpi * cr.frequency().period_ps();
-    const Picoseconds end = clock_ + Picoseconds{static_cast<std::int64_t>(std::ceil(op_ps))};
-    const bool settled = stepping_mode_ == SteppingMode::Batched && end >= clock_ &&
-                         clock_ >= rail_settle_time() &&
+    const Picoseconds end = clock_ + op_duration(cr, cpi);
+    const bool settled = end >= clock_ && clock_ >= rail_settle_time() &&
                          (events_.empty() || events_.next_time() > end);
-    const bool faulted = settled ? settled_op(cr, c, end) : general_op(cr, c, end);
+    // An event inside advance(steal) may have stolen more time (a kthread
+    // pinned to this core): the next op must drain it, so no stretch.
+    const bool record =
+        settled && cr.cstate() == CState::C0 && cr.pending_steal() == Picoseconds{0};
+    if (record)
+        stretch_ = {.generation = generation_, .core = core_id, .cpi = cpi, .dt = end - clock_,
+                    .point = operating_point(cr)};
+    const bool faulted =
+        !settled || stepping_mode_ == SteppingMode::Sliced
+            ? general_op(cr, c, end)
+            : settled_op(cr, c, end, record ? stretch_.point : operating_point(cr));
     cr.retire(1);
     return faulted && !crashed_;
+}
+
+Picoseconds Machine::op_duration(const Core& cr, double cpi) {
+    return Picoseconds{static_cast<std::int64_t>(std::ceil(cpi * cr.frequency().period_ps()))};
+}
+
+Machine::OperatingPoint Machine::operating_point(const Core& cr) const {
+    OperatingPoint op;
+    const Millivolts base = base_rail_.offset_at(VoltagePlane::Core, clock_);
+    op.v_core = base + regulator_.offset_at(VoltagePlane::Core, clock_);
+    op.v_cache = base + regulator_.offset_at(VoltagePlane::Cache, clock_);
+    // One pass for max_active_frequency() and the leaking-core count.
+    op.f_max = profile_.freq_min;
+    for (const Core& k : cores_) {
+        if (k.power_state() == PowerState::Active) op.f_max = std::max(op.f_max, k.frequency());
+        if (k.cstate() != CState::C6) ++op.leaking;
+    }
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    op.key = {bits(op.v_core.value()), bits(op.v_cache.value()), bits(cr.frequency().value()),
+              bits(op.f_max.value())};
+    return op;
+}
+
+void Machine::check_stretch(const Core& cr) const {
+    // Sliced-mode soundness check, read-only like validate_window: a
+    // stretch the generation calls current must be what the op path
+    // would derive from live state right now.
+    if (cr.cstate() != CState::C0 || cr.pending_steal() != Picoseconds{0} ||
+        clock_ < rail_settle_time() || op_duration(cr, stretch_.cpi) != stretch_.dt ||
+        operating_point(cr) != stretch_.point)
+        throw SimError("settled-op stretch outlived a change to the machine state");
 }
 
 bool Machine::draw_fault(InstrClass c, double p) { return fault_drawn(c, rng_.uniform(), p); }
@@ -645,25 +706,14 @@ Machine::OpCertificate Machine::certify(InstrClass c, const CertificateKey& key,
     return k;
 }
 
-bool Machine::settled_op(const Core& cr, InstrClass c, Picoseconds end) {
+bool Machine::settled_op(const Core& cr, InstrClass c, Picoseconds end,
+                         const OperatingPoint& op) {
     // Settled rails hold every plane at its target over [clock_, end], and
     // no event falls inside, so this is advance_to(end) with each voltage
-    // read once and its physics decided by the class's certificate:
-    // general_op's draws and updates in the same order, bit-identical
-    // (DESIGN 5f).
-    const Millivolts base = base_rail_.offset_at(VoltagePlane::Core, clock_);
-    const Millivolts v_core = base + regulator_.offset_at(VoltagePlane::Core, clock_);
-    const Millivolts v_cache = base + regulator_.offset_at(VoltagePlane::Cache, clock_);
-    // One pass for max_active_frequency() and the leaking-core count.
-    Megahertz f_max = profile_.freq_min;
-    std::uint64_t leaking = 0;
-    for (const Core& k : cores_) {
-        if (k.power_state() == PowerState::Active) f_max = std::max(f_max, k.frequency());
-        if (k.cstate() != CState::C6) ++leaking;
-    }
-    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-    const CertificateKey key{bits(v_core.value()), bits(v_cache.value()),
-                             bits(cr.frequency().value()), bits(f_max.value())};
+    // read once (per stretch) and its physics decided by the class's
+    // certificate: general_op's draws and updates in the same order,
+    // bit-identical (DESIGN 5f).
+    const auto& [v_core, v_cache, f_max, leaking, key] = op;
     const double scale = thermal_.delay_scale();
     OpCertificate& cert = certs_[static_cast<std::size_t>(c)];
     if (cert.key != key || !(scale <= cert.scale_hi && scale >= cert.scale_hi - 2 * kCertScaleStep))
@@ -705,11 +755,12 @@ std::uint64_t Machine::corrupt_value(std::uint64_t correct) {
 }
 
 void Machine::add_steal(unsigned core_id, Cycles cycles) {
-    Core& cr = core(core_id);
+    Core& cr = core(core_id);  // a write
     cr.add_steal(cycles.at(cr.frequency()));
 }
 
 void Machine::crash(std::string reason) {
+    touch();
     if (crashed_) return;
     crashed_ = true;
     crash_reason_ = std::move(reason);
@@ -719,6 +770,7 @@ void Machine::crash(std::string reason) {
 }
 
 void Machine::restore_boot_state() {
+    touch();
     crashed_ = false;
     crash_reason_.clear();
     events_.clear();
@@ -821,6 +873,7 @@ Machine::Snapshot Machine::capture_snapshot() const {
 void Machine::restore_snapshot(const Snapshot& snap, std::uint64_t seed) {
     if (snap.owner != this)
         throw SimError("snapshot restored onto a different machine");
+    touch();
     clock_ = snap.clock;
     crashed_ = snap.crashed;
     crash_reason_ = snap.crash_reason;

@@ -137,7 +137,12 @@ public:
     // --- identity & time -------------------------------------------------
     [[nodiscard]] const CpuProfile& profile() const { return profile_; }
     [[nodiscard]] Picoseconds now() const { return clock_; }
-    [[nodiscard]] EventQueue& events() { return events_; }
+    /// Mutable access to the queue counts as a write (DESIGN 5f, "Settled-
+    /// op stretch"), as do the other non-const accessors below.
+    [[nodiscard]] EventQueue& events() {
+        touch();
+        return events_;
+    }
 
     /// Advance the clock to absolute time `t`, dispatching due events and
     /// checking for undervolt crashes at every event boundary.  Stops
@@ -147,6 +152,7 @@ public:
 
     // --- cores & frequency -----------------------------------------------
     [[nodiscard]] unsigned core_count() const { return static_cast<unsigned>(cores_.size()); }
+    /// The non-const overload counts as a write, like events().
     [[nodiscard]] Core& core(unsigned id);
     [[nodiscard]] const Core& core(unsigned id) const;
 
@@ -194,7 +200,10 @@ public:
     /// Currently applied (post-ramp) offset on a plane.
     [[nodiscard]] Millivolts applied_offset(VoltagePlane plane) const;
 
-    [[nodiscard]] VoltageRegulator& regulator() { return regulator_; }
+    [[nodiscard]] VoltageRegulator& regulator() {
+        touch();
+        return regulator_;
+    }
     [[nodiscard]] const VoltageRegulator& regulator() const { return regulator_; }
 
     // --- MSR surface --------------------------------------------------------
@@ -221,8 +230,10 @@ public:
 
     /// Execute one operation; returns whether it faulted.  With the rails
     /// settled and no event due before the op ends, the op takes one
-    /// step on cached physics (DESIGN 5f); Sliced machines always take
-    /// the general path through advance_to, the reference for that step.
+    /// step on cached physics, its operating point derived once per
+    /// stretch of unchanged machine state (DESIGN 5f); Sliced machines
+    /// always take the general path through advance_to, the reference
+    /// for that step.  `cpi` must be positive and finite.
     bool execute_op(unsigned core_id, InstrClass c, double cpi = 1.0);
 
     /// One faultable 64x64->64 multiply on a core (wrapping semantics);
@@ -356,7 +367,10 @@ public:
     // --- stepping & stats ----------------------------------------------------
     /// Per-instance traversal mode (defaults to default_stepping_mode()
     /// at construction).
-    void set_stepping_mode(SteppingMode m) { stepping_mode_ = m; }
+    void set_stepping_mode(SteppingMode m) {
+        touch();
+        stepping_mode_ = m;
+    }
     [[nodiscard]] SteppingMode stepping_mode() const { return stepping_mode_; }
 
     /// Process-wide default for newly constructed Machines.  The
@@ -389,11 +403,26 @@ private:
     // integrate_power_to's thermal half: the die update over [clock_, t].
     void heat_die_to(Picoseconds t);
 
+    // The operating point settled_op reads: both plane voltages,
+    // max_active_frequency(), the leaking-core count and the certificate
+    // key built from them and the op core's frequency.
+    using CertificateKey = std::array<std::uint64_t, 4>;
+    struct OperatingPoint {
+        Millivolts v_core;
+        Millivolts v_cache;
+        Megahertz f_max;
+        std::uint64_t leaking = 0;
+        CertificateKey key{};
+        bool operator==(const OperatingPoint&) const = default;
+    };
+    [[nodiscard]] OperatingPoint operating_point(const Core& cr) const;
+    [[nodiscard]] static Picoseconds op_duration(const Core& cr, double cpi);
+
     // execute_op's two bodies after wake-up and stolen time; both return
     // whether the op faulted and advance the clock to `end` (or to the
     // crash, whichever comes first).
     bool general_op(const Core& cr, InstrClass c, Picoseconds end);
-    bool settled_op(const Core& cr, InstrClass c, Picoseconds end);
+    bool settled_op(const Core& cr, InstrClass c, Picoseconds end, const OperatingPoint& op);
     bool draw_fault(InstrClass c, double p);
     // Whether a draw `u` against probability `p` is a fault (traced).
     bool fault_drawn(InstrClass c, double u, double p);
@@ -407,7 +436,6 @@ private:
     // max_active_frequency()), so a hit is exact and no write has to
     // invalidate it; scale_hi starts below every delay scale, so each
     // certificate starts stale.
-    using CertificateKey = std::array<std::uint64_t, 4>;
     struct OpCertificate {
         CertificateKey key{};
         double scale_hi = 0.0;
@@ -433,6 +461,26 @@ private:
     void retire_window(Core& cr, InstrClass c, std::uint64_t ops, Millivolts v, BatchResult& r);
     void validate_window(const Core& cr, InstrClass c, VoltagePlane plane, Millivolts v_anchor,
                          Picoseconds window) const;
+
+    // Settled-op stretch (DESIGN 5f): what the first settled op of a run
+    // on one core at one cpi derived from live state.  It stays current
+    // while generation_ does not move; every path that can change what
+    // settled_op reads calls touch().
+    struct Stretch {
+        std::uint64_t generation = 0;  // generation_ starts at 1: none yet
+        unsigned core = 0;
+        double cpi = 0.0;
+        Picoseconds dt{};  // the op's duration
+        OperatingPoint point;
+    };
+    void touch() { ++generation_; }
+    [[nodiscard]] bool stretch_current(unsigned core_id, double cpi) const {
+        return stretch_.generation == generation_ && stretch_.core == core_id &&
+               stretch_.cpi == cpi;
+    }
+    // Sliced-mode read-only re-derivation of a current stretch from live
+    // state; throws SimError on any difference.
+    void check_stretch(const Core& cr) const;
 
     CpuProfile profile_;
     VfCurve vf_;
@@ -470,11 +518,13 @@ private:
     // settled_op's per-class certificates and its leakage increment, the
     // latter keyed on the core-plane voltage bits, the leaking-core count
     // and the op's duration in ps (it starts as the genuine all-zero
-    // key's 0 J).  Every use re-reads its key from live state, so writes
-    // that bypass Machine (regulator(), core(i)) need no invalidation hook.
+    // key's 0 J).  Every use compares its key with the op's operating
+    // point, so neither cache needs invalidating.
     std::array<OpCertificate, kAllInstrClasses.size()> certs_{};
     std::array<std::uint64_t, 3> leak_key_{};
     double leak_joules_ = 0.0;
+    std::uint64_t generation_ = 1;
+    Stretch stretch_;
     std::uint64_t batched_iterations_ = 0;
     std::uint64_t batch_windows_ = 0;
 };

@@ -1,5 +1,8 @@
 #include "sim/machine.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "sim/cpu_profile.hpp"
@@ -241,6 +244,26 @@ TEST(Machine, CoreIdBoundsChecked) {
     EXPECT_THROW((void)m.core(99), ConfigError);
     EXPECT_THROW(m.set_core_frequency(99, from_ghz(1.0)), ConfigError);
     EXPECT_THROW((void)m.read_msr(99, kMsrPerfStatus), ConfigError);
+}
+
+TEST(Machine, BadCpiRejectedBeforeAnyStateChange) {
+    // A sleeping op core with stolen time pending: any wake-up, steal
+    // drain, RNG draw or energy retire before the check moves the hash.
+    Machine m = make_machine();
+    m.set_all_frequencies(from_ghz(2.0));
+    m.advance_to(m.rail_settle_time());
+    m.add_steal(1, Cycles{10'000});
+    m.enter_cstate(1, CState::C1);
+    const std::uint64_t before = m.state_hash();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double cpi : {-1.0, 0.0, -0.0, std::nan(""), inf, -inf}) {
+        EXPECT_THROW((void)m.execute_op(1, InstrClass::Imul, cpi), ConfigError) << cpi;
+        EXPECT_EQ(m.state_hash(), before) << "execute_op, cpi " << cpi;
+        EXPECT_THROW((void)m.run_batch(1, InstrClass::Imul, 100, cpi), ConfigError) << cpi;
+        EXPECT_EQ(m.state_hash(), before) << "run_batch, cpi " << cpi;
+    }
+    EXPECT_NO_THROW((void)m.execute_op(1, InstrClass::Imul, 0.5));
+    EXPECT_NE(m.state_hash(), before);
 }
 
 TEST(Machine, VoltageOffsetLimitIsPackageScoped) {

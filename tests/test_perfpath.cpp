@@ -9,7 +9,9 @@
 // closed-form step never skipped anything the fine-grained walk would
 // have seen.  Sliced machines also run every execute_op through the
 // general advance_to path, so the V0LTpwn cells check the settled-rail
-// op step the same way.  See DESIGN.md 5f for the soundness argument.
+// op step the same way, and re-derive every settled-op stretch the
+// generation calls current (throwing if it went stale).  See DESIGN.md
+// 5f for the soundness argument.
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -18,6 +20,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/report.hpp"
+#include "os/kernel.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "sim/cpu_profile.hpp"
@@ -233,6 +236,157 @@ TEST(PerfPath, CertifiedOpStepMatchesGeneralPathAtTheEdges) {
     EXPECT_EQ(sliced[n - 4], 1u) << "the heat jump must crash the machine";
     EXPECT_GT(sliced[n - 1], 1'000u) << "the die's own heating must crash the machine, "
                                         "well inside the settled stretch";
+}
+
+/// Single-stepped ops against each way the machine state can change under
+/// a settled-op stretch (DESIGN 5f).  A Skylake machine is pinned at
+/// 3 GHz with its core plane at the 100-op Imul onset and its cache plane
+/// at the Load one; `script(m, ops)` interleaves its writes with calls
+/// of ops(n, core, cpi), which runs n ops of every class in turn (on core
+/// 1 at cpi 300, 100 ns an op, by default) and records the state hash
+/// after each op.
+template <class Script>
+std::vector<std::uint64_t> stretch_history(sim::SteppingMode mode, Script script) {
+    sim::Machine m(sim::skylake_i5_6500(), /*seed=*/77);
+    m.set_stepping_mode(mode);
+    const Megahertz f = from_ghz(3.0);
+    m.set_all_frequencies(f);
+    m.advance_to(m.rail_settle_time());
+    const sim::FaultModel& fm = m.fault_model();
+    m.write_msr(0, sim::kMsrOcMailbox,
+                sim::encode_offset(fm.onset_offset(f, sim::InstrClass::Imul, 100),
+                                   sim::VoltagePlane::Core));
+    m.write_msr(0, sim::kMsrOcMailbox,
+                sim::encode_offset(fm.onset_offset(f, sim::InstrClass::Load, 100),
+                                   sim::VoltagePlane::Cache));
+    m.advance_to(m.rail_settle_time());
+    std::vector<std::uint64_t> hashes;
+    const auto ops = [&](std::uint64_t n, unsigned core = 1, double cpi = 300.0) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+            (void)m.execute_op(core, sim::kAllInstrClasses[i % sim::kAllInstrClasses.size()], cpi);
+            hashes.push_back(m.state_hash());
+        }
+    };
+    script(m, ops);
+    return hashes;
+}
+
+/// Batched against Sliced, op by op.
+template <class Script>
+void expect_stretch_histories_equal(Script script) {
+    const std::vector<std::uint64_t> batched =
+        stretch_history(sim::SteppingMode::Batched, script);
+    const std::vector<std::uint64_t> sliced = stretch_history(sim::SteppingMode::Sliced, script);
+    ASSERT_EQ(batched.size(), sliced.size());
+    ASSERT_FALSE(sliced.empty());
+    std::size_t i = 0;
+    while (i < batched.size() && batched[i] == sliced[i]) ++i;
+    EXPECT_EQ(i, batched.size()) << "histories diverged at op " << i << " of " << batched.size();
+}
+
+TEST(PerfPath, StretchWaitsOutAKthreadWakeInsideTheOpsStealWindow) {
+    // Every third wake the kthread, pinned to the op core, steals 3 us:
+    // the next op's own advance(steal) then runs into the following wake
+    // 2 us on, which leaves stolen time for the op after it to drain.
+    expect_stretch_histories_equal([](sim::Machine& m, auto& ops) {
+        os::Kernel kernel(m);
+        unsigned wakes = 0;
+        kernel.start_kthread({.name = "stealer", .cpu = 1, .period = microseconds(2.0)},
+                             [&wakes](os::Kernel& k) {
+                                 if (++wakes % 3 == 0) k.machine().add_steal(1, Cycles{9'000});
+                             });
+        ops(3'000);
+        EXPECT_GE(wakes, 20u);
+    });
+}
+
+TEST(PerfPath, StretchEndsOnDirectRegulatorWrites) {
+    // VoltPillager's SVID writes: regulator().write between ops (150 us
+    // of command latency, then a 1 mV/us ramp), and regulator().force.
+    expect_stretch_histories_equal([](sim::Machine& m, auto& ops) {
+        ops(300);
+        const Millivolts parked = m.regulator().target(sim::VoltagePlane::Core);
+        for (const double step_mv : {-3.0, 3.0}) {
+            m.regulator().write(sim::VoltagePlane::Core, parked + Millivolts{step_mv}, m.now());
+            ops(1'600);
+        }
+        m.regulator().force(sim::VoltagePlane::Cache, Millivolts{0.0});
+        ops(300);
+        m.regulator().force(sim::VoltagePlane::Core, parked - Millivolts{2.0});
+        ops(300);
+    });
+}
+
+TEST(PerfPath, StretchEndsOnDirectCoreWrites) {
+    // Core setters bypass Machine: another core's C-state (the leaking
+    // count and max_active_frequency) and frequency, the op core's
+    // frequency (the op's duration), stolen time and C-state.  Ops also
+    // move to another core and to another cpi.
+    expect_stretch_histories_equal([](sim::Machine& m, auto& ops) {
+        ops(300);
+        m.core(2).set_cstate(sim::CState::C6);
+        ops(300);
+        m.core(2).set_cstate(sim::CState::C0);
+        ops(300);
+        m.core(1).set_frequency(from_ghz(2.4));
+        ops(300);
+        for (const unsigned id : {0u, 2u, 3u}) m.core(id).set_frequency(from_ghz(2.6));
+        ops(300);
+        m.core(1).add_steal(microseconds(1.0));
+        ops(300);
+        m.core(1).set_cstate(sim::CState::C1);
+        ops(300);
+        ops(300, /*core=*/3);
+        ops(300, /*core=*/1, /*cpi=*/1.0);
+        ops(300);
+    });
+}
+
+TEST(PerfPath, StretchHonoursEventsScheduledBetweenOps) {
+    // events().schedule between ops, due inside the next op (halfway, and
+    // exactly at its end), and due 20 us on, inside a stretch that begins
+    // after the schedule.  The regulator callbacks write through a
+    // reference taken before any op: only the dispatch marks their writes.
+    expect_stretch_histories_equal([](sim::Machine& m, auto& ops) {
+        sim::VoltageRegulator& reg = m.regulator();
+        const Millivolts parked = reg.target(sim::VoltagePlane::Core);
+        const auto force_core = [&reg](Millivolts v) {
+            return [&reg, v] { reg.force(sim::VoltagePlane::Core, v); };
+        };
+        ops(300);
+        m.events().schedule(m.now() + Picoseconds{50'000}, [&m] { m.add_steal(1, Cycles{3'000}); });
+        ops(300);
+        m.events().schedule(m.now() + Picoseconds{100'000}, force_core(parked - Millivolts{2.0}));
+        ops(300);
+        m.events().schedule(m.now() + Picoseconds{1}, force_core(parked));
+        ops(300);
+        m.events().schedule(m.now() + microseconds(20.0), force_core(parked - Millivolts{2.0}));
+        ops(400);
+    });
+}
+
+TEST(PerfPath, StretchEndsOnARebootAfterACrashMidStretch) {
+    // The core plane at the crash edge of a die 0.5 K warmer than the one
+    // the boot leaves; a 40 C jump crashes the machine inside a settled
+    // stretch, ops on the crashed machine do nothing, and the reboot
+    // starts afresh.
+    expect_stretch_histories_equal([](sim::Machine& m, auto& ops) {
+        const sim::CpuProfile& p = m.profile();
+        const Megahertz f = m.core(1).frequency();
+        m.regulator().force(sim::VoltagePlane::Cache, Millivolts{0.0});
+        m.regulator().force(sim::VoltagePlane::Core,
+                            m.fault_model().crash_offset(
+                                f, m.thermal().delay_scale() + 0.5 * p.thermal.delay_per_c));
+        ops(300);
+        m.set_die_temperature(40.0);
+        ops(300);
+        EXPECT_TRUE(m.crashed());
+        m.reboot();
+        m.set_all_frequencies(f);
+        m.advance_to(m.rail_settle_time());
+        ops(300);
+        EXPECT_FALSE(m.crashed());
+    });
 }
 
 std::uint64_t sweep_hash(sim::CpuProfile (*profile)(), double step_mv) {
