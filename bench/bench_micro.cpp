@@ -112,9 +112,7 @@ void enclave_entry_mul_chain(benchmark::State& state, bool stepped) {
     const sgx::Program program = sgx::make_mul_chain(0x5EED, 0xC0FFEE, 32);
     const std::size_t last_mul = sgx::last_mul_index(program);
     sgx::SgxStep stepper(sgx::StepperCapabilities{.single_step = true, .zero_step = true});
-    stepper.set_on_step([last_mul](std::size_t idx) {
-        return idx >= last_mul ? sgx::StepAction::SuppressProgress : sgx::StepAction::Continue;
-    });
+    stepper.suppress_after(last_mul);
     if (stepped) enclave->attach_stepper(&stepper);
     for (auto _ : state) benchmark::DoNotOptimize(enclave->run(program));
     if (machine.crashed()) state.SkipWithError("machine crashed at the benchmark offset");
@@ -137,7 +135,8 @@ BENCHMARK(BM_EnclaveEntryMulChain);
 void BM_EnclaveEntryMulChainStepped(benchmark::State& state) {
     // The same entry as the V0LTpwn + SGX-Step victim runs it: an AEX
     // after every instruction, progress suppressed after the last
-    // multiply.  Each op is one step of a settled-op stretch.
+    // multiply (the stepper's zero-step plan).  Up to its first fault the
+    // entry is one settled-op run.
     enclave_entry_mul_chain(state, /*stepped=*/true);
 }
 BENCHMARK(BM_EnclaveEntryMulChainStepped);
@@ -168,6 +167,29 @@ void BM_ExecuteOpSettled(benchmark::State& state, bool at_onset) {
 }
 BENCHMARK_CAPTURE(BM_ExecuteOpSettled, fault_free, false);
 BENCHMARK_CAPTURE(BM_ExecuteOpSettled, at_onset, true);
+
+void BM_ExecuteOpsSettled(benchmark::State& state) {
+    // The machine side of one fault-free V0LTpwn enclave entry: its 66
+    // instruction classes (two loads, then 32 imul/xor pairs) as one
+    // settled-op run, at nominal voltage while the die warms.  Items are
+    // ops, so the row compares with BM_ExecuteOpSettled/fault_free.
+    sim::Machine machine(sim::cometlake_i7_10510u(), 1);
+    machine.set_all_frequencies(from_ghz(2.0));
+    machine.advance_to(machine.rail_settle_time());
+    std::vector<sim::InstrClass> run;
+    for (const sgx::VictimInstr& instr : sgx::make_mul_chain(0x5EED, 0xC0FFEE, 32))
+        run.push_back(instr.cls);
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        const sim::OpRunResult r = machine.execute_ops(1, run);
+        ops += r.ops_done;
+        benchmark::DoNotOptimize(r);
+    }
+    if (machine.crashed()) state.SkipWithError("machine crashed at the benchmark offset");
+    state.counters["die_c"] = machine.thermal().temperature_c();
+    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+BENCHMARK(BM_ExecuteOpsSettled);
 
 void BM_MsrReadPerfStatus(benchmark::State& state) {
     sim::Machine machine(sim::cometlake_i7_10510u(), 1);

@@ -37,11 +37,7 @@ AttackResult V0ltpwn::run(os::Kernel& kernel) {
 
     auto enclave = runtime_.create_enclave("v0ltpwn-victim", config_.victim_core);
     sgx::SgxStep stepper(sgx::StepperCapabilities{.single_step = true, .zero_step = true});
-    const std::size_t suppress_after = config_.suppress_after_index;
-    stepper.set_on_step([suppress_after](std::size_t idx) {
-        return idx >= suppress_after ? sgx::StepAction::SuppressProgress
-                                     : sgx::StepAction::Continue;
-    });
+    stepper.suppress_after(config_.suppress_after_index);
     if (config_.use_sgx_step) enclave->attach_stepper(&stepper);
 
     for (Millivolts offset = config_.scan_start;

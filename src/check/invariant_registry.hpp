@@ -57,6 +57,13 @@ public:
         return check_now();
     }
 
+    /// How many tick() calls from now evaluate nothing (the next one
+    /// after them does), and those ticks taken at once: a hot loop that
+    /// counts its ticks in a local stores them with skip_ticks(n) for
+    /// n <= quiet_ticks(), and calls tick() for the evaluating one.
+    [[nodiscard]] std::uint64_t quiet_ticks() const { return next_eval_ - ticks_ - 1; }
+    void skip_ticks(std::uint64_t n) { ticks_ += n; }
+
     /// Evaluate all invariants immediately, regardless of cadence.
     /// Fatal mode PV_ASSERT-fails on the first violation; otherwise
     /// violations are appended to violations().

@@ -5,15 +5,19 @@
 //  - each instruction's fault outcome comes from the machine's physics
 //    (so undervolting the package faults enclave multiplies exactly like
 //    non-enclave ones — SGX does not protect against DVFS faults);
-//  - an attached SgxStep adversary gets an AEX hook after every retired
+//  - an attached SgxStep adversary takes an AEX after every retired
 //    instruction, and with zero-stepping may suppress the rest of the
 //    program (defeating in-enclave trap deflection);
 //  - Minefield-style traps abort the run with `detected` when their
 //    consistency check fails.
+// Up to its first fault an entry is fully determined, so the machine
+// retires that run of instructions in one call (Machine::execute_ops);
+// from the first fault on it steps one instruction at a time.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sgx/program.hpp"
 #include "sgx/sgx_step.hpp"
@@ -57,6 +61,7 @@ private:
     std::string name_;
     unsigned core_;
     const SgxStep* stepper_ = nullptr;
+    std::vector<sim::InstrClass> classes_;  // run()'s fault-free run, reused
 };
 
 }  // namespace pv::sgx

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <optional>
 
 namespace pv::sgx {
 
@@ -20,38 +20,30 @@ struct StepperCapabilities {
     bool zero_step = false;   ///< suppress forward progress at will
 };
 
-/// Adversary decision at each AEX.
-enum class StepAction {
-    Continue,          ///< resume the enclave normally
-    SuppressProgress,  ///< zero-step: the remaining program never retires
-};
-
-/// The stepping adversary attached to an enclave.
+/// The stepping adversary attached to an enclave.  Its zero-step plan is
+/// declarative: the enclave knows before an entry starts where progress
+/// stops, so it can hand the machine whole instruction runs.
 class SgxStep {
 public:
-    /// `on_step(index)` fires after instruction `index` retires (single-
-    /// stepping).  Returning SuppressProgress only has effect when the
-    /// zero-step capability is present.
-    using StepHook = std::function<StepAction(std::size_t instr_index)>;
-
     explicit SgxStep(StepperCapabilities caps) : caps_(caps) {}
 
-    void set_on_step(StepHook hook) { hook_ = std::move(hook); }
+    /// Plan a zero-step: at the first AEX after an instruction with index
+    /// `index` or later, the rest of the program never retires.
+    void suppress_after(std::size_t index) { suppress_after_ = index; }
 
     [[nodiscard]] const StepperCapabilities& capabilities() const { return caps_; }
 
-    /// Called by the enclave runtime at each AEX boundary.
-    [[nodiscard]] StepAction step(std::size_t instr_index) const {
-        if (!caps_.single_step || !hook_) return StepAction::Continue;
-        const StepAction a = hook_(instr_index);
-        if (a == StepAction::SuppressProgress && !caps_.zero_step)
-            return StepAction::Continue;  // capability not present
-        return a;
+    /// The planned suppression index, when the stepper can carry it out:
+    /// suppressing takes the AEXs of single-stepping and the zero-step
+    /// capability both.
+    [[nodiscard]] std::optional<std::size_t> suppression_point() const {
+        if (!caps_.single_step || !caps_.zero_step) return std::nullopt;
+        return suppress_after_;
     }
 
 private:
     StepperCapabilities caps_;
-    StepHook hook_;
+    std::optional<std::size_t> suppress_after_;
 };
 
 }  // namespace pv::sgx

@@ -52,7 +52,9 @@ Machine::Machine(CpuProfile profile, std::uint64_t seed)
       base_rail_(base_rail_params(profile_.regulator)),
       power_(profile_.power),
       thermal_(profile_.thermal),
-      rng_(seed) {
+      rng_(seed),
+      shortest_period_ps_(profile_.freq_max.period_ps()),
+      longest_period_ps_(profile_.freq_min.period_ps()) {
     if (profile_.core_count == 0) throw ConfigError("profile has zero cores");
     cores_.reserve(profile_.core_count);
     for (unsigned i = 0; i < profile_.core_count; ++i)
@@ -504,8 +506,22 @@ void Machine::validate_window(const Core& cr, InstrClass c, VoltagePlane plane,
     }
 }
 
-BatchResult Machine::run_batch(unsigned core_id, InstrClass c, std::uint64_t n_ops, double cpi) {
+void Machine::check_work(double cpi, std::uint64_t n_ops) const {
     if (!(cpi > 0.0 && std::isfinite(cpi))) throw ConfigError("cpi must be positive and finite");
+    // The slowest op bounds every op duration and window the work
+    // computes, so their int64 casts and the clock stay in range.
+    const double slowest_ps = cpi * longest_period_ps_;
+    if (!(static_cast<double>(clock_.value()) + static_cast<double>(n_ops) * slowest_ps < 0x1p62))
+        throw ConfigError("cpi or op count overflows the simulated clock");
+}
+
+BatchResult Machine::run_batch(unsigned core_id, InstrClass c, std::uint64_t n_ops, double cpi) {
+    check_work(cpi, n_ops);
+    // A window converts to at most n_ops + 1/(fastest op) ops: the
+    // uint64 casts of the op counts stay in range.
+    const double n = static_cast<double>(n_ops);
+    if (!(n < 0x1p62 && cpi * shortest_period_ps_ * (0x1p62 - n) > 1.0))
+        throw ConfigError("cpi too small for run_batch's op counts");
     Core& cr = core(core_id);
     BatchResult r;
     r.started = clock_;
@@ -586,45 +602,48 @@ BatchResult Machine::run_batch(unsigned core_id, InstrClass c, std::uint64_t n_o
     return r;
 }
 
-bool Machine::execute_op(unsigned core_id, InstrClass c, double cpi) {
-    if (!(cpi > 0.0 && std::isfinite(cpi))) throw ConfigError("cpi must be positive and finite");
-    if (crashed_) return false;
+OpRunResult Machine::execute_ops(unsigned core_id, std::span<const InstrClass> ops,
+                                 double cpi) {
+    check_work(cpi, ops.size());
+    OpRunResult r;
+    if (crashed_) return r;
     if (core_id >= cores_.size()) throw ConfigError("core id out of range");
     Core& cr = cores_[core_id];  // not core(): the op path is no write
-    if (stretch_current(core_id, cpi)) {
-        if (stepping_mode_ == SteppingMode::Sliced) {
-            check_stretch(cr);
-        } else {
-            // Nothing settled_op reads has changed since the stretch began:
-            // the core is awake with no stolen time, the rails are settled.
-            const Picoseconds end = clock_ + stretch_.dt;
-            if (events_.empty() || events_.next_time() > end) {
-                const bool faulted = settled_op(cr, c, end, stretch_.point);
-                cr.retire(1);
-                return faulted && !crashed_;
-            }
+    while (r.ops_done < ops.size() && !r.faulted && !crashed_) {
+        if (stretch_current(core_id, cpi)) {
+            // Nothing a settled op reads has changed since the stretch
+            // began: the core is awake with no stolen time, the rails are
+            // settled.
+            if (stepping_mode_ == SteppingMode::Sliced)
+                check_stretch(cr);
+            else if (serve_stretch(cr, ops.subspan(r.ops_done), r))
+                continue;
         }
+        // One op on the general path, after wake-up and stolen time.  A
+        // settled op starts a stretch, which serves it on Batched machines.
+        if (cr.cstate() != CState::C0) wake_core(core_id);
+        const Picoseconds steal = cr.drain_steal(Picoseconds{INT64_MAX});
+        if (steal > Picoseconds{0}) advance(steal);
+        if (crashed_) {
+            ++r.ops_done;
+            break;
+        }
+        const Picoseconds end = clock_ + op_duration(cr, cpi);
+        // An event inside advance(steal) may have stolen more time (a
+        // kthread pinned to this core): the next op must drain it, so no
+        // stretch.
+        if (clock_ >= rail_settle_time() && (events_.empty() || events_.next_time() > end) &&
+            cr.cstate() == CState::C0 && cr.pending_steal() == Picoseconds{0}) {
+            record_stretch(cr, core_id, cpi, end - clock_);
+            if (stepping_mode_ == SteppingMode::Batched &&
+                serve_stretch(cr, ops.subspan(r.ops_done), r))
+                continue;
+        }
+        r.faulted = general_op(cr, ops[r.ops_done++], end);
+        cr.retire(1);
     }
-    if (cr.cstate() != CState::C0) wake_core(core_id);
-    const Picoseconds steal = cr.drain_steal(Picoseconds{INT64_MAX});
-    if (steal > Picoseconds{0}) advance(steal);
-    if (crashed_) return false;
-    const Picoseconds end = clock_ + op_duration(cr, cpi);
-    const bool settled = end >= clock_ && clock_ >= rail_settle_time() &&
-                         (events_.empty() || events_.next_time() > end);
-    // An event inside advance(steal) may have stolen more time (a kthread
-    // pinned to this core): the next op must drain it, so no stretch.
-    const bool record =
-        settled && cr.cstate() == CState::C0 && cr.pending_steal() == Picoseconds{0};
-    if (record)
-        stretch_ = {.generation = generation_, .core = core_id, .cpi = cpi, .dt = end - clock_,
-                    .point = operating_point(cr)};
-    const bool faulted =
-        !settled || stepping_mode_ == SteppingMode::Sliced
-            ? general_op(cr, c, end)
-            : settled_op(cr, c, end, record ? stretch_.point : operating_point(cr));
-    cr.retire(1);
-    return faulted && !crashed_;
+    r.faulted = r.faulted && !crashed_;
+    return r;
 }
 
 Picoseconds Machine::op_duration(const Core& cr, double cpi) {
@@ -646,6 +665,20 @@ Machine::OperatingPoint Machine::operating_point(const Core& cr) const {
     op.key = {bits(op.v_core.value()), bits(op.v_cache.value()), bits(cr.frequency().value()),
               bits(op.f_max.value())};
     return op;
+}
+
+void Machine::record_stretch(const Core& cr, unsigned core_id, double cpi, Picoseconds dt) {
+    const OperatingPoint point = operating_point(cr);
+    stretch_ = {.generation = generation_,
+                .core = core_id,
+                .cpi = cpi,
+                .dt = dt,
+                .point = point,
+                .dt_s = dt.seconds(),
+                .decay = thermal_.decay(dt.milliseconds()),
+                .retire_joules = power_.retire_joules(1, point.v_core),
+                .leak_joules = power_.leakage_over(clock_, clock_ + dt, point.v_core, point.v_core,
+                                                   leakage_scale())};
 }
 
 void Machine::check_stretch(const Core& cr) const {
@@ -689,6 +722,7 @@ Machine::OpCertificate Machine::certify(InstrClass c, const CertificateKey& key,
                     .delay_cache = memo_.get(v_cache),
                     .slack_op = timing.slack_ps(f_op),
                     .slack_max = timing.slack_ps(f_max)};
+    k.scale_lo = k.scale_hi - 2 * kCertScaleStep;
     // Short of the slack (the class delay in fault_probability_at's
     // association), the z-score is monotone in the scale under rounding;
     // the margin covers erfc's few-ulp error, the floor its subnormal tail.
@@ -706,40 +740,99 @@ Machine::OpCertificate Machine::certify(InstrClass c, const CertificateKey& key,
     return k;
 }
 
-bool Machine::settled_op(const Core& cr, InstrClass c, Picoseconds end,
-                         const OperatingPoint& op) {
-    // Settled rails hold every plane at its target over [clock_, end], and
-    // no event falls inside, so this is advance_to(end) with each voltage
-    // read once (per stretch) and its physics decided by the class's
+bool Machine::serve_stretch(Core& cr, std::span<const InstrClass> ops, OpRunResult& r) {
+    // Settled rails hold every plane at its target, and no event falls
+    // before the last op's end, so each op is advance_to(end) with the
+    // stretch's voltages and its physics decided by the class's
     // certificate: general_op's draws and updates in the same order,
-    // bit-identical (DESIGN 5f).
-    const auto& [v_core, v_cache, f_max, leaking, key] = op;
-    const double scale = thermal_.delay_scale();
-    OpCertificate& cert = certs_[static_cast<std::size_t>(c)];
-    if (cert.key != key || !(scale <= cert.scale_hi && scale >= cert.scale_hi - 2 * kCertScaleStep))
-        cert = certify(c, key, v_core, v_cache, cr.frequency(), f_max, scale);
-
-    const double u = rng_.uniform();
-    const double d_op = c == InstrClass::Load ? cert.delay_cache : cert.delay_core;
-    const bool faulted =
-        u < cert.skip_below &&
-        fault_drawn(c, u, fault_model_.fault_probability_at(cert.slack_op, d_op, c, scale));
-    power_.on_retire(1, v_core);
-    const std::array<std::uint64_t, 3> leak_key{key[0], leaking,
-                                                static_cast<std::uint64_t>((end - clock_).value())};
-    if (leak_key == leak_key_) {
-        power_.add_leakage(leak_joules_);
-    } else {
-        leak_key_ = leak_key;
-        leak_joules_ = power_.integrate_leakage(clock_, end, v_core, v_core, leakage_scale());
+    // bit-identical (DESIGN 5f).  The state an op moves lives in locals;
+    // store() writes it back before every step that leaves the loop's
+    // arithmetic.
+    const std::int64_t dt = stretch_.dt.value();
+    std::size_t n = ops.size();
+    if (!events_.empty()) {
+        // Op k (from 1) ends at clock + k dt: before the event while
+        // k dt < room.  check_work bounds n dt below 2^62 + n.
+        const std::int64_t room = (events_.next_time() - clock_).value();
+        if (room <= static_cast<std::int64_t>(n) * dt)
+            n = room > 0 ? static_cast<std::size_t>((room - 1) / dt) : 0;
     }
-    heat_die_to(end);
-    clock_ = end;
-    if (!cert.crash_free || thermal_.delay_scale() > cert.scale_hi)
-        crash_if_violated(f_max, cert.slack_max, {v_core, cert.delay_core},
-                          {v_cache, cert.delay_cache});
-    invariants_.tick();
-    return faulted;
+    if (n == 0 || thermal_.last_update() != clock_) return false;
+
+    const auto& [v_core, v_cache, f_max, leaking, key] = stretch_.point;
+    const double dt_s = stretch_.dt_s;
+    const double decay = stretch_.decay;
+    const double retire_joules = stretch_.retire_joules;
+    const double leak_joules = stretch_.leak_joules;
+    std::int64_t clock = clock_.value();
+    double dynamic_j = power_.dynamic_joules();
+    double leakage_j = power_.leakage_joules();
+    double thermal_j = energy_at_thermal_update_;
+    double temp_c = thermal_.temperature_c();
+    Rng::Words rng = rng_.words();
+    std::uint64_t unstored = 0;  // ops whose tick and retire are not stored yet
+    std::uint64_t quiet = invariants_.quiet_ticks();  // as of the last store
+    const auto store = [&] {
+        clock_ = Picoseconds{clock};
+        power_.set_joules(dynamic_j, leakage_j);
+        energy_at_thermal_update_ = thermal_j;
+        thermal_.set_state(clock_, temp_c);
+        rng_.set_words(rng);
+        invariants_.skip_ticks(unstored);
+        cr.retire(unstored);
+        unstored = 0;
+        quiet = invariants_.quiet_ticks();
+    };
+    // Bit c: certs_[c] is known to be keyed on this stretch's point.  Only
+    // a rebuild below changes a certificate, and it keys it so.
+    unsigned keyed = 0;
+
+    std::size_t done = 0;
+    bool faulted = false;
+    double scale = thermal_.delay_scale_at(temp_c);
+    while (done < n && !faulted) {
+        const InstrClass c = ops[done++];
+        const auto ci = static_cast<std::size_t>(c);
+        OpCertificate& cert = certs_[ci];
+        if ((!(keyed >> ci & 1u) && cert.key != key) ||
+            !(scale <= cert.scale_hi && scale >= cert.scale_lo)) {
+            store();
+            cert = certify(c, key, v_core, v_cache, cr.frequency(), f_max, scale);
+        }
+        keyed |= 1u << ci;
+        const double u = Rng::unit(Rng::step(rng));
+        if (u < cert.skip_below) {
+            store();
+            const double d_op = c == InstrClass::Load ? cert.delay_cache : cert.delay_core;
+            faulted = fault_drawn(c, u,
+                                  fault_model_.fault_probability_at(cert.slack_op, d_op, c, scale));
+        }
+        // on_retire, the leakage over [clock, clock + dt] and heat_die_to.
+        dynamic_j += retire_joules;
+        leakage_j += leak_joules;
+        const double total_j = dynamic_j + leakage_j;
+        temp_c = thermal_.relaxed(temp_c, (total_j - thermal_j) / dt_s, decay);
+        thermal_j = total_j;
+        clock += dt;
+        scale = thermal_.delay_scale_at(temp_c);  // the next op's, too
+        const bool check_crash = !cert.crash_free || scale > cert.scale_hi;
+        if (check_crash || unstored == quiet) {  // or this op's tick evaluates
+            store();
+            if (check_crash)
+                crash_if_violated(f_max, cert.slack_max, {v_core, cert.delay_core},
+                                  {v_cache, cert.delay_cache});
+            invariants_.tick();
+            cr.retire(1);
+            if (crashed_) break;
+            quiet = invariants_.quiet_ticks();
+        } else {
+            ++unstored;
+        }
+    }
+    store();
+    r.ops_done += done;
+    r.faulted = faulted;
+    return true;
 }
 
 ImulResult Machine::faulty_imul(unsigned core_id, std::uint64_t a, std::uint64_t b) {

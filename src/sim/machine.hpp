@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,14 @@ struct BatchResult {
     bool crashed = false;
     Picoseconds started{};
     Picoseconds finished{};
+};
+
+/// Result of a run of single-stepped operations (Machine::execute_ops).
+struct OpRunResult {
+    /// Ops run, the last one included when it faulted or the machine
+    /// crashed during it; 0 on a machine that was already crashed.
+    std::size_t ops_done = 0;
+    bool faulted = false;  ///< the last op faulted (and did not crash)
 };
 
 /// Result of one faultable 64x64 multiply.
@@ -225,16 +234,27 @@ public:
     /// Run `n_ops` operations of class `c` back-to-back on a core,
     /// advancing simulated time (slice-wise, so concurrent events — e.g.
     /// a polling kthread — interleave correctly and voltage ramps are
-    /// sampled finely).  `cpi` is cycles per operation.
+    /// sampled finely).  `cpi` is cycles per operation.  Throws
+    /// ConfigError, before any state change, for a `cpi` that is not
+    /// positive and finite and for work whose window or op count does not
+    /// fit the clock's range.
     BatchResult run_batch(unsigned core_id, InstrClass c, std::uint64_t n_ops, double cpi = 1.0);
 
-    /// Execute one operation; returns whether it faulted.  With the rails
-    /// settled and no event due before the op ends, the op takes one
-    /// step on cached physics, its operating point derived once per
+    /// Execute `ops` one after another on a core, each an op of its
+    /// class, and stop after the first that faults or crashes the
+    /// machine: the same history as one execute_op per element, stopping
+    /// at the first that returns true or leaves the machine crashed.  With
+    /// the rails settled, the ops that end before the next event take one
+    /// loop over cached physics, their operating point derived once per
     /// stretch of unchanged machine state (DESIGN 5f); Sliced machines
-    /// always take the general path through advance_to, the reference
-    /// for that step.  `cpi` must be positive and finite.
-    bool execute_op(unsigned core_id, InstrClass c, double cpi = 1.0);
+    /// take the general path through advance_to for every op, the
+    /// reference for that loop.  Rejects `cpi` like run_batch.
+    OpRunResult execute_ops(unsigned core_id, std::span<const InstrClass> ops, double cpi = 1.0);
+
+    /// Execute one operation (a run of one); returns whether it faulted.
+    bool execute_op(unsigned core_id, InstrClass c, double cpi = 1.0) {
+        return execute_ops(core_id, std::span<const InstrClass>(&c, 1), cpi).faulted;
+    }
 
     /// One faultable 64x64->64 multiply on a core (wrapping semantics);
     /// faults corrupt the product the way undervolted multipliers do.
@@ -403,7 +423,7 @@ private:
     // integrate_power_to's thermal half: the die update over [clock_, t].
     void heat_die_to(Picoseconds t);
 
-    // The operating point settled_op reads: both plane voltages,
+    // The operating point a settled op reads: both plane voltages,
     // max_active_frequency(), the leaking-core count and the certificate
     // key built from them and the op core's frequency.
     using CertificateKey = std::array<std::uint64_t, 4>;
@@ -418,27 +438,33 @@ private:
     [[nodiscard]] OperatingPoint operating_point(const Core& cr) const;
     [[nodiscard]] static Picoseconds op_duration(const Core& cr, double cpi);
 
-    // execute_op's two bodies after wake-up and stolen time; both return
-    // whether the op faulted and advance the clock to `end` (or to the
-    // crash, whichever comes first).
+    // Throws ConfigError unless `cpi` is positive and finite and
+    // `n_ops` ops at the profile's lowest frequency end inside the
+    // clock's range.
+    void check_work(double cpi, std::uint64_t n_ops) const;
+
+    // execute_ops' general op after wake-up and stolen time: returns
+    // whether the op faulted and advances the clock to `end` (or to the
+    // crash, whichever comes first) through advance_to.
     bool general_op(const Core& cr, InstrClass c, Picoseconds end);
-    bool settled_op(const Core& cr, InstrClass c, Picoseconds end, const OperatingPoint& op);
     bool draw_fault(InstrClass c, double p);
     // Whether a draw `u` against probability `p` is a fault (traced).
     bool fault_drawn(InstrClass c, double u, double p);
 
-    // settled_op's certificate for one instruction class (DESIGN 5f):
+    // A settled op's certificate for one instruction class (DESIGN 5f):
     // the plane delays and slacks of one settled operating point, and
     // two verdicts that hold at every delay scale up to scale_hi — a
     // draw u >= skip_below cannot fault, and crash_free rules out the
     // crash check.  Keyed on the bit patterns of the live state it was
     // built from (v_core, v_cache, the op core's frequency and
     // max_active_frequency()), so a hit is exact and no write has to
-    // invalidate it; scale_hi starts below every delay scale, so each
+    // invalidate it.  It serves a pre-op delay scale in [scale_lo,
+    // scale_hi]; scale_hi starts below every delay scale, so each
     // certificate starts stale.
     struct OpCertificate {
         CertificateKey key{};
         double scale_hi = 0.0;
+        double scale_lo = 0.0;  // scale_hi - 2 kCertScaleStep
         double delay_core = 0.0;
         double delay_cache = 0.0;
         double slack_op = 0.0;   // at the op core's frequency
@@ -462,17 +488,29 @@ private:
     void validate_window(const Core& cr, InstrClass c, VoltagePlane plane, Millivolts v_anchor,
                          Picoseconds window) const;
 
-    // Settled-op stretch (DESIGN 5f): what the first settled op of a run
-    // on one core at one cpi derived from live state.  It stays current
-    // while generation_ does not move; every path that can change what
-    // settled_op reads calls touch().
+    // Settled-op stretch (DESIGN 5f): what the first settled op of a
+    // stretch on one core at one cpi derived from live state, and the per-op
+    // constants that follow from it.  It stays current while generation_
+    // does not move; every path that can change what a settled op reads
+    // calls touch().
     struct Stretch {
         std::uint64_t generation = 0;  // generation_ starts at 1: none yet
         unsigned core = 0;
         double cpi = 0.0;
         Picoseconds dt{};  // the op's duration
         OperatingPoint point;
+        double dt_s = 0.0;           // dt in seconds
+        double decay = 1.0;          // the thermal decay over dt
+        double retire_joules = 0.0;  // one op's dynamic energy at v_core
+        double leak_joules = 0.0;    // the package leakage over dt
     };
+    void record_stretch(const Core& cr, unsigned core_id, double cpi, Picoseconds dt);
+    // Settled-op runs (DESIGN 5f): serve the current stretch for the
+    // leading ops of `ops` that end strictly before the next event, in
+    // one loop over locals, adding them to `r`.  False, with nothing
+    // run, when the first op does not fit or the die's last thermal
+    // update is not at the clock.
+    bool serve_stretch(Core& cr, std::span<const InstrClass> ops, OpRunResult& r);
     void touch() { ++generation_; }
     [[nodiscard]] bool stretch_current(unsigned core_id, double cpi) const {
         return stretch_.generation == generation_ && stretch_.core == core_id &&
@@ -495,6 +533,10 @@ private:
     EventQueue events_;
     Rng rng_;
     Picoseconds clock_{};
+    // The clock periods at the profile's highest and lowest frequency:
+    // they bound every op's length (check_work).
+    double shortest_period_ps_;
+    double longest_period_ps_;
 
     FlatMap<std::uint64_t, std::uint64_t> msr_storage_;  // key: core<<32 | addr
     // What the MAILBOX was commanded per plane.  Normally equals the
@@ -515,14 +557,9 @@ private:
 
     SteppingMode stepping_mode_ = default_stepping_mode();
     mutable PathDelayMemo memo_{fault_model_.timing()};
-    // settled_op's per-class certificates and its leakage increment, the
-    // latter keyed on the core-plane voltage bits, the leaking-core count
-    // and the op's duration in ps (it starts as the genuine all-zero
-    // key's 0 J).  Every use compares its key with the op's operating
-    // point, so neither cache needs invalidating.
+    // The settled ops' per-class certificates.  Every use compares its
+    // key with the op's operating point, so none needs invalidating.
     std::array<OpCertificate, kAllInstrClasses.size()> certs_{};
-    std::array<std::uint64_t, 3> leak_key_{};
-    double leak_joules_ = 0.0;
     std::uint64_t generation_ = 1;
     Stretch stretch_;
     std::uint64_t batched_iterations_ = 0;

@@ -37,9 +37,12 @@ public:
 
     /// Charge dynamic energy for `n` instructions retired at rail
     /// voltage `v`.
-    void on_retire(std::uint64_t n, Millivolts v) {
+    void on_retire(std::uint64_t n, Millivolts v) { dynamic_j_ += retire_joules(n, v); }
+
+    /// The dynamic energy on_retire(n, v) adds.
+    [[nodiscard]] double retire_joules(std::uint64_t n, Millivolts v) const {
         const double volts = v.volts();
-        dynamic_j_ += static_cast<double>(n) * params_.epi_nj_per_v2 * 1e-9 * volts * volts;
+        return static_cast<double>(n) * params_.epi_nj_per_v2 * 1e-9 * volts * volts;
     }
 
     /// Integrate leakage over [from, to] with the rail moving linearly
@@ -48,6 +51,14 @@ public:
     /// Returns the joules added.
     double integrate_leakage(Picoseconds from, Picoseconds to, Millivolts v_from,
                              Millivolts v_to, double scale = 1.0) {
+        const double joules = leakage_over(from, to, v_from, v_to, scale);
+        leakage_j_ += joules;
+        return joules;
+    }
+
+    /// The leakage integrate_leakage() with the same arguments adds.
+    [[nodiscard]] double leakage_over(Picoseconds from, Picoseconds to, Millivolts v_from,
+                                      Millivolts v_to, double scale = 1.0) const {
         if (to < from) throw SimError("leakage integration backwards in time");
         if (scale < 0.0 || scale > 1.0) throw SimError("leakage scale out of [0,1]");
         const double dt_s = (to - from).seconds();
@@ -55,14 +66,15 @@ public:
         const double v1 = v_to.volts();
         // Integral of (v0 + (v1-v0)t)^2 over t in [0,1] = (v0^2+v0*v1+v1^2)/3.
         const double mean_v2 = (v0 * v0 + v0 * v1 + v1 * v1) / 3.0;
-        const double joules = scale * params_.leak_mw_per_v2 * 1e-3 * mean_v2 * dt_s;
-        leakage_j_ += joules;
-        return joules;
+        return scale * params_.leak_mw_per_v2 * 1e-3 * mean_v2 * dt_s;
     }
 
-    /// Add leakage that an earlier integrate_leakage() over an identical
-    /// window returned: bit-equal to integrating it again.
-    void add_leakage(double joules) { leakage_j_ += joules; }
+    /// Store both accumulators: what a loop that added retire_joules()
+    /// and leakage_over() increments to local copies ends with.
+    void set_joules(double dynamic_j, double leakage_j) {
+        dynamic_j_ = dynamic_j;
+        leakage_j_ = leakage_j;
+    }
 
     /// Total accumulated energy in joules.
     [[nodiscard]] double total_joules() const { return dynamic_j_ + leakage_j_; }

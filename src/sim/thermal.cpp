@@ -21,16 +21,15 @@ void ThermalModel::update(Picoseconds t, double avg_power_w) {
     const double dt_ms = (t - last_update_).milliseconds();
     last_update_ = t;
     if (dt_ms <= 0.0) return;
-    const double steady = params_.ambient_c + avg_power_w * params_.r_th_c_per_w;
+    temp_c_ = relaxed(temp_c_, avg_power_w, decay(dt_ms));
+}
+
+double ThermalModel::decay(double dt_ms) {
     if (dt_ms != decay_dt_ms_) {
         decay_dt_ms_ = dt_ms;
         decay_ = std::exp(-dt_ms / params_.tau_ms);
     }
-    temp_c_ = steady + (temp_c_ - steady) * decay_;
-}
-
-double ThermalModel::delay_scale() const {
-    return 1.0 + params_.delay_per_c * std::max(0.0, temp_c_ - 25.0);
+    return decay_;
 }
 
 std::uint64_t ThermalModel::therm_status_msr() const {

@@ -13,6 +13,7 @@
 // IA32_TEMPERATURE_TARGET (0x1A2, Tjmax).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "os/msr_regs.hpp"
@@ -49,7 +50,28 @@ public:
     [[nodiscard]] double temperature_c() const { return temp_c_; }
 
     /// Critical-path delay scale factor at the current temperature.
-    [[nodiscard]] double delay_scale() const;
+    [[nodiscard]] double delay_scale() const { return delay_scale_at(temp_c_); }
+
+    /// The delay scale at a die temperature of `temp_c`.
+    [[nodiscard]] double delay_scale_at(double temp_c) const {
+        return 1.0 + params_.delay_per_c * std::max(0.0, temp_c - 25.0);
+    }
+
+    // update()'s arithmetic, for a loop that keeps the temperature in a
+    // local (Machine's settled-op runs): the factor exp(-dt_ms / tau)
+    // one update dt_ms after the last applies (memoized), the
+    // temperature it leaves at `avg_power_w`, and a store of the state
+    // such updates end in.
+    [[nodiscard]] double decay(double dt_ms);
+    [[nodiscard]] double relaxed(double temp_c, double avg_power_w, double decay_factor) const {
+        const double steady = params_.ambient_c + avg_power_w * params_.r_th_c_per_w;
+        return steady + (temp_c - steady) * decay_factor;
+    }
+    void set_state(Picoseconds last_update, double temp_c) {
+        last_update_ = last_update;
+        temp_c_ = temp_c;
+    }
+    [[nodiscard]] Picoseconds last_update() const { return last_update_; }
 
     /// True once the die reached Tjmax (PROCHOT would assert).
     [[nodiscard]] bool at_tjmax() const { return temp_c_ >= params_.tjmax_c; }

@@ -7,6 +7,7 @@
 // implementations by Blackman & Vigna.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace pv {
@@ -27,8 +28,33 @@ namespace pv {
 /// Deterministic 64-bit PRNG (xoshiro256**).
 class Rng {
 public:
+    /// The four xoshiro words.
+    using Words = std::array<std::uint64_t, 4>;
+
     /// Seeds the four words of state from `seed` via splitmix64.
     explicit Rng(std::uint64_t seed);
+
+    /// One xoshiro256** step on `s`; next_u64() is step(words).  A hot
+    /// loop (Machine's settled-op runs) draws with the words in locals
+    /// through step() and unit(), and stores them back with set_words().
+    static std::uint64_t step(Words& s) {
+        const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+        const std::uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+        return result;
+    }
+
+    /// A raw draw's top 53 bits as a uniform double in [0, 1);
+    /// uniform() is unit(next_u64()).
+    static double unit(std::uint64_t x) { return static_cast<double>(x >> 11) * 0x1.0p-53; }
+
+    [[nodiscard]] const Words& words() const { return s_; }
+    void set_words(const Words& s) { s_ = s; }
 
     /// Next raw 64-bit value.
     std::uint64_t next_u64();
@@ -68,7 +94,11 @@ public:
     [[nodiscard]] std::uint64_t state_fingerprint() const;
 
 private:
-    std::uint64_t s_[4];
+    static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    Words s_;
     bool have_cached_gaussian_ = false;
     double cached_gaussian_ = 0.0;
 };

@@ -1,5 +1,6 @@
 #include "sim/machine.hpp"
 
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -264,6 +265,40 @@ TEST(Machine, BadCpiRejectedBeforeAnyStateChange) {
     }
     EXPECT_NO_THROW((void)m.execute_op(1, InstrClass::Imul, 0.5));
     EXPECT_NE(m.state_hash(), before);
+}
+
+TEST(Machine, OverflowingWorkRejectedBeforeAnyStateChange) {
+    // Finite but too much work: an op whose duration, a batch whose
+    // window or a cpi so small that a window's op count overflows the
+    // int64/uint64 casts.  Each throws before touching the machine, which
+    // works on afterwards.
+    Machine m = make_machine();
+    m.set_all_frequencies(from_ghz(2.0));
+    m.advance_to(m.rail_settle_time());
+    m.add_steal(1, Cycles{10'000});
+    m.enter_cstate(1, CState::C1);
+    const std::uint64_t before = m.state_hash();
+    const std::array<InstrClass, 3> run{InstrClass::Load, InstrClass::Imul, InstrClass::Alu};
+    for (const double cpi : {1e300, 1e18, std::numeric_limits<double>::max()}) {
+        EXPECT_THROW((void)m.execute_op(1, InstrClass::Imul, cpi), ConfigError) << cpi;
+        EXPECT_EQ(m.state_hash(), before) << "execute_op, cpi " << cpi;
+        EXPECT_THROW((void)m.execute_ops(1, run, cpi), ConfigError) << cpi;
+        EXPECT_EQ(m.state_hash(), before) << "execute_ops, cpi " << cpi;
+        EXPECT_THROW((void)m.run_batch(1, InstrClass::Imul, 1, cpi), ConfigError) << cpi;
+        EXPECT_EQ(m.state_hash(), before) << "run_batch, cpi " << cpi;
+    }
+    for (const std::uint64_t n : {std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+        EXPECT_THROW((void)m.run_batch(1, InstrClass::Imul, n), ConfigError) << n;
+        EXPECT_EQ(m.state_hash(), before) << "run_batch, " << n << " ops";
+    }
+    EXPECT_THROW((void)m.run_batch(1, InstrClass::Imul, 100, 1e-300), ConfigError);
+    EXPECT_EQ(m.state_hash(), before) << "run_batch, cpi 1e-300";
+
+    // A tiny cpi is still a 1 ps op for execute_op; a large run_batch
+    // that fits the clock runs.
+    EXPECT_NO_THROW((void)m.execute_op(1, InstrClass::Imul, 1e-300));
+    EXPECT_NE(m.state_hash(), before);
+    EXPECT_EQ(m.run_batch(1, InstrClass::Alu, 1'000'000, 1e6).ops_done, 1'000'000u);
 }
 
 TEST(Machine, VoltageOffsetLimitIsPackageScoped) {

@@ -7,22 +7,31 @@
 // sweeps and campaign cubes under both modes and comparing state hashes
 // fingerprint-for-fingerprint is a machine-checked proof that the
 // closed-form step never skipped anything the fine-grained walk would
-// have seen.  Sliced machines also run every execute_op through the
-// general advance_to path, so the V0LTpwn cells check the settled-rail
-// op step the same way, and re-derive every settled-op stretch the
+// have seen.  Sliced machines also run every single-stepped op through
+// the general advance_to path, so the V0LTpwn cells check the settled-op
+// runs the same way, and re-derive every settled-op stretch the
 // generation calls current (throwing if it went stale).  See DESIGN.md
 // 5f for the soundness argument.
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.hpp"
 #include "campaign/report.hpp"
+#include "defenses/minefield.hpp"
 #include "os/kernel.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/safe_state.hpp"
+#include "sgx/enclave.hpp"
+#include "sgx/program.hpp"
+#include "sgx/runtime.hpp"
+#include "sgx/sgx_step.hpp"
 #include "sim/cpu_profile.hpp"
 #include "sim/machine.hpp"
 #include "sim/ocm.hpp"
@@ -389,6 +398,334 @@ TEST(PerfPath, StretchEndsOnARebootAfterACrashMidStretch) {
     });
 }
 
+/// What one op-run history saw: the state hash, the ops done, the fault
+/// and the crash flag after every run, and the state hash at every
+/// invariant evaluation; and counts of what the runs went through.
+struct OpRunHistory {
+    std::vector<std::uint64_t> values;
+    std::size_t mid_run_faults = 0;   // a run cut short by a fault
+    std::size_t mid_run_crashes = 0;  // a run cut short by a crash
+    std::size_t dispatching_runs = 0; // a run with an event dispatched inside
+    std::size_t evaluations = 0;      // invariant evaluations
+};
+
+/// The classes of one V0LTpwn victim entry: two loads, then 32
+/// imul/xor pairs.
+std::vector<sim::InstrClass> entry_classes() {
+    std::vector<sim::InstrClass> ops{sim::InstrClass::Load, sim::InstrClass::Load};
+    for (int i = 0; i < 32; ++i) {
+        ops.push_back(sim::InstrClass::Imul);
+        ops.push_back(sim::InstrClass::Alu);
+    }
+    return ops;
+}
+
+/// Single-stepped op runs on a Skylake machine pinned at 3 GHz with its
+/// core plane at the 100-op Imul onset and its cache plane at the Load
+/// one.  `script(m, run)` interleaves its writes with calls of
+/// run(ops, core = 1, cpi = 1), which retires `ops` through execute_ops,
+/// or with `per_op` as the loop execute_ops stands for: one execute_op
+/// per op, stopping after the first that faults or leaves the machine
+/// crashed (none on a machine that is already crashed).  An invariant
+/// records the state hash at every evaluation.
+template <class Script>
+OpRunHistory op_run_history(sim::SteppingMode mode, bool per_op, double tau_ms, Script script) {
+    sim::CpuProfile profile = sim::skylake_i5_6500();
+    profile.thermal.tau_ms = tau_ms;
+    sim::Machine m(profile, /*seed=*/99);
+    m.set_stepping_mode(mode);
+    const Megahertz f = from_ghz(3.0);
+    m.set_all_frequencies(f);
+    m.advance_to(m.rail_settle_time());
+    const sim::FaultModel& fm = m.fault_model();
+    m.regulator().force(sim::VoltagePlane::Core, fm.onset_offset(f, sim::InstrClass::Imul, 100));
+    m.regulator().force(sim::VoltagePlane::Cache, fm.onset_offset(f, sim::InstrClass::Load, 100));
+    m.advance(Picoseconds{0});
+
+    OpRunHistory h;
+    std::vector<std::uint64_t> seen;
+    m.invariants().add("records-state", [&m, &seen](std::string&) {
+        seen.push_back(m.state_hash());
+        return true;
+    });
+    const auto run = [&](std::span<const sim::InstrClass> ops, unsigned core = 1,
+                         double cpi = 1.0) {
+        const bool was_crashed = m.crashed();
+        const std::uint64_t dispatched = m.stats().events_dispatched;
+        sim::OpRunResult r;
+        if (!per_op) {
+            r = m.execute_ops(core, ops, cpi);
+        } else if (!m.crashed()) {
+            for (const sim::InstrClass c : ops) {
+                ++r.ops_done;
+                r.faulted = m.execute_op(core, c, cpi);
+                if (r.faulted || m.crashed()) break;
+            }
+        }
+        h.values.insert(h.values.end(),
+                        {m.state_hash(), r.ops_done, r.faulted, m.crashed()});
+        h.mid_run_faults += r.faulted && r.ops_done < ops.size();
+        h.mid_run_crashes += !was_crashed && m.crashed() && r.ops_done < ops.size();
+        h.dispatching_runs += m.stats().events_dispatched > dispatched;
+        return r;
+    };
+    script(m, run);
+    h.evaluations = seen.size();
+    h.values.insert(h.values.end(), seen.begin(), seen.end());
+    return h;
+}
+
+/// The runs on a Batched machine, against the per-op loop on a
+/// same-seed Batched machine and the runs on a Sliced one, run for run.
+template <class Script>
+OpRunHistory expect_op_runs_match_per_op_path(Script script, double tau_ms = 20.0) {
+    const OpRunHistory runs = op_run_history(sim::SteppingMode::Batched, false, tau_ms, script);
+    const OpRunHistory per_op = op_run_history(sim::SteppingMode::Batched, true, tau_ms, script);
+    const OpRunHistory sliced = op_run_history(sim::SteppingMode::Sliced, false, tau_ms, script);
+    EXPECT_FALSE(runs.values.empty());
+    for (const OpRunHistory* other : {&per_op, &sliced}) {
+        EXPECT_EQ(runs.values.size(), other->values.size());
+        std::size_t i = 0;
+        while (i < runs.values.size() && i < other->values.size() &&
+               runs.values[i] == other->values[i])
+            ++i;
+        EXPECT_EQ(i, runs.values.size())
+            << (other == &per_op ? "per-op" : "Sliced") << " history diverged at value " << i;
+    }
+    return runs;
+}
+
+TEST(PerfPath, OpRunMatchesPerOpPath) {
+    const std::vector<sim::InstrClass> entry = entry_classes();
+    std::vector<sim::InstrClass> mixed;
+    for (std::size_t i = 0; i < 50; ++i)
+        mixed.push_back(sim::kAllInstrClasses[i % sim::kAllInstrClasses.size()]);
+    {
+        SCOPED_TRACE("faults mid-run near the onset, on two cores and at two cpis");
+        const OpRunHistory h = expect_op_runs_match_per_op_path([&](sim::Machine&, auto& run) {
+            for (int k = 0; k < 300; ++k) run(k % 3 == 0 ? mixed : entry);
+            for (int k = 0; k < 50; ++k) run(entry, /*core=*/2);
+            for (int k = 0; k < 50; ++k) run(entry, /*core=*/1, /*cpi=*/7.5);
+        });
+        EXPECT_GT(h.mid_run_faults, 20u);
+    }
+    {
+        SCOPED_TRACE("events due inside runs");
+        const OpRunHistory h = expect_op_runs_match_per_op_path([&](sim::Machine& m, auto& run) {
+            const Millivolts parked = m.regulator().target(sim::VoltagePlane::Core);
+            for (int k = 0; k < 40; ++k) {
+                // Due in this run (an op takes 334 ps, a run 22 ns), at an
+                // op's end, and in a run ten runs on.
+                m.events().schedule(m.now() + Picoseconds{5'000 + 37 * k},
+                                    [&m] { m.add_steal(1, Cycles{30}); });
+                m.events().schedule(m.now() + Picoseconds{10 * 334}, [] {});
+                m.events().schedule(m.now() + Picoseconds{220'000 + 1'000 * k}, [&m, parked, k] {
+                    m.regulator().force(sim::VoltagePlane::Core,
+                                        parked - Millivolts{k % 2 == 0 ? 1.0 : 0.0});
+                });
+                for (int j = 0; j < 12; ++j) run(entry);
+            }
+        });
+        EXPECT_GE(h.dispatching_runs, 40u);
+    }
+    {
+        SCOPED_TRACE("invariant evaluations inside runs");
+        const OpRunHistory h = expect_op_runs_match_per_op_path([&](sim::Machine& m, auto& run) {
+            for (const std::uint64_t cadence : {7u, 1u, 64u, 0u}) {
+                m.invariants().set_cadence(cadence);
+                for (int k = 0; k < 40; ++k) run(entry);
+            }
+        });
+        // At the onset a run faults about once (32 imuls at p ~ 0.03),
+        // so 40 runs at cadence 1 evaluate ~1 300 times.
+        EXPECT_GT(h.evaluations, 1'000u);
+    }
+    {
+        SCOPED_TRACE("certificate rebuilds as a 1 ms die heats, and a heat jump");
+        const OpRunHistory h = expect_op_runs_match_per_op_path(
+            [&](sim::Machine& m, auto& run) {
+                for (int k = 0; k < 600; ++k) run(k % 2 == 0 ? entry : mixed);
+                m.set_die_temperature(m.thermal().temperature_c() + 10.0);
+                for (int k = 0; k < 300; ++k) run(entry);
+            },
+            /*tau_ms=*/1.0);
+        EXPECT_GT(h.mid_run_faults, 50u);
+    }
+    {
+        SCOPED_TRACE("a crash mid-run as the die heats, runs on the crashed machine, a reboot");
+        const std::vector<sim::InstrClass> alu(66, sim::InstrClass::Alu);
+        const OpRunHistory h = expect_op_runs_match_per_op_path(
+            [&](sim::Machine& m, auto& run) {
+                // The core plane at the crash edge of a die 1.2e-6 of delay
+                // scale short of it: the runs' own heating crashes it.  ALU
+                // ops, whose shorter path does not fault there, fill whole
+                // runs up to the crash.
+                m.regulator().force(sim::VoltagePlane::Cache, Millivolts{0.0});
+                const Megahertz f = m.core(1).frequency();
+                const sim::FaultModel& fm = m.fault_model();
+                m.regulator().force(
+                    sim::VoltagePlane::Core,
+                    fm.crash_offset(f, m.thermal().delay_scale() +
+                                           0.5 * m.profile().thermal.delay_per_c));
+                const double s_crash = crash_scale(fm, m.max_active_frequency(),
+                                                   m.plane_voltage(sim::VoltagePlane::Core));
+                m.set_die_temperature(temperature_for_scale(m.profile(), s_crash - 1.2e-6));
+                m.advance(Picoseconds{0});
+                for (int k = 0; k < 5'000 && !m.crashed(); ++k) run(alu);
+                EXPECT_TRUE(m.crashed());
+                run(alu);
+                // Right after the reboot the rails are settled but the die's
+                // last thermal update lies before the boot delay.
+                m.reboot();
+                run(entry);
+                run(entry);
+                m.set_all_frequencies(f);
+                m.advance_to(m.rail_settle_time());
+                for (int k = 0; k < 20; ++k) run(entry);
+                // A crash inside the first op's own steal window.
+                m.add_steal(1, Cycles{30'000});
+                m.events().schedule(m.now() + Picoseconds{1'000},
+                                    [&m] { m.crash("crash inside a steal window"); });
+                run(entry);
+                EXPECT_TRUE(m.crashed());
+                m.reboot();
+                for (int k = 0; k < 5; ++k) run(entry);
+            },
+            /*tau_ms=*/1.0);
+        EXPECT_EQ(h.mid_run_crashes, 2u);
+    }
+    {
+        SCOPED_TRACE("a kthread pinned to the op core steals time inside runs");
+        const OpRunHistory h = expect_op_runs_match_per_op_path([&](sim::Machine& m, auto& run) {
+            os::Kernel kernel(m);
+            unsigned wakes = 0;
+            kernel.start_kthread({.name = "stealer", .cpu = 1, .period = microseconds(2.0)},
+                                 [&wakes](os::Kernel& k) {
+                                     if (++wakes % 3 == 0) k.machine().add_steal(1, Cycles{9'000});
+                                 });
+            for (int k = 0; k < 400; ++k) run(entry, /*core=*/1, /*cpi=*/30.0);
+            EXPECT_GE(wakes, 100u);
+        });
+        EXPECT_GT(h.dispatching_runs, 100u);
+    }
+}
+
+/// One enclave entry as Enclave::run stepped it before its runs were
+/// fused: one execute_op per instruction, each followed by its corruption
+/// draw, its trap check and the AEX.
+sgx::EnclaveRunResult per_instruction_entry(sim::Machine& m, unsigned core,
+                                            const sgx::Program& program,
+                                            const sgx::SgxStep* stepper) {
+    sgx::EnclaveRunResult result;
+    for (std::size_t i = 0; i < program.size(); ++i) {
+        const sgx::VictimInstr& instr = program[i];
+        const bool faulted = m.execute_op(core, instr.cls);
+        if (m.crashed()) {
+            result.machine_crashed = true;
+            break;
+        }
+        if (instr.is_trap()) {
+            if (faulted || sgx::trap_fires(instr, result.regs)) {
+                result.trap_detected = true;
+                break;
+            }
+            continue;
+        }
+        sgx::execute(instr, result.regs, faulted, &m);
+        if (stepper != nullptr && stepper->capabilities().single_step) {
+            ++result.aex_count;
+            const std::optional<std::size_t> at = stepper->suppression_point();
+            if (at && i >= *at) {
+                result.suppressed = true;
+                break;
+            }
+        }
+    }
+    result.completed = !result.trap_detected && !result.suppressed && !result.machine_crashed;
+    return result;
+}
+
+TEST(PerfPath, FusedEnclaveEntriesMatchPerInstructionLoop) {
+    // The V0LTpwn victim, plain, Minefield-instrumented and with a trap
+    // that fires without a fault (its check reads a register nothing
+    // wrote), each also stepped (zero-step after the last multiply), on a
+    // Comet Lake machine at fmax with its core plane near the 100-op Imul
+    // onset; odd seeds add a kthread on the victim core whose wakes fall
+    // inside entries.  Fused entries against the per-instruction loop,
+    // entry for entry.
+    const sgx::Program chain = sgx::make_mul_chain(0xAAAA, 0x5555, 32);
+    defense::Minefield minefield;
+    const sgx::Program mined = minefield.instrument(chain);
+    sgx::Program tripped = chain;
+    tripped.insert(tripped.begin() + 41, sgx::make_mul_trap(7, 0, 1));
+    const std::vector<const sgx::Program*> programs{&chain, &mined, &tripped};
+    std::size_t faulted_entries = 0;
+    std::size_t traps = 0;
+    std::size_t suppressed = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        for (std::size_t v = 0; v < programs.size(); ++v) {
+            for (const bool stepped : {false, true}) {
+                const sgx::Program& program = *programs[v];
+                const auto history = [&](bool fused) {
+                    sim::Machine m(sim::cometlake_i7_10510u(), seed);
+                    os::Kernel kernel(m);
+                    sgx::SgxRuntime runtime(kernel);
+                    auto enclave = runtime.create_enclave("victim", 1);
+                    sgx::SgxStep stepper({.single_step = true, .zero_step = true});
+                    stepper.suppress_after(sgx::last_mul_index(program));
+                    if (stepped) enclave->attach_stepper(&stepper);
+                    if (seed % 2 == 1)
+                        kernel.start_kthread({.name = "tick", .cpu = 1, .period = microseconds(1.3)},
+                                             [](os::Kernel&) {});
+                    const Megahertz f = m.profile().freq_max;
+                    m.set_all_frequencies(f);
+                    m.advance_to(m.rail_settle_time());
+                    const Millivolts onset =
+                        m.fault_model().onset_offset(f, sim::InstrClass::Imul, 100) +
+                        Millivolts{static_cast<double>(seed % 3) - 1.0};
+                    m.write_msr(0, sim::kMsrOcMailbox,
+                                sim::encode_offset(onset, sim::VoltagePlane::Core));
+                    m.advance_to(m.rail_settle_time());
+                    std::vector<sgx::EnclaveRunResult> results;
+                    std::vector<std::uint64_t> hashes;
+                    for (int k = 0; k < 30; ++k) {
+                        results.push_back(fused ? enclave->run(program)
+                                                : per_instruction_entry(
+                                                      m, 1, program, stepped ? &stepper : nullptr));
+                        hashes.push_back(m.state_hash());
+                    }
+                    return std::pair{results, hashes};
+                };
+                const auto [fused, fused_hashes] = history(true);
+                const auto [reference, reference_hashes] = history(false);
+                const std::size_t n = fused.size();
+                ASSERT_EQ(reference.size(), n);
+                for (std::size_t k = 0; k < n; ++k) {
+                    const sgx::EnclaveRunResult& a = fused[k];
+                    const sgx::EnclaveRunResult& b = reference[k];
+                    const bool same = a.completed == b.completed &&
+                                      a.trap_detected == b.trap_detected &&
+                                      a.suppressed == b.suppressed &&
+                                      a.machine_crashed == b.machine_crashed &&
+                                      a.aex_count == b.aex_count && a.regs == b.regs &&
+                                      fused_hashes[k] == reference_hashes[k];
+                    ASSERT_TRUE(same) << "seed " << seed << ", program "
+                                      << v << (stepped ? " stepped" : "")
+                                      << ": entry " << k << " diverged";
+                    faulted_entries += a.trap_detected || a.regs != sgx::reference_run(program);
+                    traps += a.trap_detected;
+                    suppressed += a.suppressed;
+                }
+            }
+        }
+    }
+    // Near the onset most entries see a fault somewhere; every entry of
+    // the tripped program ends at its trap.
+    EXPECT_GT(faulted_entries, 24u * 6 * 30 / 4);
+    EXPECT_GT(traps, 24u * 2 * 30);
+    EXPECT_GT(suppressed, 100u);
+}
+
 std::uint64_t sweep_hash(sim::CpuProfile (*profile)(), double step_mv) {
     plugvolt::ParallelCharacterizerConfig config;
     config.cell.offset_step = Millivolts{step_mv};
@@ -435,10 +772,12 @@ campaign::CampaignConfig cube_config() {
 TEST(PerfPath, CampaignCubeBitIdenticalAcrossSteppingModesAndWorkerCounts) {
     DefaultModeGuard guard;
     campaign::CampaignConfig config = cube_config();
-    // The V0LTpwn rows single-step enclave ops: settled-rail op steps
-    // under Batched, the general path under Sliced.
+    // The V0LTpwn rows single-step enclave ops: settled-op runs under
+    // Batched, the general path under Sliced.  Minefield puts trap
+    // instructions into those runs.
     config.attacks.push_back(campaign::AttackKind::V0ltpwn);
     config.attacks.push_back(campaign::AttackKind::V0ltpwnSgxStep);
+    config.defenses.push_back(campaign::DefenseKind::Minefield);
 
     sim::Machine::set_default_stepping_mode(sim::SteppingMode::Batched);
     config.workers = 1;

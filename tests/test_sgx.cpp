@@ -1,3 +1,5 @@
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "os/cpupower.hpp"
@@ -114,15 +116,17 @@ TEST(Enclave, ActiveTrackingDuringRun) {
 }
 
 TEST(SgxStep, SingleSteppingCountsAex) {
+    // An AEX after every retired instruction; without a zero-step plan
+    // the entry completes.
     Fixture fx;
     auto enclave = fx.runtime.create_enclave("victim", 1);
     SgxStep stepper({.single_step = true, .zero_step = false});
-    stepper.set_on_step([](std::size_t) { return StepAction::Continue; });
     enclave->attach_stepper(&stepper);
     const Program p = make_mul_chain(3, 5, 8);
     const EnclaveRunResult r = enclave->run(p);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.aex_count, p.size());
+    EXPECT_EQ(r.regs, reference_run(p));
 }
 
 TEST(SgxStep, SuppressionRequiresZeroStepCapability) {
@@ -131,29 +135,38 @@ TEST(SgxStep, SuppressionRequiresZeroStepCapability) {
 
     auto enclave = fx.runtime.create_enclave("victim", 1);
     SgxStep no_zero({.single_step = true, .zero_step = false});
-    no_zero.set_on_step([](std::size_t) { return StepAction::SuppressProgress; });
+    no_zero.suppress_after(0);
+    EXPECT_FALSE(no_zero.suppression_point().has_value());
     enclave->attach_stepper(&no_zero);
-    EXPECT_TRUE(enclave->run(p).completed) << "without zero-step the enclave completes";
+    const EnclaveRunResult completed = enclave->run(p);
+    EXPECT_TRUE(completed.completed) << "without zero-step the enclave completes";
+    EXPECT_EQ(completed.aex_count, p.size());
 
     SgxStep with_zero({.single_step = true, .zero_step = true});
-    with_zero.set_on_step(
-        [](std::size_t i) { return i >= 3 ? StepAction::SuppressProgress : StepAction::Continue; });
+    with_zero.suppress_after(3);
+    EXPECT_EQ(with_zero.suppression_point(), std::optional<std::size_t>{3});
     enclave->attach_stepper(&with_zero);
     const EnclaveRunResult r = enclave->run(p);
     EXPECT_FALSE(r.completed);
     EXPECT_TRUE(r.suppressed);
     EXPECT_EQ(r.aex_count, 4u);
+    EXPECT_EQ(r.regs, reference_run_prefix(p, 4)) << "nothing after instruction 3 retires";
 }
 
 TEST(SgxStep, NoSingleStepMeansNoHook) {
+    // Without single-stepping there is no AEX hook between instructions
+    // to suppress progress at: the plan has no effect, and the entry
+    // completes without exits.
+    Fixture fx;
     SgxStep stepper({.single_step = false, .zero_step = true});
-    bool called = false;
-    stepper.set_on_step([&](std::size_t) {
-        called = true;
-        return StepAction::SuppressProgress;
-    });
-    EXPECT_EQ(stepper.step(0), StepAction::Continue);
-    EXPECT_FALSE(called);
+    stepper.suppress_after(0);
+    EXPECT_FALSE(stepper.suppression_point().has_value());
+    auto enclave = fx.runtime.create_enclave("victim", 1);
+    enclave->attach_stepper(&stepper);
+    const Program p = make_mul_chain(3, 5, 8);
+    const EnclaveRunResult r = enclave->run(p);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.aex_count, 0u);
 }
 
 TEST(Attestation, PolicyVerification) {
