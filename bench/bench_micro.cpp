@@ -65,6 +65,19 @@ void BM_MaximalSafeOffset(benchmark::State& state) {
 }
 BENCHMARK(BM_MaximalSafeOffset);
 
+void BM_MaxSafeFrequency(benchmark::State& state) {
+    // The polling module's instant lever on detection: the highest
+    // frequency the measured offset is safe at, on the Comet Lake map,
+    // for offsets from nominal to past every onset.
+    const auto& map = comet_map();
+    double mv = 0.0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(map.max_safe_frequency(Millivolts{mv}));
+        mv = mv <= -290.0 ? 0.0 : mv - 10.0;
+    }
+}
+BENCHMARK(BM_MaxSafeFrequency);
+
 void BM_RegulatorRampEval(benchmark::State& state) {
     sim::VoltageRegulator reg(
         {.write_latency = microseconds(150.0), .slew_mv_per_us = 1.0});
@@ -108,13 +121,13 @@ void enclave_entry_mul_chain(benchmark::State& state, bool stepped) {
     machine.write_msr(0, sim::kMsrOcMailbox,
                       sim::encode_offset(Millivolts{-100.0}, sim::VoltagePlane::Core));
     machine.advance_to(machine.rail_settle_time());
-    auto enclave = runtime.create_enclave("bench-victim", 1);
     const sgx::Program program = sgx::make_mul_chain(0x5EED, 0xC0FFEE, 32);
+    auto enclave = runtime.create_enclave("bench-victim", 1, program);
     const std::size_t last_mul = sgx::last_mul_index(program);
     sgx::SgxStep stepper(sgx::StepperCapabilities{.single_step = true, .zero_step = true});
     stepper.suppress_after(last_mul);
     if (stepped) enclave->attach_stepper(&stepper);
-    for (auto _ : state) benchmark::DoNotOptimize(enclave->run(program));
+    for (auto _ : state) benchmark::DoNotOptimize(enclave->run());
     if (machine.crashed()) state.SkipWithError("machine crashed at the benchmark offset");
     state.counters["die_c"] = machine.thermal().temperature_c();
     state.counters["p_imul"] = machine.fault_probability(1, sim::InstrClass::Imul);

@@ -35,7 +35,8 @@ AttackResult V0ltpwn::run(os::Kernel& kernel) {
                                                      config_.suppress_after_index + 1);
     const std::uint64_t expected = reference[config_.target_reg];
 
-    auto enclave = runtime_.create_enclave("v0ltpwn-victim", config_.victim_core);
+    auto enclave =
+        runtime_.create_enclave("v0ltpwn-victim", config_.victim_core, config_.victim_program);
     sgx::SgxStep stepper(sgx::StepperCapabilities{.single_step = true, .zero_step = true});
     stepper.suppress_after(config_.suppress_after_index);
     if (config_.use_sgx_step) enclave->attach_stepper(&stepper);
@@ -61,7 +62,7 @@ AttackResult V0ltpwn::run(os::Kernel& kernel) {
         }
 
         for (unsigned attempt = 0; attempt < config_.runs_per_offset; ++attempt) {
-            const sgx::EnclaveRunResult er = enclave->run(config_.victim_program);
+            const sgx::EnclaveRunResult er = enclave->run();
             if (er.machine_crashed) break;
             if (er.trap_detected) {
                 ++trap_detections_;  // deflection fired; nothing usable leaked

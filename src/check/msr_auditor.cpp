@@ -20,6 +20,12 @@ const char* to_string(AuditKind kind) {
     return "?";
 }
 
+std::string AuditViolation::detail() const {
+    if (kind != AuditKind::StaleStatusRead) return note;
+    return "0x198 read mid-transition: rail settles at " + std::to_string(settle.value()) +
+           " ps, now " + std::to_string(time.value()) + " ps";
+}
+
 MsrAuditor::MsrAuditor(os::Kernel& kernel, MsrAuditorConfig config)
     : kernel_(kernel), config_(std::move(config)) {
     if (config_.map != nullptr) config_.offset_floor = config_.map->sweep_floor();
@@ -60,10 +66,13 @@ void MsrAuditor::on_rdmsr(unsigned /*caller_cpu*/, unsigned target_cpu, std::uin
     const sim::Machine& machine = kernel_.machine();
     const Picoseconds settle = machine.rail_settle_time();
     if (machine.now() < settle) {
-        record(AuditKind::StaleStatusRead, target_cpu, addr, value,
-               "0x198 read mid-transition: rail settles at " +
-                   std::to_string(settle.value()) + " ps, now " +
-                   std::to_string(machine.now().value()) + " ps");
+        record({.kind = AuditKind::StaleStatusRead,
+                .core = target_cpu,
+                .addr = addr,
+                .value = value,
+                .time = machine.now(),
+                .settle = settle,
+                .note = {}});
     }
 }
 
@@ -105,13 +114,24 @@ void MsrAuditor::audit_mailbox_write(unsigned core_id, std::uint64_t value, bool
 }
 
 void MsrAuditor::record(AuditKind kind, unsigned core, std::uint32_t addr, std::uint64_t value,
-                        std::string detail) {
-    log_warn("msr-audit [", to_string(kind), "] core ", core, " msr 0x", std::hex, addr,
-             std::dec, ": ", detail);
-    PV_ASSERT(!config_.fatal,
-              "msr-audit [" << to_string(kind) << "] core " << core << ": " << detail);
-    violations_.push_back(
-        AuditViolation{kind, core, addr, value, kernel_.machine().now(), std::move(detail)});
+                        std::string note) {
+    record({.kind = kind,
+            .core = core,
+            .addr = addr,
+            .value = value,
+            .time = kernel_.machine().now(),
+            .note = std::move(note)});
+}
+
+void MsrAuditor::record(AuditViolation violation) {
+    if (config_.fatal || log_level() <= LogLevel::Warn) {
+        const std::string detail = violation.detail();
+        log_warn("msr-audit [", to_string(violation.kind), "] core ", violation.core,
+                 " msr 0x", std::hex, violation.addr, std::dec, ": ", detail);
+        PV_ASSERT(!config_.fatal, "msr-audit [" << to_string(violation.kind) << "] core "
+                                                << violation.core << ": " << detail);
+    }
+    violations_.push_back(std::move(violation));
 }
 
 }  // namespace pv::check

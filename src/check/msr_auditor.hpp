@@ -54,7 +54,13 @@ struct AuditViolation {
     std::uint32_t addr = 0;
     std::uint64_t value = 0;    ///< raw MSR value written/read
     Picoseconds time{};         ///< machine time of the access
-    std::string detail;
+    Picoseconds settle{};       ///< StaleStatusRead: when the rail settles
+    std::string note;           ///< the text of every other kind
+
+    /// The finding as text.  A StaleStatusRead, the one kind a polling
+    /// run records by the hundred thousand, builds it here from `time`
+    /// and `settle`; the auditor builds it only to log or to die.
+    [[nodiscard]] std::string detail() const;
 };
 
 struct MsrAuditorConfig {
@@ -100,7 +106,8 @@ private:
     /// Machine-level inspection of a 0x150 write (any provenance).
     void audit_mailbox_write(unsigned core_id, std::uint64_t value, bool via_driver);
     void record(AuditKind kind, unsigned core, std::uint32_t addr, std::uint64_t value,
-                std::string detail);
+                std::string note);
+    void record(AuditViolation violation);
 
     os::Kernel& kernel_;
     MsrAuditorConfig config_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 #include "check/state_hasher.hpp"
@@ -39,6 +40,12 @@ SafeStateMap::SafeStateMap(std::string system_name, Millivolts sweep_floor)
 }
 
 void SafeStateMap::add(FreqCharacterization row) {
+    // Every ordering check below compares false against NaN, and the
+    // lookups binary-search the rows, so a non-finite field is refused
+    // before anything else.
+    if (!std::isfinite(row.freq.value()) || !std::isfinite(row.onset.value()) ||
+        !std::isfinite(row.crash.value()))
+        throw ConfigError("safe-state row fields must be finite");
     if (!rows_.empty() && row.freq <= rows_.back().freq)
         throw ConfigError("safe-state rows must be added in increasing frequency order");
     if (!row.fault_free && row.crash > row.onset)
@@ -48,20 +55,32 @@ void SafeStateMap::add(FreqCharacterization row) {
 
 const FreqCharacterization& SafeStateMap::nearest_row(Megahertz f) const {
     if (rows_.empty()) throw ConfigError("safe-state map is empty");
-    const FreqCharacterization* best = &rows_.front();
-    double best_d = std::abs(f.value() - best->freq.value());
-    for (const auto& row : rows_) {
-        const double d = std::abs(f.value() - row.freq.value());
-        if (d < best_d) {
-            best = &row;
-            best_d = d;
-        }
-    }
-    return *best;
+    // The first row with the least computed |f - freq|, as a linear scan
+    // finds it.  Rows are finite and strictly increasing, so that distance
+    // never rises over the rows below f and never falls over the rows
+    // above it (rounding can only make neighbours tie).  No row compares
+    // below a NaN f, so it lands on the front row; every distance to
+    // +inf is inf, a tie the front row wins.
+    const auto dist = [f](const FreqCharacterization& row) {
+        return std::abs(f.value() - row.freq.value());
+    };
+    const auto above = std::partition_point(
+        rows_.begin(), rows_.end(), [f](const FreqCharacterization& row) { return row.freq < f; });
+    if (above == rows_.begin()) return rows_.front();
+    const auto below = std::prev(above);
+    const double d_below = dist(*below);
+    if (above != rows_.end() && dist(*above) < d_below) return *above;
+    // The rows below f that tie `below` run up to it; the first wins.
+    return *std::partition_point(rows_.begin(), below, [&](const FreqCharacterization& row) {
+        return dist(row) > d_below;
+    });
 }
 
 StateClass SafeStateMap::classify(Megahertz f, Millivolts offset) const {
-    const FreqCharacterization& row = nearest_row(f);
+    return classify_row(nearest_row(f), offset);
+}
+
+StateClass SafeStateMap::classify_row(const FreqCharacterization& row, Millivolts offset) const {
     if (row.fault_free) {
         // No faults were seen down to the sweep floor; anything deeper
         // was never characterized and must be treated as unsafe.
@@ -94,16 +113,13 @@ Millivolts SafeStateMap::maximal_safe_offset(Millivolts guard) const {
 
 Megahertz SafeStateMap::max_safe_frequency(Millivolts offset, Millivolts guard) const {
     if (rows_.empty()) throw ConfigError("safe-state map is empty");
+    // Each row is its own frequency's nearest row, so it classifies
+    // itself; the rows rise in frequency, so the last safe one is the
+    // highest.
     const Millivolts probe = offset - guard;
-    Megahertz best = rows_.front().freq;
-    bool found = false;
-    for (const auto& row : rows_) {
-        if (classify(row.freq, probe) == StateClass::Safe) {
-            best = found ? std::max(best, row.freq) : row.freq;
-            found = true;
-        }
-    }
-    return found ? best : rows_.front().freq;
+    for (auto row = rows_.rbegin(); row != rows_.rend(); ++row)
+        if (classify_row(*row, probe) == StateClass::Safe) return row->freq;
+    return rows_.front().freq;
 }
 
 std::string SafeStateMap::to_csv() const {

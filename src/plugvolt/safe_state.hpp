@@ -45,12 +45,18 @@ public:
     SafeStateMap(std::string system_name, Millivolts sweep_floor);
 
     /// Append one frequency column; columns must be added in strictly
-    /// increasing frequency order.
+    /// increasing frequency order, with finite fields (ConfigError
+    /// otherwise).
     void add(FreqCharacterization row);
 
     [[nodiscard]] const std::vector<FreqCharacterization>& rows() const { return rows_; }
     [[nodiscard]] const std::string& system_name() const { return system_name_; }
     [[nodiscard]] Millivolts sweep_floor() const { return sweep_floor_; }
+
+    /// The characterized frequency column nearest to `f`, found by binary
+    /// search: the lower one on a tie, so a NaN or infinite frequency
+    /// takes the lowest.  Throws ConfigError on an empty map.
+    [[nodiscard]] const FreqCharacterization& nearest_row(Megahertz f) const;
 
     /// Classify a (frequency, offset) state using the nearest
     /// characterized frequency column.  Throws ConfigError on an empty map.
@@ -95,7 +101,8 @@ public:
                                                Millivolts sweep_floor);
 
 private:
-    [[nodiscard]] const FreqCharacterization& nearest_row(Megahertz f) const;
+    [[nodiscard]] StateClass classify_row(const FreqCharacterization& row,
+                                          Millivolts offset) const;
 
     std::string system_name_;
     Millivolts sweep_floor_;

@@ -7,17 +7,12 @@
 namespace pv::sgx {
 namespace {
 
-// The attached stepper as one entry sees it.
-struct Stepping {
-    bool aex = false;  // single-stepping: an AEX after every retired instruction
-    std::optional<std::size_t> suppress_at;
-};
-
 // The architectural effect of program[i], retired with `faulted`, and the
 // AEX after it; true when it ends the entry (a trap fires or the
 // zero-step suppresses the rest).
-inline bool retire(const Program& program, std::size_t i, bool faulted, const Stepping& stepping,
-            EnclaveRunResult& result, sim::Machine& machine) {
+inline bool retire(const Program& program, std::size_t i, bool faulted,
+                   const Enclave::Stepping& stepping,
+                   EnclaveRunResult& result, sim::Machine* machine) {
     const VictimInstr& instr = program[i];
     if (instr.is_trap()) {
         // A faulted trap instance corrupts its own recomputation —
@@ -26,7 +21,7 @@ inline bool retire(const Program& program, std::size_t i, bool faulted, const St
         result.trap_detected = true;
         return true;
     }
-    execute(instr, result.regs, faulted, &machine);
+    execute(instr, result.regs, faulted, machine);
     if (!stepping.aex) return false;
     ++result.aex_count;  // adversary-induced asynchronous exit
     if (!stepping.suppress_at || i < *stepping.suppress_at) return false;
@@ -36,34 +31,41 @@ inline bool retire(const Program& program, std::size_t i, bool faulted, const St
 
 }  // namespace
 
-Enclave::Enclave(SgxRuntime& runtime, std::string name, unsigned core)
-    : runtime_(runtime), name_(std::move(name)), core_(core) {
+Enclave::Enclave(SgxRuntime& runtime, std::string name, unsigned core, Program program)
+    : runtime_(runtime), name_(std::move(name)), core_(core), program_(std::move(program)) {
+    classes_.reserve(program_.size());
+    for (const VictimInstr& instr : program_) classes_.push_back(instr.cls);
     runtime_.enclave_created();
 }
 
 Enclave::~Enclave() { runtime_.enclave_destroyed(); }
 
-EnclaveRunResult Enclave::run(const Program& program) {
+const Enclave::EntryPlan& Enclave::plan_for(const Stepping& stepping) {
+    for (const EntryPlan& plan : plans_)
+        if (plan.stepping == stepping) return plan;
+    // The fault-free walk reads nothing but the program and the stepping
+    // plan, so its outcome holds for every entry under that plan.
+    EntryPlan& plan =
+        plans_.emplace_back(EntryPlan{.stepping = stepping, .extent = 0, .clean = {}});
+    while (plan.extent < program_.size()) {
+        if (retire(program_, plan.extent++, /*faulted=*/false, stepping, plan.clean, nullptr))
+            break;
+    }
+    return plan;
+}
+
+EnclaveRunResult Enclave::run() {
     sim::Machine& machine = runtime_.machine();
     const Stepping stepping{
         .aex = stepper_ != nullptr && stepper_->capabilities().single_step,
         .suppress_at = stepper_ != nullptr ? stepper_->suppression_point() : std::nullopt};
+    const EntryPlan& plan = plan_for(stepping);
 
-    // The entry as it runs when no instruction faults: its outcome, and
-    // the classes of the instructions it retires, up to a trap that fires,
-    // the zero-step or the end of the program.
-    EnclaveRunResult result;
-    classes_.resize(program.size());
-    std::size_t extent = 0;
-    while (extent < program.size()) {
-        classes_[extent] = program[extent].cls;
-        if (retire(program, extent++, /*faulted=*/false, stepping, result, machine)) break;
-    }
-
+    EnclaveRunResult result = plan.clean;
     runtime_.enter();
     const sim::OpRunResult run =
-        machine.execute_ops(core_, std::span<const sim::InstrClass>(classes_).first(extent));
-    if (run.faulted || (machine.crashed() && !program.empty())) {
+        machine.execute_ops(core_, std::span<const sim::InstrClass>(classes_).first(plan.extent));
+    if (run.faulted || (machine.crashed() && !program_.empty())) {
         // Cut short by a fault or a crash: the instructions before it
         // retired as in the fault-free run.  From the faulted one on, one
         // instruction at a time, so each corruption draw and trap check
@@ -71,12 +73,13 @@ EnclaveRunResult Enclave::run(const Program& program) {
         result = EnclaveRunResult{};
         std::size_t i = 0;
         for (; i + 1 < run.ops_done; ++i)
-            (void)retire(program, i, /*faulted=*/false, stepping, result, machine);
+            (void)retire(program_, i, /*faulted=*/false, stepping, result, &machine);
         bool faulted = run.faulted;
         while (!machine.crashed()) {
-            if (retire(program, i, faulted, stepping, result, machine) || ++i == program.size())
+            if (retire(program_, i, faulted, stepping, result, &machine) ||
+                ++i == program_.size())
                 break;
-            faulted = machine.execute_op(core_, program[i].cls);
+            faulted = machine.execute_op(core_, program_[i].cls);
         }
         result.machine_crashed = machine.crashed();
     }

@@ -4,8 +4,9 @@ namespace pv::sgx {
 
 SgxRuntime::SgxRuntime(os::Kernel& kernel) : kernel_(kernel) {}
 
-std::unique_ptr<Enclave> SgxRuntime::create_enclave(std::string name, unsigned core) {
-    return std::make_unique<Enclave>(*this, std::move(name), core);
+std::unique_ptr<Enclave> SgxRuntime::create_enclave(std::string name, unsigned core,
+                                                    Program program) {
+    return std::make_unique<Enclave>(*this, std::move(name), core, std::move(program));
 }
 
 AttestationReport SgxRuntime::quote(const Enclave& enclave) const {

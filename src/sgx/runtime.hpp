@@ -27,8 +27,10 @@ public:
     [[nodiscard]] os::Kernel& kernel() { return kernel_; }
     [[nodiscard]] sim::Machine& machine() { return kernel_.machine(); }
 
-    /// ECREATE+EINIT: load an enclave pinned to `core`.
-    [[nodiscard]] std::unique_ptr<Enclave> create_enclave(std::string name, unsigned core);
+    /// ECREATE+EINIT: load an enclave pinned to `core` with the code it
+    /// runs, fixed from here on (a tenant that never enters has none).
+    [[nodiscard]] std::unique_ptr<Enclave> create_enclave(std::string name, unsigned core,
+                                                          Program program = {});
 
     /// True while any enclave is inside run() (EENTER window).
     [[nodiscard]] bool any_enclave_active() const { return active_enclaves_ > 0; }

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "os/kernel.hpp"
 #include "plugvolt/polling_module.hpp"
 #include "sim/cpu_profile.hpp"
 #include "sim/machine.hpp"
 #include "sim/ocm.hpp"
+#include "util/log.hpp"
 #include "test_helpers.hpp"
 
 namespace pv::check {
@@ -101,7 +104,7 @@ TEST_F(MsrAuditorTest, SameUnsafeWriteIsGuardedTrafficWithTheModuleLoaded) {
     kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
                         sim::encode_offset(offset, sim::VoltagePlane::Core));
     for (const AuditViolation& v : auditor.violations())
-        EXPECT_NE(v.kind, AuditKind::UnsafeWrite) << v.detail;
+        EXPECT_NE(v.kind, AuditKind::UnsafeWrite) << v.detail();
 }
 
 TEST_F(MsrAuditorTest, FlagsOffsetDeeperThanTheAuditedFloor) {
@@ -147,6 +150,63 @@ TEST_F(MsrAuditorTest, FlagsStalePerfStatusReadMidTransition) {
     EXPECT_TRUE(auditor.violations().empty());
 }
 
+std::vector<std::string>& logged_lines() {
+    static std::vector<std::string> lines;
+    return lines;
+}
+
+TEST_F(MsrAuditorTest, StaleReadTextIsBuiltOnDemandAndWhenLogged) {
+    // Three reads on a slewing rail: each is recorded with its time and
+    // the settle time, and its text reads as the auditor always wrote
+    // it, whether asked for or logged.
+    const std::string expected_text_prefix = "0x198 read mid-transition: rail settles at ";
+    logged_lines().clear();
+    const LogLevel level = log_level();
+    set_log_level(LogLevel::Warn);
+    const LogTap previous = set_log_tap(
+        [](LogLevel, const std::string& line) { logged_lines().push_back(line); });
+    MsrAuditor auditor(kernel_, {.map = &map_});
+    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
+                        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core));
+    const Picoseconds settle = machine_.rail_settle_time();
+    std::vector<Picoseconds> read_times;
+    for (int i = 0; i < 3; ++i) {
+        const std::uint64_t read = kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);
+        read_times.push_back(machine_.now());  // the read's cost is charged first
+        ASSERT_LT(read_times.back(), settle);
+        EXPECT_EQ(auditor.violations().back().value, read);
+        machine_.advance(microseconds(1.0));
+    }
+    (void)set_log_tap(previous);
+    set_log_level(level);
+    ASSERT_EQ(auditor.violations().size(), 3u);
+    ASSERT_EQ(logged_lines().size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        const AuditViolation& v = auditor.violations()[i];
+        EXPECT_EQ(v.kind, AuditKind::StaleStatusRead);
+        EXPECT_EQ(v.core, 0u);
+        EXPECT_EQ(v.addr, sim::kMsrPerfStatus);
+        EXPECT_EQ(v.time, read_times[i]);
+        EXPECT_EQ(v.settle, settle);
+        const std::string text = expected_text_prefix + std::to_string(settle.value()) +
+                                 " ps, now " + std::to_string(read_times[i].value()) + " ps";
+        EXPECT_EQ(v.detail(), text);
+        EXPECT_NE(logged_lines()[i].find("msr-audit [stale-status-read] core 0 msr 0x198: " +
+                                         text),
+                  std::string::npos)
+            << logged_lines()[i];
+    }
+}
+
+TEST_F(MsrAuditorTest, OtherFindingsKeepTheirText) {
+    MsrAuditor auditor(kernel_, {.map = &map_});
+    machine_.write_msr(0, sim::kMsrOcMailbox,
+                       sim::encode_offset(Millivolts{-50.0}, sim::VoltagePlane::Core));
+    ASSERT_EQ(auditor.violations().size(), 1u);
+    EXPECT_EQ(auditor.violations()[0].detail(),
+              "0x150 write reached the machine without passing the MSR driver");
+}
+
 TEST_F(MsrAuditorTest, DetachesOnDestruction) {
     {
         MsrAuditor auditor(kernel_, {});
@@ -170,6 +230,24 @@ TEST_F(MsrAuditorDeathTest, FatalModeAbortsOnForgedWrite) {
                                     sim::encode_offset(Millivolts{-50.0},
                                                        sim::VoltagePlane::Core)),
                  "out-of-band-write");
+}
+
+TEST_F(MsrAuditorDeathTest, FatalModeAbortsOnStaleReadWithItsText) {
+    // Quiet logging does not spare a fatal auditor the text: it dies
+    // with the finding's full description.
+    MsrAuditor auditor(kernel_, {.map = &map_, .fatal = true});
+    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
+                        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core));
+    ASSERT_LT(machine_.now(), machine_.rail_settle_time());
+    const std::string text = "0x198 read mid-transition: rail settles at " +
+                             std::to_string(machine_.rail_settle_time().value()) +
+                             " ps, now [0-9]+ ps";
+    EXPECT_DEATH(
+        {
+            set_log_level(LogLevel::Off);
+            (void)kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);
+        },
+        "stale-status-read.*" + text);
 }
 
 #endif

@@ -670,7 +670,7 @@ TEST(PerfPath, FusedEnclaveEntriesMatchPerInstructionLoop) {
                     sim::Machine m(sim::cometlake_i7_10510u(), seed);
                     os::Kernel kernel(m);
                     sgx::SgxRuntime runtime(kernel);
-                    auto enclave = runtime.create_enclave("victim", 1);
+                    auto enclave = runtime.create_enclave("victim", 1, program);
                     sgx::SgxStep stepper({.single_step = true, .zero_step = true});
                     stepper.suppress_after(sgx::last_mul_index(program));
                     if (stepped) enclave->attach_stepper(&stepper);
@@ -689,7 +689,7 @@ TEST(PerfPath, FusedEnclaveEntriesMatchPerInstructionLoop) {
                     std::vector<sgx::EnclaveRunResult> results;
                     std::vector<std::uint64_t> hashes;
                     for (int k = 0; k < 30; ++k) {
-                        results.push_back(fused ? enclave->run(program)
+                        results.push_back(fused ? enclave->run()
                                                 : per_instruction_entry(
                                                       m, 1, program, stepped ? &stepper : nullptr));
                         hashes.push_back(m.state_hash());
@@ -724,6 +724,117 @@ TEST(PerfPath, FusedEnclaveEntriesMatchPerInstructionLoop) {
     EXPECT_GT(faulted_entries, 24u * 6 * 30 / 4);
     EXPECT_GT(traps, 24u * 2 * 30);
     EXPECT_GT(suppressed, 100u);
+}
+
+TEST(PerfPath, EntryPlansFollowSteppingChangesAndReboots) {
+    // One enclave per seed runs 150 entries of the Minefield-instrumented
+    // chain near the Imul onset.  Between entries its stepper is attached,
+    // detached and swapped for one without zero-stepping or without
+    // single-stepping, the zero-step point moves (past the end of the
+    // program too), and now and then the core plane is commanded just past
+    // the crash edge: the rail crosses it while entries run, the machine
+    // crashes inside one, one more entry runs on the crashed machine, and
+    // then it reboots.  Each entry's result and the machine's hash
+    // must match the per-instruction loop under the same stepper.
+    const sgx::Program chain = sgx::make_mul_chain(0x1F2E, 0x3D4C, 24);
+    defense::Minefield minefield;
+    const sgx::Program program = minefield.instrument(chain);
+    constexpr int kEntries = 150;
+    std::size_t crashes = 0;
+    std::size_t crashed_entries = 0;
+    std::size_t suppressed = 0;
+    std::size_t faulted_entries = 0;
+    std::size_t completed = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const auto history = [&](bool fused) {
+            sim::Machine m(sim::cometlake_i7_10510u(), seed);
+            os::Kernel kernel(m);
+            sgx::SgxRuntime runtime(kernel);
+            auto enclave = runtime.create_enclave("victim", 1, program);
+            sgx::SgxStep zero_step({.single_step = true, .zero_step = true});
+            sgx::SgxStep single_only({.single_step = true, .zero_step = false});
+            sgx::SgxStep zero_only({.single_step = false, .zero_step = true});
+            single_only.suppress_after(2);
+            zero_only.suppress_after(2);
+            const sgx::SgxStep* const steppers[] = {&zero_step, nullptr, &single_only,
+                                                    &zero_only};
+            const Megahertz f = m.profile().freq_max;
+            const auto park_at_onset = [&] {
+                m.set_all_frequencies(f);
+                m.advance_to(m.rail_settle_time());
+                const Millivolts onset =
+                    m.fault_model().onset_offset(f, sim::InstrClass::Imul, 100);
+                m.write_msr(0, sim::kMsrOcMailbox,
+                            sim::encode_offset(onset, sim::VoltagePlane::Core));
+                m.advance_to(m.rail_settle_time());
+            };
+            park_at_onset();
+            const sgx::SgxStep* stepper = nullptr;
+            std::vector<sgx::EnclaveRunResult> results;
+            std::vector<std::uint64_t> hashes;
+            bool ran_crashed = false;
+            for (int k = 0; k < kEntries; ++k) {
+                if (ran_crashed) {
+                    m.reboot();
+                    park_at_onset();
+                    ran_crashed = false;
+                }
+                if (k % 3 == 0) {
+                    stepper = steppers[(static_cast<std::uint64_t>(k) / 3 + seed) % 4];
+                    enclave->attach_stepper(stepper);
+                }
+                if (k % 4 == 1)
+                    zero_step.suppress_after((static_cast<std::size_t>(k) * 7 + seed) %
+                                             (program.size() + 3));
+                if (k % 37 == 20 && !m.crashed()) {
+                    // 2 mV past the crash edge; once the rail is within
+                    // about 10 ns of the edge, the next entries cross it.
+                    const Millivolts edge =
+                        m.fault_model().crash_offset(f, m.thermal().delay_scale());
+                    m.write_msr(0, sim::kMsrOcMailbox,
+                                sim::encode_offset(edge - Millivolts{2.0},
+                                                   sim::VoltagePlane::Core));
+                    m.advance_to(m.rail_settle_time() - microseconds(2.5));
+                    const Millivolts above = m.plane_voltage(sim::VoltagePlane::Core) -
+                                             m.fault_model().vf().nominal(f) - edge;
+                    m.advance(microseconds(above.value() / m.profile().regulator.slew_mv_per_us -
+                                           0.03));
+                }
+                ran_crashed = m.crashed();
+                results.push_back(fused ? enclave->run()
+                                        : per_instruction_entry(m, 1, program, stepper));
+                hashes.push_back(m.state_hash());
+            }
+            return std::pair{results, hashes};
+        };
+        const auto [fused, fused_hashes] = history(true);
+        const auto [reference, reference_hashes] = history(false);
+        ASSERT_EQ(fused.size(), static_cast<std::size_t>(kEntries));
+        ASSERT_EQ(reference.size(), fused.size());
+        for (std::size_t k = 0; k < fused.size(); ++k) {
+            const sgx::EnclaveRunResult& a = fused[k];
+            const sgx::EnclaveRunResult& b = reference[k];
+            const bool same = a.completed == b.completed && a.trap_detected == b.trap_detected &&
+                              a.suppressed == b.suppressed &&
+                              a.machine_crashed == b.machine_crashed &&
+                              a.aex_count == b.aex_count && a.regs == b.regs &&
+                              fused_hashes[k] == reference_hashes[k];
+            ASSERT_TRUE(same) << "seed " << seed << ": entry " << k << " diverged";
+            crashes += a.machine_crashed && (k == 0 || !fused[k - 1].machine_crashed);
+            crashed_entries += a.machine_crashed;
+            suppressed += a.suppressed;
+            faulted_entries += a.trap_detected;
+            completed += a.completed;
+        }
+    }
+    // Every seed crashes inside an entry at least three times, each crash
+    // followed by an entry on the crashed machine; entries complete, are
+    // suppressed and are faulted into their traps.
+    EXPECT_GE(crashes, 12u * 3);
+    EXPECT_GE(crashed_entries, 2 * crashes);
+    EXPECT_GT(completed, 40u);
+    EXPECT_GT(suppressed, 40u);
+    EXPECT_GT(faulted_entries, 12u * kEntries / 2);
 }
 
 std::uint64_t sweep_hash(sim::CpuProfile (*profile)(), double step_mv) {

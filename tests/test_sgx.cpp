@@ -71,9 +71,9 @@ TEST(Program, RejectsBadRegisters) {
 
 TEST(Enclave, RunsCleanAtNominalVoltage) {
     Fixture fx;
-    auto enclave = fx.runtime.create_enclave("victim", 1);
     const Program p = make_mul_chain(123, 457, 16);
-    const EnclaveRunResult r = enclave->run(p);
+    auto enclave = fx.runtime.create_enclave("victim", 1, p);
+    const EnclaveRunResult r = enclave->run();
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.aex_count, 0u);
     EXPECT_EQ(r.regs, reference_run(p));
@@ -92,12 +92,12 @@ TEST(Enclave, UndervoltFaultsEnclaveComputation) {
     fx.machine.advance_to(fx.machine.rail_settle_time());
     ASSERT_FALSE(fx.machine.crashed());
 
-    auto enclave = fx.runtime.create_enclave("victim", 1);
     const Program p = make_mul_chain(0x1234, 0x5678, 64);
+    auto enclave = fx.runtime.create_enclave("victim", 1, p);
     const auto reference = reference_run(p);
     bool corrupted = false;
     for (int attempt = 0; attempt < 200 && !corrupted; ++attempt) {
-        const EnclaveRunResult r = enclave->run(p);
+        const EnclaveRunResult r = enclave->run();
         ASSERT_FALSE(r.machine_crashed);
         if (r.regs != reference) corrupted = true;
     }
@@ -119,11 +119,11 @@ TEST(SgxStep, SingleSteppingCountsAex) {
     // An AEX after every retired instruction; without a zero-step plan
     // the entry completes.
     Fixture fx;
-    auto enclave = fx.runtime.create_enclave("victim", 1);
+    const Program p = make_mul_chain(3, 5, 8);
+    auto enclave = fx.runtime.create_enclave("victim", 1, p);
     SgxStep stepper({.single_step = true, .zero_step = false});
     enclave->attach_stepper(&stepper);
-    const Program p = make_mul_chain(3, 5, 8);
-    const EnclaveRunResult r = enclave->run(p);
+    const EnclaveRunResult r = enclave->run();
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.aex_count, p.size());
     EXPECT_EQ(r.regs, reference_run(p));
@@ -133,12 +133,12 @@ TEST(SgxStep, SuppressionRequiresZeroStepCapability) {
     Fixture fx;
     const Program p = make_mul_chain(3, 5, 8);
 
-    auto enclave = fx.runtime.create_enclave("victim", 1);
+    auto enclave = fx.runtime.create_enclave("victim", 1, p);
     SgxStep no_zero({.single_step = true, .zero_step = false});
     no_zero.suppress_after(0);
     EXPECT_FALSE(no_zero.suppression_point().has_value());
     enclave->attach_stepper(&no_zero);
-    const EnclaveRunResult completed = enclave->run(p);
+    const EnclaveRunResult completed = enclave->run();
     EXPECT_TRUE(completed.completed) << "without zero-step the enclave completes";
     EXPECT_EQ(completed.aex_count, p.size());
 
@@ -146,7 +146,7 @@ TEST(SgxStep, SuppressionRequiresZeroStepCapability) {
     with_zero.suppress_after(3);
     EXPECT_EQ(with_zero.suppression_point(), std::optional<std::size_t>{3});
     enclave->attach_stepper(&with_zero);
-    const EnclaveRunResult r = enclave->run(p);
+    const EnclaveRunResult r = enclave->run();
     EXPECT_FALSE(r.completed);
     EXPECT_TRUE(r.suppressed);
     EXPECT_EQ(r.aex_count, 4u);
@@ -161,10 +161,9 @@ TEST(SgxStep, NoSingleStepMeansNoHook) {
     SgxStep stepper({.single_step = false, .zero_step = true});
     stepper.suppress_after(0);
     EXPECT_FALSE(stepper.suppression_point().has_value());
-    auto enclave = fx.runtime.create_enclave("victim", 1);
+    auto enclave = fx.runtime.create_enclave("victim", 1, make_mul_chain(3, 5, 8));
     enclave->attach_stepper(&stepper);
-    const Program p = make_mul_chain(3, 5, 8);
-    const EnclaveRunResult r = enclave->run(p);
+    const EnclaveRunResult r = enclave->run();
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.aex_count, 0u);
 }
