@@ -108,10 +108,6 @@ std::vector<std::string> Kernel::lsmod() const {
     return names;
 }
 
-WorkerContext Kernel::fork_context(std::uint64_t seed) const {
-    return make_worker_context(machine_.profile(), seed);
-}
-
 WorkerContext make_worker_context(const sim::CpuProfile& profile, std::uint64_t seed) {
     WorkerContext ctx;
     ctx.machine = std::make_unique<sim::Machine>(profile, seed);

@@ -83,10 +83,6 @@ public:
     /// Names of loaded modules, in load order (lsmod).
     [[nodiscard]] std::vector<std::string> lsmod() const;
 
-    /// Build a self-contained Machine+Kernel pair for this kernel's
-    /// profile (see make_worker_context).
-    [[nodiscard]] struct WorkerContext fork_context(std::uint64_t seed) const;
-
 private:
     struct Kthread {
         KthreadOptions options;

@@ -15,12 +15,6 @@ namespace {
 /// mailbox" shape).  Charged as a multiple of the clean access cost.
 constexpr std::uint64_t kTimeoutStallMultiplier = 50;
 
-std::string describe(const char* op, std::uint32_t addr, MsrStatus status) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%s 0x%x: %s", op, addr, to_string(status));
-    return buf;
-}
-
 }  // namespace
 
 const char* to_string(MsrStatus status) {
@@ -144,45 +138,20 @@ MsrWriteResult MsrDriver::try_wrmsr(unsigned caller_cpu, unsigned target_cpu,
     return {MsrStatus::Ok, machine_.write_msr(target_cpu, addr, value)};
 }
 
-MsrReadResult MsrDriver::try_ioctl_rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                                         std::uint32_t addr) {
-    charge(caller_cpu, machine_.profile().costs.ioctl_overhead_cycles);
-    return try_rdmsr(caller_cpu, target_cpu, addr);
-}
-
 MsrWriteResult MsrDriver::try_ioctl_wrmsr(unsigned caller_cpu, unsigned target_cpu,
                                           std::uint32_t addr, std::uint64_t value) {
     charge(caller_cpu, machine_.profile().costs.ioctl_overhead_cycles);
     return try_wrmsr(caller_cpu, target_cpu, addr, value);
 }
 
-std::uint64_t MsrDriver::rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                               std::uint32_t addr) {
-    const MsrReadResult r = try_rdmsr(caller_cpu, target_cpu, addr);
-    if (r.status != MsrStatus::Ok) throw DriverError(describe("rdmsr", addr, r.status));
-    return r.value;
-}
-
-bool MsrDriver::wrmsr(unsigned caller_cpu, unsigned target_cpu, std::uint32_t addr,
-                      std::uint64_t value) {
-    const MsrWriteResult r = try_wrmsr(caller_cpu, target_cpu, addr, value);
-    if (r.status != MsrStatus::Ok) throw DriverError(describe("wrmsr", addr, r.status));
-    return r.applied;
-}
-
-std::uint64_t MsrDriver::ioctl_rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                                     std::uint32_t addr) {
-    const MsrReadResult r = try_ioctl_rdmsr(caller_cpu, target_cpu, addr);
-    if (r.status != MsrStatus::Ok)
-        throw DriverError(describe("ioctl rdmsr", addr, r.status));
-    return r.value;
-}
-
 bool MsrDriver::ioctl_wrmsr(unsigned caller_cpu, unsigned target_cpu, std::uint32_t addr,
                             std::uint64_t value) {
     const MsrWriteResult r = try_ioctl_wrmsr(caller_cpu, target_cpu, addr, value);
-    if (r.status != MsrStatus::Ok)
-        throw DriverError(describe("ioctl wrmsr", addr, r.status));
+    if (r.status != MsrStatus::Ok) {
+        char what[64];
+        std::snprintf(what, sizeof what, "ioctl wrmsr 0x%x: %s", addr, to_string(r.status));
+        throw DriverError(what);
+    }
     return r.applied;
 }
 

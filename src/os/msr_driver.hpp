@@ -11,9 +11,14 @@
 // device, IPI timeouts, stale status reads, a busy OCM mailbox.  The
 // try_* API surfaces those as MsrStatus values (domain outcomes are
 // values, never exceptions) and a resilience::FaultInjector can be
-// attached to produce them deterministically; the legacy throwing API
-// wraps try_* and raises DriverError.  With no injector attached every
-// access is bit-for-bit the pre-injection fast path.
+// attached to produce them deterministically.  With no injector attached
+// every access is bit-for-bit the pre-injection fast path.
+//
+// Four entry points, one per actor and path: the polling module reads
+// and rewrites in kernel context (try_rdmsr, try_wrmsr), the
+// characterizer writes 0x150 through the ioctl and handles its status
+// (try_ioctl_wrmsr), and the attack PoCs and benign tools write through
+// the ioctl and raise DriverError on a failed write (ioctl_wrmsr).
 #pragma once
 
 #include <cstdint>
@@ -87,7 +92,6 @@ public:
     /// Attach/detach the environment fault source (non-owning; at most
     /// one).  Returns the previously attached injector, if any.
     resilience::FaultInjector* set_fault_injector(resilience::FaultInjector* injector);
-    [[nodiscard]] resilience::FaultInjector* fault_injector() const { return injector_; }
 
     /// Kernel-context rdmsr of `target_cpu`'s MSR from `caller_cpu`.
     /// Remote targets pay the IPI price (smp_call_function_single).
@@ -99,22 +103,14 @@ public:
     MsrWriteResult try_wrmsr(unsigned caller_cpu, unsigned target_cpu, std::uint32_t addr,
                              std::uint64_t value);
 
-    /// Userspace path (open /dev/cpu/N/msr + ioctl): same access plus the
-    /// user->kernel transition overhead.  This is what the published
-    /// attack PoCs use.
-    [[nodiscard]] MsrReadResult try_ioctl_rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                                                std::uint32_t addr);
+    /// Userspace write (open /dev/cpu/N/msr + ioctl): try_wrmsr plus the
+    /// user->kernel transition overhead.
     MsrWriteResult try_ioctl_wrmsr(unsigned caller_cpu, unsigned target_cpu,
                                    std::uint32_t addr, std::uint64_t value);
 
-    /// Legacy throwing API: same accesses, but a non-Ok status raises
-    /// DriverError.  Unchanged behaviour when no injector is attached.
-    [[nodiscard]] std::uint64_t rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                                      std::uint32_t addr);
-    bool wrmsr(unsigned caller_cpu, unsigned target_cpu, std::uint32_t addr,
-               std::uint64_t value);
-    [[nodiscard]] std::uint64_t ioctl_rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                                            std::uint32_t addr);
+    /// try_ioctl_wrmsr for callers with no recovery path (the published
+    /// attack PoCs use this write): a non-Ok status raises DriverError.
+    /// Returns whether the machine applied the write.
     bool ioctl_wrmsr(unsigned caller_cpu, unsigned target_cpu, std::uint32_t addr,
                      std::uint64_t value);
 

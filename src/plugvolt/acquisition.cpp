@@ -50,11 +50,6 @@ constexpr std::uint64_t kWalkBack = 8;
 
 }  // namespace
 
-double crash_probe_score(const BoundaryPosterior& posterior, std::uint64_t s,
-                         double reboot_cost) {
-    return score_at(posterior.p_leq(s), reboot_cost);
-}
-
 CrashScore::CrashScore(double reboot_cost) : reboot_cost_(reboot_cost) {
     PV_ASSERT(reboot_cost >= 0.0, "reboot_cost must be non-negative");
     peak_floor_ = solve_peak_floor(reboot_cost);
@@ -73,9 +68,9 @@ std::uint64_t select_crash_probe(const BoundaryPosterior& posterior,
     // The full scan: for s = lo .. hi, p += weight(s) and score p; a
     // score above best + kTieTolerance starts a new tie plateau {s}, one
     // within kTieTolerance of best joins it, and the plateau is drawn
-    // from.  p accumulates the weights in p_leq's order, so every score
-    // is the one crash_probe_score(posterior, s, .) returns, bit for
-    // bit.  Each computed score is within eps of the exact f of its
+    // from.  p is the in-order sum weight(lo) + .. + weight(s), so every
+    // score is the one the tests' reference scan computes from that sum,
+    // bit for bit.  Each computed score is within eps of the exact f of its
     // computed p, eps a few 1e-16 (H2 <= ln 2, a few roundings, a
     // divisor >= 1); kRoundingMargin > 2 eps.  The computed p never
     // decreases along s (the weights are non-negative and rounded

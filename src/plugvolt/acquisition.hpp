@@ -37,12 +37,9 @@ struct AcquisitionConfig {
     double prior_floor = 1e-9;
 };
 
-/// Expected-information-gain-per-cost score of probing step `s` for a
-/// crash boundary: H2(P(b <= s)) / (1 + reboot_cost * P(b <= s)).
-[[nodiscard]] double crash_probe_score(const BoundaryPosterior& posterior,
-                                       std::uint64_t s, double reboot_cost);
-
-/// The crash score at one reboot cost, with the P(b <= s) at which it
+/// The crash score of probing step s, H2(P(b <= s)) /
+/// (1 + reboot_cost * P(b <= s)): expected information gain per
+/// expected cost, at one reboot cost, with the P(b <= s) at which it
 /// peaks solved once (a few Newton steps, a few hundred ns): the
 /// selection's scan starts there.  A row search keeps one for all its
 /// selections.
@@ -61,7 +58,7 @@ private:
     double peak_floor_;
 };
 
-/// The next crash probe: argmax of crash_probe_score over the
+/// The next crash probe: argmax of the crash score over the
 /// informative candidates [hard_lo, min(hard_hi - 1, max_step)], ties
 /// drawn from `rng`.  Additions alone carry P(b <= s) up to the score's
 /// peak; only the few candidates around it take logarithms, and the

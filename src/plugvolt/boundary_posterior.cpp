@@ -78,23 +78,6 @@ void BoundaryPosterior::restrict_geq(std::uint64_t s) {
     renormalize();
 }
 
-double BoundaryPosterior::p_leq(std::uint64_t s) const {
-    if (s < hard_lo_) return 0.0;
-    if (s >= hard_hi_) return 1.0;
-    double p = 0.0;
-    for (std::uint64_t b = hard_lo_; b <= s; ++b) p += w_[b - 1];
-    return p;
-}
-
-double BoundaryPosterior::entropy() const {
-    double h = 0.0;
-    for (std::uint64_t b = hard_lo_; b <= hard_hi_; ++b) {
-        const double p = w_[b - 1];
-        if (p > 0.0) h -= p * std::log(p);
-    }
-    return h;
-}
-
 std::uint64_t BoundaryPosterior::median() const {
     // Renormalized weights sum to an exact half only up to rounding; the
     // slack keeps a uniform bracket's median on its exact midpoint.
@@ -106,16 +89,6 @@ std::uint64_t BoundaryPosterior::median() const {
         s = b;
     }
     return s;
-}
-
-std::uint64_t BoundaryPosterior::sample(Rng& rng) const {
-    const double u = rng.uniform();
-    double acc = 0.0;
-    for (std::uint64_t b = hard_lo_; b <= hard_hi_; ++b) {
-        acc += w_[b - 1];
-        if (u < acc) return b;
-    }
-    return hard_hi_;  // u landed in the rounding tail
 }
 
 double BoundaryPosterior::weight_sum() const {

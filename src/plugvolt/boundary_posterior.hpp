@@ -14,15 +14,12 @@
 // (recenter) reshape the weights inside the bracket and never move it.
 //
 // Determinism: weights are plain doubles updated in call order; there is
-// no clock and no entropy source anywhere — sampling (used by the
-// acquisition tie-break) draws from the caller's seeded util::Rng.
+// no clock and no entropy source anywhere.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace pv::plugvolt {
 
@@ -69,32 +66,21 @@ public:
     /// Hard evidence: b >= s (e.g. step s - 1 survived clean).
     void restrict_geq(std::uint64_t s);
 
-    /// P(b <= s) under the current posterior.
-    [[nodiscard]] double p_leq(std::uint64_t s) const;
-
     /// Weight of step b in {1 .. support_max}; zero outside the bracket.
-    /// Summing weight(hard_lo()) .. weight(s) in order gives p_leq(s)
-    /// bit for bit, which is what lets the acquisition carry P(b <= s)
-    /// with one addition per step.
+    /// Summing weight(hard_lo()) .. weight(s) in order gives P(b <= s),
+    /// which is what lets the acquisition carry it with one addition per
+    /// step.
     [[nodiscard]] double weight(std::uint64_t b) const { return w_[b - 1]; }
-
-    /// Shannon entropy (nats) of the posterior.
-    [[nodiscard]] double entropy() const;
 
     /// Lower posterior median: the highest step s < hard_hi with
     /// P(b <= s) <= 1/2, or hard_lo when P(b <= hard_lo) > 1/2.  Always a
     /// step whose outcome moves an uncertified bracket.
     [[nodiscard]] std::uint64_t median() const;
 
-    /// Inverse-CDF draw from the posterior (Thompson-style candidate
-    /// generation); deterministic given the Rng state.
-    [[nodiscard]] std::uint64_t sample(Rng& rng) const;
-
     /// Certified bracket: every step outside [hard_lo, hard_hi] has been
     /// EXCLUDED by hard evidence.  Monotone non-widening by construction.
     [[nodiscard]] std::uint64_t hard_lo() const { return hard_lo_; }
     [[nodiscard]] std::uint64_t hard_hi() const { return hard_hi_; }
-    [[nodiscard]] std::uint64_t width() const { return hard_hi_ - hard_lo_; }
 
     /// The stopping rule: the bracket has collapsed to one step, which
     /// is exactly the bisection bracket invariant (!pred(b - 1) &&

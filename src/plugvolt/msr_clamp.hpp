@@ -31,7 +31,6 @@ public:
 
     [[nodiscard]] bool installed() const { return clamp_token_.has_value(); }
     [[nodiscard]] Millivolts limit() const { return limit_; }
-    [[nodiscard]] bool locked() const { return locked_; }
 
     /// Writes whose offset was clamped to the limit.
     [[nodiscard]] std::uint64_t clamped_writes() const { return clamped_; }

@@ -1,9 +1,11 @@
 #include "plugvolt/safe_state.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <system_error>
 #include <utility>
 
 #include "check/state_hasher.hpp"
@@ -20,6 +22,18 @@ std::string fmt_double(double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
+}
+
+/// One numeric CSV field, parsed whole: trailing bytes, text that is not
+/// a number and values beyond double's range are all ConfigError.
+double parse_number(const std::string& field, const char* column) {
+    double value = 0.0;
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+    if (ec != std::errc{} || ptr != end)
+        throw ConfigError(std::string("safe-state CSV ") + column + " is not a number: '" +
+                          field + "'");
+    return value;
 }
 
 }  // namespace
@@ -140,10 +154,12 @@ SafeStateMap SafeStateMap::from_csv(const std::string& text, std::string system_
         throw ConfigError("unexpected safe-state CSV header");
     SafeStateMap map(std::move(system_name), sweep_floor);
     for (const auto& row : doc.rows) {
+        if (row[3] != "0" && row[3] != "1")
+            throw ConfigError("safe-state CSV fault_free must be 0 or 1: '" + row[3] + "'");
         map.add(FreqCharacterization{
-            .freq = Megahertz{std::stod(row[0])},
-            .onset = Millivolts{std::stod(row[1])},
-            .crash = Millivolts{std::stod(row[2])},
+            .freq = Megahertz{parse_number(row[0], "freq_mhz")},
+            .onset = Millivolts{parse_number(row[1], "onset_mv")},
+            .crash = Millivolts{parse_number(row[2], "crash_mv")},
             .fault_free = row[3] == "1",
         });
     }

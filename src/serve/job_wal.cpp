@@ -69,8 +69,7 @@ bool decode_finished_payload(std::string_view payload, JobRecord& record) {
     return r.ok() && r.exhausted();
 }
 
-}  // namespace
-
+/// Submit-frame payload codec.
 std::string encode_spec_payload(std::uint64_t id, const JobSpec& spec) {
     std::string payload;
     put_u64(payload, id);
@@ -103,6 +102,8 @@ bool decode_spec_payload(std::string_view payload, std::uint64_t& id, JobSpec& s
     spec.inject_fail_attempts = r.u32();
     return r.ok() && r.exhausted();
 }
+
+}  // namespace
 
 JobWal::JobWal(resilience::FrameLog&& log, std::vector<JobRecord>&& records,
                std::uint64_t next_id)

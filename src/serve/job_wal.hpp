@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "resilience/frames.hpp"
@@ -34,11 +33,6 @@
 #include "util/flat_map.hpp"
 
 namespace pv::serve {
-
-/// Submit-frame payload codec, exposed for the WAL tests.
-[[nodiscard]] std::string encode_spec_payload(std::uint64_t id, const JobSpec& spec);
-[[nodiscard]] bool decode_spec_payload(std::string_view payload, std::uint64_t& id,
-                                       JobSpec& spec);
 
 /// The queue WAL.  NOT thread-safe: the daemon serializes every append
 /// under its own mutex.  Throws JournalError / IoError like the other

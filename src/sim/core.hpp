@@ -33,9 +33,6 @@ public:
     [[nodiscard]] PowerState power_state() const {
         return cstate_ == CState::C0 ? PowerState::Active : PowerState::Idle;
     }
-    void set_power_state(PowerState s) {
-        cstate_ = s == PowerState::Active ? CState::C0 : CState::C1;
-    }
 
     [[nodiscard]] CState cstate() const { return cstate_; }
     void set_cstate(CState s) { cstate_ = s; }

@@ -3,6 +3,17 @@
 #include "util/error.hpp"
 
 namespace pv::sim {
+namespace {
+
+/// Smallest probability considered "observable" for n_ops.
+double observable_probability(std::uint64_t n_ops) {
+    if (n_ops == 0) throw ConfigError("onset_offset with zero operations");
+    // Expected-count-of-3 criterion: a sweep cell reliably *observes*
+    // faults once E[faults] ~ 3.
+    return 3.0 / static_cast<double>(n_ops);
+}
+
+}  // namespace
 
 FaultModel::FaultModel(TimingModel timing, VfCurve vf)
     : timing_(std::move(timing)), vf_(std::move(vf)) {}
@@ -14,13 +25,6 @@ double FaultModel::fault_probability(Megahertz f, Millivolts v, InstrClass c,
 
 bool FaultModel::would_crash(Megahertz f, Millivolts v, double delay_scale) const {
     return would_crash_at(timing_.slack_ps(f), timing_.path_delay_ps(v), delay_scale);
-}
-
-double FaultModel::observable_probability(std::uint64_t n_ops) {
-    if (n_ops == 0) throw ConfigError("onset_offset with zero operations");
-    // Expected-count-of-3 criterion: a sweep cell reliably *observes*
-    // faults once E[faults] ~ 3.
-    return 3.0 / static_cast<double>(n_ops);
 }
 
 Millivolts FaultModel::onset_offset(Megahertz f, InstrClass c, std::uint64_t n_ops,

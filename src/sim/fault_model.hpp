@@ -90,9 +90,6 @@ public:
     [[nodiscard]] const VfCurve& vf() const { return vf_; }
 
 private:
-    /// Smallest probability considered "observable" for n_ops.
-    [[nodiscard]] static double observable_probability(std::uint64_t n_ops);
-
     TimingModel timing_;
     VfCurve vf_;
 };

@@ -367,7 +367,6 @@ public:
 
     /// Simulated boot duration charged by reboot().
     [[nodiscard]] Picoseconds reboot_delay() const { return reboot_delay_; }
-    void set_reboot_delay(Picoseconds d) { reboot_delay_ = d; }
 
     // --- checking layer ------------------------------------------------------
     /// Runtime invariant registry.  The machine registers its own
@@ -391,7 +390,6 @@ public:
         touch();
         stepping_mode_ = m;
     }
-    [[nodiscard]] SteppingMode stepping_mode() const { return stepping_mode_; }
 
     /// Process-wide default for newly constructed Machines.  The
     /// differential tests flip this to run whole engines (which build

@@ -65,7 +65,6 @@ public:
 
     [[nodiscard]] const std::string& track_name() const { return name_; }
     [[nodiscard]] std::uint64_t track_id() const { return id_; }
-    [[nodiscard]] std::size_t capacity() const { return capacity_; }
     [[nodiscard]] std::size_t size() const { return ring_.size(); }
     [[nodiscard]] std::uint64_t recorded_events() const { return recorded_; }
     [[nodiscard]] std::uint64_t dropped_events() const { return recorded_ - ring_.size(); }

@@ -118,10 +118,4 @@ CsvDocument csv_parse(const std::string& text) {
     return doc;
 }
 
-void csv_write_file(const std::string& path, const CsvDocument& doc) {
-    atomic_write_file(path, csv_write(doc));
-}
-
-CsvDocument csv_parse_file(const std::string& path) { return csv_parse(read_file(path)); }
-
 }  // namespace pv

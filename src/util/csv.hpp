@@ -27,13 +27,4 @@ struct CsvDocument {
 /// rows, an unterminated quote, or an empty document.
 [[nodiscard]] CsvDocument csv_parse(const std::string& text);
 
-/// Serialize to `path` via temp-file + rename (util/fsio): a crash
-/// mid-write leaves either the previous file or the new one, never a
-/// torn CSV.  Throws IoError on filesystem failure.
-void csv_write_file(const std::string& path, const CsvDocument& doc);
-
-/// Read and parse `path`.  Throws IoError when unreadable, ConfigError
-/// on malformed CSV.
-[[nodiscard]] CsvDocument csv_parse_file(const std::string& path);
-
 }  // namespace pv

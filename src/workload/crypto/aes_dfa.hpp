@@ -49,9 +49,6 @@ public:
     /// a round-8 single-byte fault are rejected (returns false).
     bool add_pair(const DfaPair& pair);
 
-    /// Pairs accepted so far, per diagonal.
-    [[nodiscard]] const std::array<std::vector<DfaPair>, 4>& pairs() const { return pairs_; }
-
     /// True once every diagonal has at least `needed` usable pairs.
     [[nodiscard]] bool ready(std::size_t needed = 2) const;
 

@@ -88,7 +88,6 @@ double SpecSuite::measure_rate(Workload& workload, Megahertz freq, bool with_pol
     // Deterministic run-to-run jitter (real SPEC results scatter too).
     Rng noise(config_.seed * 0x9E3779B97F4A7C15ULL + noise_salt);
     elapsed_s *= 1.0 + config_.noise_fraction * noise.gaussian();
-    last_elapsed_s_ = elapsed_s;
 
     return static_cast<double>(copies) * ref_seconds / elapsed_s;
 }

@@ -85,13 +85,9 @@ public:
     [[nodiscard]] std::vector<SpecScore> run(const plugvolt::SafeStateMap& map,
                                              const plugvolt::PollingConfig& polling);
 
-    /// Measured elapsed (seconds, simulated) of the last measure_rate call.
-    [[nodiscard]] double last_elapsed_seconds() const { return last_elapsed_s_; }
-
 private:
     sim::CpuProfile profile_;
     SpecSuiteConfig config_;
-    double last_elapsed_s_ = 0.0;
 };
 
 }  // namespace pv::workload

@@ -1,6 +1,8 @@
 // Shared fixtures for the PlugVolt test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include "os/kernel.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/safe_state.hpp"
@@ -22,6 +24,15 @@ struct MachineRig {
     sim::Machine machine;
     os::Kernel kernel;
 };
+
+/// A driver access (try_rdmsr / try_wrmsr / try_ioctl_wrmsr) that must
+/// complete: fails the test unless its status is Ok, and hands the result
+/// on, e.g. `test::msr_ok(msr.try_rdmsr(0, 0, addr)).value`.
+template <class MsrResult>
+MsrResult msr_ok(MsrResult result) {
+    EXPECT_EQ(result.status, os::MsrStatus::Ok) << os::to_string(result.status);
+    return result;
+}
 
 /// The plain Algorithm 2 sweep: the engine with one worker (rows in
 /// order on the calling thread) scanning every offset step of each row.

@@ -63,11 +63,12 @@ protected:
 
 TEST_F(MsrAuditorTest, LegitimateSafeTrafficIsClean) {
     MsrAuditor auditor(kernel_, {.map = &map_});
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-50.0}, sim::VoltagePlane::Core));
+    test::msr_ok(kernel_.msr().try_wrmsr(
+        0, 0, sim::kMsrOcMailbox,
+        sim::encode_offset(Millivolts{-50.0}, sim::VoltagePlane::Core)));
     machine_.advance(machine_.rail_settle_time() - machine_.now());
-    (void)kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);
-    (void)kernel_.msr().rdmsr(0, 0, sim::kMsrOcMailbox);
+    (void)test::msr_ok(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus));
+    (void)test::msr_ok(kernel_.msr().try_rdmsr(0, 0, sim::kMsrOcMailbox));
     EXPECT_TRUE(auditor.violations().empty());
     EXPECT_GE(auditor.audited_accesses(), 3u);
 }
@@ -88,8 +89,9 @@ TEST_F(MsrAuditorTest, RejectsUnsafeWriteThatBypassesThePollingGuard) {
     const auto [freq, offset] = unsafe_point();
     raise_all_to(freq);
     ASSERT_FALSE(kernel_.module_loaded(plugvolt::PollingModule::kModuleName));
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(offset, sim::VoltagePlane::Core));
+    test::msr_ok(kernel_.msr().try_wrmsr(
+        0, 0, sim::kMsrOcMailbox,
+        sim::encode_offset(offset, sim::VoltagePlane::Core)));
     ASSERT_EQ(auditor.violations().size(), 1u);
     EXPECT_EQ(auditor.violations()[0].kind, AuditKind::UnsafeWrite);
 }
@@ -101,16 +103,18 @@ TEST_F(MsrAuditorTest, SameUnsafeWriteIsGuardedTrafficWithTheModuleLoaded) {
     plugvolt::PollingConfig config;
     ASSERT_TRUE(kernel_.load_module(std::make_shared<plugvolt::PollingModule>(map_, config)));
     auditor.clear();  // module init traffic is not under test
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(offset, sim::VoltagePlane::Core));
+    test::msr_ok(kernel_.msr().try_wrmsr(
+        0, 0, sim::kMsrOcMailbox,
+        sim::encode_offset(offset, sim::VoltagePlane::Core)));
     for (const AuditViolation& v : auditor.violations())
         EXPECT_NE(v.kind, AuditKind::UnsafeWrite) << v.detail();
 }
 
 TEST_F(MsrAuditorTest, FlagsOffsetDeeperThanTheAuditedFloor) {
     MsrAuditor auditor(kernel_, {.map = &map_});  // floor = map sweep floor (-300 mV)
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-350.0}, sim::VoltagePlane::Core));
+    test::msr_ok(kernel_.msr().try_wrmsr(
+        0, 0, sim::kMsrOcMailbox,
+        sim::encode_offset(Millivolts{-350.0}, sim::VoltagePlane::Core)));
     bool saw_range = false;
     for (const AuditViolation& v : auditor.violations())
         saw_range |= v.kind == AuditKind::OffsetOutOfRange;
@@ -122,7 +126,7 @@ TEST_F(MsrAuditorTest, FlagsMalformedPlaneEncoding) {
     // Plane field (bits 40-42) = 5: unassigned; command + write-enable set.
     const std::uint64_t forged =
         (1ULL << 63) | (5ULL << 40) | (1ULL << 32) | (0x7F0ULL << 21);
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox, forged);
+    test::msr_ok(kernel_.msr().try_wrmsr(0, 0, sim::kMsrOcMailbox, forged));
     ASSERT_EQ(auditor.violations().size(), 1u);
     EXPECT_EQ(auditor.violations()[0].kind, AuditKind::MalformedMailbox);
 }
@@ -131,22 +135,23 @@ TEST_F(MsrAuditorTest, NoEffectWritesAreNotValidated) {
     MsrAuditor auditor(kernel_, {.map = &map_});
     // Write-enable missing: hardware treats it as a no-op, so does the audit.
     const std::uint64_t no_effect = (1ULL << 63) | (0ULL << 40);
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox, no_effect);
+    test::msr_ok(kernel_.msr().try_wrmsr(0, 0, sim::kMsrOcMailbox, no_effect));
     EXPECT_TRUE(auditor.violations().empty());
 }
 
 TEST_F(MsrAuditorTest, FlagsStalePerfStatusReadMidTransition) {
     MsrAuditor auditor(kernel_, {.map = &map_});
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core));
+    test::msr_ok(kernel_.msr().try_wrmsr(
+        0, 0, sim::kMsrOcMailbox,
+        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core)));
     ASSERT_LT(machine_.now(), machine_.rail_settle_time());
-    (void)kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);  // rail still slewing
+    (void)test::msr_ok(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus));  // rail still slewing
     ASSERT_EQ(auditor.violations().size(), 1u);
     EXPECT_EQ(auditor.violations()[0].kind, AuditKind::StaleStatusRead);
 
     auditor.clear();
     machine_.advance(machine_.rail_settle_time() - machine_.now());
-    (void)kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);  // settled: fine
+    (void)test::msr_ok(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus));  // settled: fine
     EXPECT_TRUE(auditor.violations().empty());
 }
 
@@ -166,12 +171,14 @@ TEST_F(MsrAuditorTest, StaleReadTextIsBuiltOnDemandAndWhenLogged) {
     const LogTap previous = set_log_tap(
         [](LogLevel, const std::string& line) { logged_lines().push_back(line); });
     MsrAuditor auditor(kernel_, {.map = &map_});
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core));
+    test::msr_ok(kernel_.msr().try_wrmsr(
+        0, 0, sim::kMsrOcMailbox,
+        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core)));
     const Picoseconds settle = machine_.rail_settle_time();
     std::vector<Picoseconds> read_times;
     for (int i = 0; i < 3; ++i) {
-        const std::uint64_t read = kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);
+        const std::uint64_t read =
+            test::msr_ok(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus)).value;
         read_times.push_back(machine_.now());  // the read's cost is charged first
         ASSERT_LT(read_times.back(), settle);
         EXPECT_EQ(auditor.violations().back().value, read);
@@ -216,8 +223,9 @@ TEST_F(MsrAuditorTest, DetachesOnDestruction) {
     // No auditor attached: traffic flows unobserved, nothing crashes.
     machine_.write_msr(0, sim::kMsrOcMailbox,
                        sim::encode_offset(Millivolts{-50.0}, sim::VoltagePlane::Core));
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-40.0}, sim::VoltagePlane::Core));
+    test::msr_ok(kernel_.msr().try_wrmsr(
+        0, 0, sim::kMsrOcMailbox,
+        sim::encode_offset(Millivolts{-40.0}, sim::VoltagePlane::Core)));
 }
 
 #if PV_CHECK_LEVEL >= 1
@@ -236,8 +244,9 @@ TEST_F(MsrAuditorDeathTest, FatalModeAbortsOnStaleReadWithItsText) {
     // Quiet logging does not spare a fatal auditor the text: it dies
     // with the finding's full description.
     MsrAuditor auditor(kernel_, {.map = &map_, .fatal = true});
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core));
+    test::msr_ok(kernel_.msr().try_wrmsr(
+        0, 0, sim::kMsrOcMailbox,
+        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core)));
     ASSERT_LT(machine_.now(), machine_.rail_settle_time());
     const std::string text = "0x198 read mid-transition: rail settles at " +
                              std::to_string(machine_.rail_settle_time().value()) +
@@ -245,7 +254,7 @@ TEST_F(MsrAuditorDeathTest, FatalModeAbortsOnStaleReadWithItsText) {
     EXPECT_DEATH(
         {
             set_log_level(LogLevel::Off);
-            (void)kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);
+            (void)test::msr_ok(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus));
         },
         "stale-status-read.*" + text);
 }

@@ -10,8 +10,10 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -220,6 +222,17 @@ TEST(PvLint, StripCommentsAndStringsBlanksButKeepsLineStructure) {
     EXPECT_NE(code.find("int b;"), std::string::npos);
 }
 
+TEST(PvLint, DigitSeparatorsDoNotOpenCharLiterals) {
+    // The quote in 0x5E12'2026 or 20'000 separates digits.  Read as a
+    // character literal, it blanked the code up to the next quote, and
+    // every rule missed what stood there.
+    const std::string code = pvlint::strip_comments_and_strings(
+        "auto s = mix_seed(0x5E12'2026, 1);\nint r = rand();\nchar c = u8'q';\n");
+    EXPECT_NE(code.find("int r = rand();"), std::string::npos);
+    EXPECT_NE(code.find("mix_seed(0x5E12'2026, 1);"), std::string::npos);
+    EXPECT_EQ(code.find('q'), std::string::npos) << "u8'q' is still a character literal";
+}
+
 TEST(PvLint, RuleNamesRoundTrip) {
     for (const Rule rule : pvlint::all_rules()) {
         const auto back = pvlint::rule_from_name(pvlint::rule_name(rule));
@@ -227,6 +240,39 @@ TEST(PvLint, RuleNamesRoundTrip) {
         EXPECT_EQ(*back, rule);
     }
     EXPECT_FALSE(pvlint::rule_from_name("no-such-rule").has_value());
+}
+
+// --unused-public over its own fixture tree (tests/lint_fixtures/
+// unused_public): private, detail-namespace and used names drop out;
+// pair-only, test-only, comment- and string-only names list; the fixture
+// baseline keeps one name and names one stale entry.
+TEST(PvLint, UnusedPublicReportExact) {
+    const fs::path root = fs::path(PV_LINT_FIXTURE_DIR) / "unused_public";
+    const std::map<std::string, std::string> kept = pvlint::load_unused_public_baseline(
+        root / "tools" / "pvlint" / "unused_public.txt");
+    std::ostringstream out;
+    pvlint::write_unused_public(pvlint::find_unused_public(root), kept, out);
+    EXPECT_EQ(out.str(),
+              "src/sim/api.hpp:8: only_tests [tests] (kept: the tests drive the widget "
+              "through it)\n"
+              "src/sim/api.hpp:9: only_pair\n"
+              "src/sim/api.hpp:15: Gadget [tests]\n"
+              "src/sim/api.hpp:19: make [tests]\n"
+              "src/sim/api.hpp:24: Alias\n"
+              "src/sim/api.hpp:28: named_in_comment\n"
+              "src/sim/api.hpp:30: inline_body\n"
+              "src/sim/api.hpp:retired: stale baseline entry (now used, or gone)\n"
+              "pv-lint --unused-public: 7 names (1 kept, 6 new, 1 stale baseline entries)\n");
+}
+
+TEST(PvLint, UnusedPublicBaselineNeedsAReason) {
+    const fs::path path = fs::temp_directory_path() / "pvlint_test_unused_public.txt";
+    {
+        std::ofstream out(path);
+        out << "# comment\nsrc/a.hpp:kept  a reason\nsrc/a.hpp:bare\n";
+    }
+    EXPECT_THROW((void)pvlint::load_unused_public_baseline(path), std::runtime_error);
+    fs::remove(path);
 }
 
 TEST(PvLint, JsonReportWellFormed) {

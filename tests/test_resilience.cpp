@@ -532,18 +532,20 @@ TEST(MsrDriverFaults, StatusesSurfaceAndLegacyApiThrows) {
     test::MachineRig rig(11);
     FaultPlan plan;
     plan.set_rate(FaultKind::RdmsrError, 1.0);
+    plan.set_rate(FaultKind::WrmsrError, 1.0);
     FaultInjector injector(plan);
     rig.kernel.msr().set_fault_injector(&injector);
 
     const os::MsrReadResult r = rig.kernel.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus);
     EXPECT_EQ(r.status, os::MsrStatus::IoError);
-    EXPECT_THROW((void)rig.kernel.msr().rdmsr(0, 0, sim::kMsrPerfStatus), DriverError);
-    EXPECT_EQ(rig.kernel.msr().fault_counters().read_errors, 2u);
+    const auto raw = sim::encode_offset(Millivolts{-10.0}, sim::VoltagePlane::Core);
+    EXPECT_THROW(rig.kernel.msr().ioctl_wrmsr(0, 0, sim::kMsrOcMailbox, raw), DriverError);
+    EXPECT_EQ(rig.kernel.msr().fault_counters().read_errors, 1u);
+    EXPECT_EQ(rig.kernel.msr().fault_counters().write_errors, 1u);
 
     // Detaching restores the clean path bit-for-bit.
     rig.kernel.msr().set_fault_injector(nullptr);
-    EXPECT_EQ(rig.kernel.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus).status,
-              os::MsrStatus::Ok);
+    (void)test::msr_ok(rig.kernel.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus));
 }
 
 TEST(MsrDriverFaults, MailboxBusyOnlyHitsTheMailbox) {

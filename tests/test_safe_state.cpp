@@ -112,16 +112,22 @@ TEST(SafeStateMap, CsvRoundTrip) {
               restored.classify(from_ghz(2.0), Millivolts{-210.0}));
 }
 
-TEST(SafeStateMap, CsvRejectsNonFiniteFields) {
-    // std::stod parses "nan" and "inf"; every ordering check in add()
-    // compares false against NaN, so such a row used to load.
+TEST(SafeStateMap, CsvRejectsMalformedFields) {
+    // Every field is parsed whole and must be finite: a NaN passes every
+    // ordering check in add(), "3000x" is not 3000 MHz, and "2" is not a
+    // fault_free flag.  The load_csv contract is ConfigError for all of
+    // them, not std::invalid_argument or std::out_of_range.
     const std::string header = "freq_mhz,onset_mv,crash_mv,fault_free\n";
     const std::string good = "1000,-200,-220,0\n";
     EXPECT_NO_THROW((void)SafeStateMap::from_csv(header + good, "x", Millivolts{-300.0}));
     for (const char* row :
          {"nan,-200,-220,0\n", "2000,nan,-220,0\n", "2000,-200,nan,0\n", "2000,nan,nan,1\n",
           "inf,-200,-220,0\n", "2000,-inf,-220,0\n", "2000,-200,-inf,0\n",
-          "-nan,-200,-220,0\n"}) {
+          "-nan,-200,-220,0\n", "3000x,-200,-220,0\n", "2000,-200mV,-220,0\n",
+          "2000,-200,-220 ,0\n", " 2000,-200,-220,0\n", "abc,-200,-220,0\n",
+          "2000,,-220,0\n", "1e999,-200,-220,0\n", "2000,-1e999,-220,0\n",
+          "2000,-200,-220,2\n", "2000,-200,-220,true\n", "2000,-200,-220,\n",
+          "2000,-200,-220,01\n"}) {
         EXPECT_THROW((void)SafeStateMap::from_csv(header + good + row, "x", Millivolts{-300.0}),
                      ConfigError)
             << row;

@@ -6,26 +6,25 @@
 // stream and end BIT-IDENTICAL to a never-killed reference: the same
 // queue fingerprint (every job's id, spec, terminal state, result
 // fingerprint, attempt count, unit count and detail), and the same
-// committed serving state (envelope state hash included).
+// committed serving state (envelope state hash included).  The seed loop
+// is the shared harness in resume_soak.hpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "resilience/fault_injection.hpp"
+#include "resume_soak.hpp"
 #include "serve/daemon.hpp"
 #include "util/rng.hpp"
 
 namespace pv::serve {
 namespace {
-
-/// Deliberately not derived from std::exception: models SIGKILL.
-struct KillSignal {};
-
-constexpr std::uint64_t kSoakSeeds = 25;
 
 std::string soak_dir(const char* tag, std::uint64_t i) {
     const std::string dir =
@@ -63,79 +62,86 @@ std::vector<JobSpec> job_stream(std::uint64_t seed, std::uint64_t i) {
     return stream;
 }
 
-TEST(ServeResumeSoak, KilledDaemonResumesBitIdentical) {
-    for (std::uint64_t i = 0; i < kSoakSeeds; ++i) {
-        const std::uint64_t seed = mix_seed(0x5E12'2026, i);
-        DaemonConfig config;
-        if (i % 2 == 1) {
-            resilience::FaultPlan plan;
-            plan.set_rate(resilience::FaultKind::MailboxBusy, 0.1);
-            plan.set_rate(resilience::FaultKind::StaleRead, 0.05);
-            config.fault_plan = plan;
-        }
-        const std::vector<JobSpec> stream = job_stream(seed, i);
+/// One seed: a never-killed reference daemon, a victim killed mid-job at
+/// a seed-derived delivered unit, and a daemon revived on the victim's
+/// state directory.
+class DaemonSoakRun {
+public:
+    DaemonSoakRun(std::uint64_t i, std::uint64_t seed,
+                  const std::optional<resilience::FaultPlan>& faults)
+        : i_(i), stream_(job_stream(seed, i)) {
+        if (faults) config_.fault_plan = *faults;
+    }
+    ~DaemonSoakRun() {
+        if (reference_) std::filesystem::remove_all(reference_->config().state_dir);
+        if (revived_) std::filesystem::remove_all(revived_->config().state_dir);
+    }
+    DaemonSoakRun(const DaemonSoakRun&) = delete;
+    DaemonSoakRun& operator=(const DaemonSoakRun&) = delete;
 
-        // Reference: never killed.
-        config.state_dir = soak_dir("ref", i);
-        CampaignDaemon reference(config);
-        for (const JobSpec& spec : stream) (void)reference.submit(spec);
-        reference.run_until_idle();
-        const std::uint64_t reference_fp = reference.queue_fingerprint();
-        const std::optional<EnvelopeView> reference_env = reference.query_envelope();
+    void reference(std::uint64_t& fingerprint) {
+        config_.state_dir = soak_dir("ref", i_);
+        reference_.emplace(config_);
+        for (const JobSpec& spec : stream_) (void)reference_->submit(spec);
+        reference_->run_until_idle();
+        fingerprint = reference_->queue_fingerprint();
+        reference_env_ = reference_->query_envelope();
+    }
 
-        // Victim: killed mid-job at a seed-derived delivered unit.
-        config.state_dir = soak_dir("kill", i);
-        const std::uint64_t kill_at = 1 + seed % 10;
-        bool killed = false;
-        {
-            CampaignDaemon victim(config);
-            std::uint64_t delivered = 0;
-            victim.set_progress([&](const JobRecord&, std::uint64_t) {
-                if (++delivered == kill_at) throw KillSignal{};
-            });
-            for (const JobSpec& spec : stream) (void)victim.submit(spec);
-            try {
-                victim.run_until_idle();
-            } catch (const KillSignal&) {
-                killed = true;
-            }
-        }
-        ASSERT_TRUE(killed) << "seed " << i << ": kill point past the whole stream";
+    [[nodiscard]] std::uint64_t kill_after(std::uint64_t seed) const { return 1 + seed % 10; }
 
-        CampaignDaemon revived(config);
-        revived.run_until_idle();
+    void run(const std::function<void()>& deliver) {
+        config_.state_dir = soak_dir("kill", i_);
+        CampaignDaemon victim(config_);
+        victim.set_progress([&deliver](const JobRecord&, std::uint64_t) { deliver(); });
+        for (const JobSpec& spec : stream_) (void)victim.submit(spec);
+        victim.run_until_idle();
+    }
 
-        EXPECT_EQ(revived.queue_fingerprint(), reference_fp) << "seed " << i;
-        const std::vector<JobRecord> expect = reference.jobs();
-        const std::vector<JobRecord> got = revived.jobs();
-        ASSERT_EQ(got.size(), expect.size()) << "seed " << i;
+    void resume(std::uint64_t /*kill_after*/, std::uint64_t& fingerprint) {
+        revived_.emplace(config_);
+        revived_->run_until_idle();
+        fingerprint = revived_->queue_fingerprint();
+    }
+
+    void check(std::uint64_t /*kill_after*/, std::uint64_t /*reference*/) {
+        const std::vector<JobRecord> expect = reference_->jobs();
+        const std::vector<JobRecord> got = revived_->jobs();
+        ASSERT_EQ(got.size(), expect.size());
         for (std::size_t j = 0; j < expect.size(); ++j) {
-            EXPECT_EQ(got[j].state, expect[j].state) << "seed " << i << " job " << j;
-            EXPECT_EQ(got[j].result_fingerprint, expect[j].result_fingerprint)
-                << "seed " << i << " job " << j;
-            EXPECT_EQ(got[j].attempts, expect[j].attempts)
-                << "seed " << i << " job " << j;
-            EXPECT_EQ(got[j].progress_units, expect[j].progress_units)
-                << "seed " << i << " job " << j;
-            EXPECT_EQ(got[j].detail, expect[j].detail) << "seed " << i << " job " << j;
+            EXPECT_EQ(got[j].state, expect[j].state) << "job " << j;
+            EXPECT_EQ(got[j].result_fingerprint, expect[j].result_fingerprint) << "job " << j;
+            EXPECT_EQ(got[j].attempts, expect[j].attempts) << "job " << j;
+            EXPECT_EQ(got[j].progress_units, expect[j].progress_units) << "job " << j;
+            EXPECT_EQ(got[j].detail, expect[j].detail) << "job " << j;
         }
 
         // Committed serving state: identical envelope hash (fleet
         // seeds) and identical DVFS verdicts (every seed).
-        const std::optional<EnvelopeView> revived_env = revived.query_envelope();
-        ASSERT_EQ(revived_env.has_value(), reference_env.has_value()) << "seed " << i;
-        if (reference_env) {
-            EXPECT_EQ(revived_env->state_hash, reference_env->state_hash)
-                << "seed " << i;
-            EXPECT_EQ(revived_env->source_job, reference_env->source_job);
+        const std::optional<EnvelopeView> revived_env = revived_->query_envelope();
+        ASSERT_EQ(revived_env.has_value(), reference_env_.has_value());
+        if (reference_env_) {
+            EXPECT_EQ(revived_env->state_hash, reference_env_->state_hash);
+            EXPECT_EQ(revived_env->source_job, reference_env_->source_job);
         }
-        EXPECT_EQ(revived.request_undervolt(Megahertz{3000.0}, Millivolts{-400.0}),
-                  reference.request_undervolt(Megahertz{3000.0}, Millivolts{-400.0}))
-            << "seed " << i;
-
-        std::filesystem::remove_all(reference.config().state_dir);
-        std::filesystem::remove_all(revived.config().state_dir);
+        EXPECT_EQ(revived_->request_undervolt(Megahertz{3000.0}, Millivolts{-400.0}),
+                  reference_->request_undervolt(Megahertz{3000.0}, Millivolts{-400.0}));
     }
+
+private:
+    std::uint64_t i_;
+    std::vector<JobSpec> stream_;
+    DaemonConfig config_;
+    std::optional<CampaignDaemon> reference_;
+    std::optional<EnvelopeView> reference_env_;
+    std::optional<CampaignDaemon> revived_;
+};
+
+TEST(ServeResumeSoak, KilledDaemonResumesBitIdentical) {
+    test::kill_resume_soak(0x5E12'2026, [](std::uint64_t i, std::uint64_t seed,
+                                           const std::optional<resilience::FaultPlan>& faults) {
+        return std::make_unique<DaemonSoakRun>(i, seed, faults);
+    });
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "pvlint.hpp"
 
@@ -19,6 +20,8 @@ int usage(std::ostream& out, int code) {
            "  --json FILE            write the machine-readable report\n"
            "  --write-baseline FILE  accept every current finding into FILE and exit 0\n"
            "  --show-suppressed      also print waived/baselined findings\n"
+           "  --unused-public        print the unused-public report instead (always exits 0;\n"
+           "                         kept names: ROOT/tools/pvlint/unused_public.txt)\n"
            "  --list-rules           print every rule id and exit\n";
     return code;
 }
@@ -32,6 +35,7 @@ int main(int argc, char** argv) {
     std::filesystem::path write_baseline_path;
     bool no_baseline = false;
     bool show_suppressed = false;
+    bool unused_public = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
@@ -54,6 +58,8 @@ int main(int argc, char** argv) {
             write_baseline_path = value();
         } else if (arg == "--show-suppressed") {
             show_suppressed = true;
+        } else if (arg == "--unused-public") {
+            unused_public = true;
         } else if (arg == "--list-rules") {
             for (const pvlint::Rule rule : pvlint::all_rules())
                 std::cout << pvlint::rule_name(rule) << '\n';
@@ -72,6 +78,21 @@ int main(int argc, char** argv) {
     if (!std::filesystem::exists(config.root / "src")) {
         std::cerr << "pvlint: no src/ under " << config.root << " — wrong --root?\n";
         return 2;
+    }
+
+    if (unused_public) {
+        std::map<std::string, std::string> kept;
+        const auto kept_path = config.root / "tools" / "pvlint" / "unused_public.txt";
+        if (!no_baseline && std::filesystem::exists(kept_path)) {
+            try {
+                kept = pvlint::load_unused_public_baseline(kept_path);
+            } catch (const std::runtime_error& e) {
+                std::cerr << "pvlint: " << e.what() << '\n';
+                return 2;
+            }
+        }
+        pvlint::write_unused_public(pvlint::find_unused_public(config.root), kept, std::cout);
+        return 0;
     }
 
     pvlint::Report report = pvlint::run(config);

@@ -31,8 +31,9 @@
 //   concurrency-guard      a Mutex declaration in a file with no
 //                          PV_GUARDED_BY field (a lock that guards
 //                          nothing the analysis can see)
-//   error-path-throw       the throwing legacy driver API (.rdmsr(),
-//                          .wrmsr(), .ioctl_*()) in src/resilience or the
+//   error-path-throw       the throwing driver API (.ioctl_wrmsr(); the
+//                          deleted .rdmsr(), .wrmsr(), .ioctl_rdmsr() stay
+//                          listed) in src/resilience or the
 //                          polling/degradation paths, where domain
 //                          outcomes must be values (try_*), not exceptions
 //   waiver                 a malformed pv-lint waiver comment (missing
@@ -41,6 +42,14 @@
 // Waiver syntax, reason mandatory:
 //   code();  // pv-lint: allow(rule-id[,rule-id...]) why this is sound
 // A waiver on a comment-only line applies to the next line instead.
+//
+// The --unused-public report (info-only, never blocking): each public
+// function or type declared in src/**/*.hpp whose name no file outside
+// the header's own .hpp/.cpp pair and tests/ mentions.  It matches
+// tokens, not symbols, so a common name used anywhere hides a dead
+// declaration, and a name reached only through a macro shows up.  Its
+// baseline, tools/pvlint/unused_public.txt, holds the names kept on
+// purpose, each with its reason.
 //
 // Baseline: a committed file of "file:line:rule" keys (see
 // tools/pvlint/baseline.txt) accepted without inline waivers — the
@@ -136,6 +145,27 @@ struct Report {
 /// Mark findings whose key appears in the baseline ("waiver" findings are
 /// never baselinable).
 void apply_baseline(Report& report, const std::set<std::string>& baseline);
+
+/// One --unused-public entry.
+struct UnusedName {
+    std::string file;  ///< the declaring header, root-relative
+    int line = 0;      ///< its first declaration
+    std::string name;
+    bool tests = false;  ///< some test names it (else only its own pair)
+};
+
+/// The --unused-public report over the tree under `root`, sorted by
+/// (file, line, name).
+[[nodiscard]] std::vector<UnusedName> find_unused_public(const std::filesystem::path& root);
+/// Baseline lines are "<header>:<name> <reason>"; '#' starts a comment.
+/// Throws std::runtime_error on an entry without a reason.
+[[nodiscard]] std::map<std::string, std::string> load_unused_public_baseline(
+    const std::filesystem::path& path);
+/// Every listed name (tagged [tests] when a test names it, with its
+/// reason when kept), every baseline entry
+/// that no longer lists, and a summary line.
+void write_unused_public(const std::vector<UnusedName>& names,
+                         const std::map<std::string, std::string>& baseline, std::ostream& out);
 
 void write_text(const Report& report, std::ostream& out, bool show_suppressed = false);
 void write_json(const Report& report, std::ostream& out);

@@ -43,6 +43,21 @@ int Report::unwaived() const {
         [](const Finding& f) { return !f.waived && !f.baselined; }));
 }
 
+namespace {
+
+/// True when the quote at `pos` separates digits (0x5E12'2026, 20'000)
+/// rather than opening a character literal: the token it sits in starts
+/// with a digit.  u8'x', L'x' and friends start with a letter.
+bool digit_separator(std::string_view text, std::size_t pos) {
+    std::size_t p = pos;
+    while (p > 0 && (std::isalnum(static_cast<unsigned char>(text[p - 1])) != 0 ||
+                     text[p - 1] == '_' || text[p - 1] == '\''))
+        --p;
+    return p < pos && std::isdigit(static_cast<unsigned char>(text[p])) != 0;
+}
+
+}  // namespace
+
 // Blank comments and string/char literals with spaces so token rules see
 // only code, while every byte keeps its (line, column).  Handles //,
 // /* */, "..." with escapes, '...' with escapes, and R"delim(...)delim".
@@ -78,7 +93,7 @@ std::string strip_comments_and_strings(std::string_view text) {
                 } else if (c == '"') {
                     state = State::String;
                     out[i] = ' ';
-                } else if (c == '\'') {
+                } else if (c == '\'' && !digit_separator(text, i)) {
                     state = State::Char;
                     out[i] = ' ';
                 }
