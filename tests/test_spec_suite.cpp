@@ -1,5 +1,16 @@
 // Table 2 harness tests: overhead must emerge from the cycle accounting.
+//
+// TableTwoGolden pins every Table 2 rate bit for bit against
+// tests/golden/table2_cometlake.golden.  Regoldening (after an INTENDED
+// change to the rates): `PV_REGOLDEN=1 ctest -R Golden`; commit the diff
+// alongside the change that explains it.
 #include "workload/spec_suite.hpp"
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +102,76 @@ TEST(SpecSuite, FullRunReproducesTable2Shape) {
         0.5 * (base_slowdowns.mean() + peak_slowdowns.mean());
     EXPECT_GT(mean, 0.0005);
     EXPECT_LT(mean, 0.006);
+}
+
+std::string hex(double v) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+/// The committed golden lines; '#' lines are comments.
+std::vector<std::string> read_golden(const std::string& path) {
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line))
+        if (!line.empty() && line[0] != '#') lines.push_back(line);
+    return lines;
+}
+
+// bench_table2_spec_overhead's run (Comet Lake, bench::characterize's
+// 5 mV map, units = 200, default polling) plus the two x264 rates that
+// bench_poll_interval measures per sweep row (its suite config, 4.6 GHz,
+// ref 100 s, salt 1), here at the default polling config.
+TEST(SpecSuite, TableTwoGolden) {
+    const sim::CpuProfile profile = sim::cometlake_i7_10510u();
+    plugvolt::CharacterizerConfig cell;
+    cell.offset_step = Millivolts{5.0};
+    const plugvolt::SafeStateMap map = test::exhaustive_map(profile, cell, 0xDAC2024);
+    const plugvolt::PollingConfig polling;
+
+    SpecSuiteConfig config;
+    config.units = 200;
+    const auto scores = SpecSuite(profile, config).run(map, polling);
+    std::vector<std::string> lines;
+    for (const SpecScore& s : scores)
+        lines.push_back(s.name + " " + hex(s.base_rate_without) + " " +
+                        hex(s.base_rate_with) + " " + hex(s.peak_rate_without) + " " +
+                        hex(s.peak_rate_with));
+
+    SpecSuiteConfig sweep_config;
+    sweep_config.units = 60;
+    sweep_config.noise_fraction = 0.0;
+    SpecSuite sweep_suite(profile, sweep_config);
+    auto w1 = make_x264(9);
+    const double without =
+        sweep_suite.measure_rate(*w1, Megahertz{4600.0}, false, map, polling, 1.0, 100.0, 1);
+    auto w2 = make_x264(9);
+    const double with =
+        sweep_suite.measure_rate(*w2, Megahertz{4600.0}, true, map, polling, 1.0, 100.0, 1);
+    lines.push_back("poll_interval.x264 " + hex(without) + " " + hex(with));
+
+    const std::string path = std::string(PV_GOLDEN_DIR) + "/table2_cometlake.golden";
+    const char* env = std::getenv("PV_REGOLDEN");
+    if (env != nullptr && env[0] != '\0' && env[0] != '0') {
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << "# Table 2 rates on Comet Lake (5 mV map, units 200, default polling), %a.\n"
+            << "# Regolden after intended changes: PV_REGOLDEN=1 ctest -R Golden\n"
+            << "# name base_without base_with peak_without peak_with\n"
+            << "# last line: bench_poll_interval's x264 rate without and with polling\n";
+        for (const std::string& l : lines) out << l << "\n";
+        return;
+    }
+    const std::vector<std::string> committed = read_golden(path);
+    ASSERT_FALSE(committed.empty()) << "missing golden file " << path
+                                    << " — generate with: PV_REGOLDEN=1 ctest -R Golden";
+    ASSERT_EQ(lines.size(), committed.size());
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(lines[i], committed[i])
+            << "rate drifted from the committed golden; if the change is intended, "
+            << "regolden with PV_REGOLDEN=1 ctest -R Golden";
 }
 
 TEST(SpecSuite, RejectsZeroUnits) {
