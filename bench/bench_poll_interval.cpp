@@ -13,7 +13,6 @@
 #include "bench_common.hpp"
 #include "plugvolt/plugvolt.hpp"
 #include "trace/recorder.hpp"
-#include "workload/spec.hpp"
 #include "workload/spec_suite.hpp"
 
 using namespace pv;
@@ -72,14 +71,13 @@ int main() {
             r = atk.run(kernel);
         }
 
-        // Overhead: the compute-dense x264 kernel at all-core turbo.
+        // Overhead: the compute-dense x264 row at all-core turbo.
         workload::SpecSuite suite(profile, suite_config);
-        auto w1 = workload::make_x264(9);
+        const workload::SpecBenchmark& x264 = workload::table2_benchmark("525.x264_r");
         const double without =
-            suite.measure_rate(*w1, Megahertz{4600.0}, false, map, polling, 1.0, 100.0, 1);
-        auto w2 = workload::make_x264(9);
+            suite.measure_rate(x264, Megahertz{4600.0}, false, map, polling, 1.0, 100.0, 1);
         const double with =
-            suite.measure_rate(*w2, Megahertz{4600.0}, true, map, polling, 1.0, 100.0, 1);
+            suite.measure_rate(x264, Megahertz{4600.0}, true, map, polling, 1.0, 100.0, 1);
         const double overhead = (without - with) / without;
 
         table.add_row({Table::num(sweep.interval_us, 0),

@@ -3,10 +3,13 @@
 //
 // Methodology (mirrors the paper): each of the 23 benchmarks runs in
 // base and peak tuning, with and without the PlugVolt kernel module
-// loaded.  Rates are genuine simulated-time measurements — the module's
-// kthreads steal cycles from the very windows the workload copies run
-// in.  Without-polling rates are anchored to the paper's testbed values
-// (see workload/spec_suite.hpp); the slowdowns are the measurement.
+// loaded.  A benchmark is a row of the cost table (instructions per
+// unit, IPC); its rate is a simulated-time measurement — the module's
+// kthreads steal cycles from the very windows the copies run in.
+// Without-polling rates are anchored to the paper's testbed values (see
+// workload/spec_suite.hpp); the slowdowns are the measurement.  The
+// output is deterministic; bench/baselines/table2_spec_overhead.txt
+// holds it byte for byte.
 #include <cstdio>
 
 #include "bench_common.hpp"

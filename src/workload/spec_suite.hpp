@@ -1,11 +1,13 @@
 // PlugVolt — SPECrate 2017 suite runner (the Table 2 harness).
 //
-// Measures each kernel's rate score on the simulated machine, with and
-// without the polling countermeasure loaded, in both base and peak
-// tunings.  The measurement is genuine: workload copies progress on all
-// cores in lockstep windows of simulated time, and the polling kthreads'
-// wakeups steal cycles from exactly those windows — overhead is whatever
-// falls out, not an asserted constant.
+// Table 2 measures the throughput the polling countermeasure steals from
+// the SPEC CPU2017 rate suite.  Each benchmark is one row of a cost
+// table: dynamic instructions per work unit and sustained IPC.  The
+// runner measures each row's rate score on the simulated machine, with
+// and without the polling module loaded, in both base and peak tunings:
+// copies progress on all cores in lockstep windows of simulated time,
+// and the polling kthreads' wakeups steal cycles from exactly those
+// windows — overhead is whatever falls out, not an asserted constant.
 //
 // Rate anchoring: SPEC rate = copies * t_ref / t_measured.  We take the
 // per-benchmark reference times t_ref such that the *without-polling*
@@ -15,20 +17,25 @@
 // SPEC results scatter on real machines.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "plugvolt/polling_module.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "sim/cpu_profile.hpp"
-#include "workload/workload.hpp"
 
 namespace pv::workload {
 
-/// Suite configuration.
+/// Suite configuration.  The constructor throws ConfigError for zero
+/// units, a window <= 0, a non-finite or non-positive `peak_ipc_bonus`
+/// and a non-finite or negative `noise_fraction`.
 struct SpecSuiteConfig {
     std::uint64_t seed = 2024;
-    /// Work units each copy executes (cost-model instructions per unit
-    /// come from the kernel).
+    /// Work units each copy executes (instructions per unit come from the
+    /// benchmark's cost row).
     std::uint64_t units = 120;
     /// Lockstep accounting window.
     Picoseconds window = microseconds(100.0);
@@ -42,7 +49,7 @@ struct SpecSuiteConfig {
     double noise_fraction = 0.003;
 };
 
-/// One Table 2 row.
+/// One Table 2 result row.
 struct SpecScore {
     std::string name;
     double base_rate_without = 0.0;
@@ -58,24 +65,34 @@ struct SpecScore {
     }
 };
 
-/// Paper Table 2 anchors (Comet Lake, microcode 0xf4): the published
-/// without-polling base and peak rates, in suite order.
-struct PaperAnchor {
-    const char* name;
+/// One Table 2 benchmark: its cost on the simulated core (dynamic
+/// instructions per work unit, sustained IPC) and the paper's published
+/// without-polling base and peak rates (Comet Lake, microcode 0xf4).
+struct SpecBenchmark {
+    const char* name;  ///< SPEC identifier, e.g. "503.bwaves_r"
+    std::uint64_t instructions_per_unit;
+    double ipc;
     double base_rate;
     double peak_rate;
 };
-[[nodiscard]] const std::vector<PaperAnchor>& table2_anchors();
+
+/// The 23 benchmarks in Table 2 order (the FP block, then the INT block).
+[[nodiscard]] std::span<const SpecBenchmark> table2_benchmarks();
+
+/// The Table 2 row named `name`; throws ConfigError if there is none.
+[[nodiscard]] const SpecBenchmark& table2_benchmark(std::string_view name);
 
 /// The Table 2 runner.
 class SpecSuite {
 public:
     SpecSuite(sim::CpuProfile profile, SpecSuiteConfig config);
 
-    /// Measure one workload's rate at `freq` on a fresh machine.
-    /// `with_polling` loads the countermeasure module first.
-    /// `noise_salt` decorrelates the per-measurement jitter.
-    [[nodiscard]] double measure_rate(Workload& workload, Megahertz freq, bool with_polling,
+    /// Measure one benchmark's rate at `freq` on a fresh machine.
+    /// `with_polling` loads the countermeasure module first; `ipc_scale`
+    /// (> 0) multiplies the row's IPC.  `noise_salt` decorrelates the
+    /// per-measurement jitter.
+    [[nodiscard]] double measure_rate(const SpecBenchmark& benchmark, Megahertz freq,
+                                      bool with_polling,
                                       const plugvolt::SafeStateMap& map,
                                       const plugvolt::PollingConfig& polling,
                                       double ipc_scale, double ref_seconds,

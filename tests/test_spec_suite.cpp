@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,7 +19,6 @@
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
-#include "workload/spec.hpp"
 
 namespace pv::workload {
 namespace {
@@ -30,11 +31,10 @@ SpecSuiteConfig quick_config() {
 
 TEST(SpecSuite, MeasureRateIsPositiveAndDeterministic) {
     SpecSuite suite(sim::cometlake_i7_10510u(), quick_config());
-    auto w = make_x264(3);
+    const SpecBenchmark& x264 = table2_benchmark("525.x264_r");
     const auto& map = test::comet_map();
-    const double a = suite.measure_rate(*w, from_ghz(4.6), false, map, {}, 1.0, 100.0, 5);
-    auto w2 = make_x264(3);
-    const double b = suite.measure_rate(*w2, from_ghz(4.6), false, map, {}, 1.0, 100.0, 5);
+    const double a = suite.measure_rate(x264, from_ghz(4.6), false, map, {}, 1.0, 100.0, 5);
+    const double b = suite.measure_rate(x264, from_ghz(4.6), false, map, {}, 1.0, 100.0, 5);
     EXPECT_GT(a, 0.0);
     EXPECT_DOUBLE_EQ(a, b);
 }
@@ -44,10 +44,10 @@ TEST(SpecSuite, PollingCostsThroughputButLittle) {
     config.noise_fraction = 0.0;  // isolate the pure stolen-cycle effect
     SpecSuite suite(sim::cometlake_i7_10510u(), config);
     const auto& map = test::comet_map();
-    auto w = make_bwaves(3);
-    const double without = suite.measure_rate(*w, from_ghz(4.6), false, map, {}, 1.0, 100.0, 9);
-    auto w2 = make_bwaves(3);
-    const double with = suite.measure_rate(*w2, from_ghz(4.6), true, map, {}, 1.0, 100.0, 9);
+    const SpecBenchmark& bwaves = table2_benchmark("503.bwaves_r");
+    const double without =
+        suite.measure_rate(bwaves, from_ghz(4.6), false, map, {}, 1.0, 100.0, 9);
+    const double with = suite.measure_rate(bwaves, from_ghz(4.6), true, map, {}, 1.0, 100.0, 9);
     const double slowdown = (without - with) / without;
     EXPECT_GT(slowdown, 0.0) << "polling must cost something";
     EXPECT_LT(slowdown, 0.01) << "but well under 1%";
@@ -58,16 +58,15 @@ TEST(SpecSuite, OverheadScalesWithPollRate) {
     config.noise_fraction = 0.0;
     SpecSuite suite(sim::cometlake_i7_10510u(), config);
     const auto& map = test::comet_map();
+    const SpecBenchmark& namd = table2_benchmark("508.namd_r");
 
     auto slowdown_at = [&](double interval_us, std::uint64_t salt) {
         plugvolt::PollingConfig polling;
         polling.interval = microseconds(interval_us);
-        auto a = make_namd(3);
         const double without =
-            suite.measure_rate(*a, from_ghz(4.6), false, map, polling, 1.0, 100.0, salt);
-        auto b = make_namd(3);
+            suite.measure_rate(namd, from_ghz(4.6), false, map, polling, 1.0, 100.0, salt);
         const double with =
-            suite.measure_rate(*b, from_ghz(4.6), true, map, polling, 1.0, 100.0, salt);
+            suite.measure_rate(namd, from_ghz(4.6), true, map, polling, 1.0, 100.0, salt);
         return (without - with) / without;
     };
     const double fast = slowdown_at(25.0, 21);
@@ -82,15 +81,15 @@ TEST(SpecSuite, FullRunReproducesTable2Shape) {
     const auto scores = suite.run(test::comet_map(), {});
     ASSERT_EQ(scores.size(), 23u);
 
-    const auto& anchors = table2_anchors();
+    const auto table = table2_benchmarks();
     OnlineStats base_slowdowns, peak_slowdowns;
     for (std::size_t i = 0; i < scores.size(); ++i) {
         // Without-polling rates land on the paper anchors (within noise).
-        EXPECT_NEAR(scores[i].base_rate_without, anchors[i].base_rate,
-                    anchors[i].base_rate * 0.02)
+        EXPECT_NEAR(scores[i].base_rate_without, table[i].base_rate,
+                    table[i].base_rate * 0.02)
             << scores[i].name;
-        EXPECT_NEAR(scores[i].peak_rate_without, anchors[i].peak_rate,
-                    anchors[i].peak_rate * 0.02)
+        EXPECT_NEAR(scores[i].peak_rate_without, table[i].peak_rate,
+                    table[i].peak_rate * 0.02)
             << scores[i].name;
         // Per-benchmark slowdown stays small (the paper's worst is 4.24%).
         EXPECT_LT(std::abs(scores[i].base_slowdown()), 0.05) << scores[i].name;
@@ -144,12 +143,11 @@ TEST(SpecSuite, TableTwoGolden) {
     sweep_config.units = 60;
     sweep_config.noise_fraction = 0.0;
     SpecSuite sweep_suite(profile, sweep_config);
-    auto w1 = make_x264(9);
+    const SpecBenchmark& x264 = table2_benchmark("525.x264_r");
     const double without =
-        sweep_suite.measure_rate(*w1, Megahertz{4600.0}, false, map, polling, 1.0, 100.0, 1);
-    auto w2 = make_x264(9);
+        sweep_suite.measure_rate(x264, Megahertz{4600.0}, false, map, polling, 1.0, 100.0, 1);
     const double with =
-        sweep_suite.measure_rate(*w2, Megahertz{4600.0}, true, map, polling, 1.0, 100.0, 1);
+        sweep_suite.measure_rate(x264, Megahertz{4600.0}, true, map, polling, 1.0, 100.0, 1);
     lines.push_back("poll_interval.x264 " + hex(without) + " " + hex(with));
 
     const std::string path = std::string(PV_GOLDEN_DIR) + "/table2_cometlake.golden";
@@ -178,6 +176,92 @@ TEST(SpecSuite, RejectsZeroUnits) {
     SpecSuiteConfig config;
     config.units = 0;
     EXPECT_THROW(SpecSuite(sim::cometlake_i7_10510u(), config), pv::ConfigError);
+}
+
+TEST(SpecSuite, RejectsBadConfig) {
+    const sim::CpuProfile profile = sim::cometlake_i7_10510u();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const Picoseconds window : {Picoseconds{0}, Picoseconds{-1}}) {
+        SpecSuiteConfig config;
+        config.window = window;
+        EXPECT_THROW(SpecSuite(profile, config), ConfigError) << window.value();
+    }
+    for (const double bonus : {0.0, -1.03, nan, inf}) {
+        SpecSuiteConfig config;
+        config.peak_ipc_bonus = bonus;
+        EXPECT_THROW(SpecSuite(profile, config), ConfigError) << bonus;
+    }
+    for (const double noise : {-0.003, nan, inf}) {
+        SpecSuiteConfig config;
+        config.noise_fraction = noise;
+        EXPECT_THROW(SpecSuite(profile, config), ConfigError) << noise;
+    }
+
+    // measure_rate rejects a bad IPC scale before it builds a machine.
+    SpecSuite suite(profile, SpecSuiteConfig{});
+    const SpecBenchmark& x264 = table2_benchmark("525.x264_r");
+    for (const double scale : {0.0, -1.0, nan, inf})
+        EXPECT_THROW((void)suite.measure_rate(x264, from_ghz(4.6), false, test::comet_map(), {},
+                                              scale, 100.0, 1),
+                     ConfigError)
+            << scale;
+}
+
+// --- the cost table ------------------------------------------------------
+
+// The FP block (503 … 554) then the INT block (500 … 557), each in
+// ascending SPEC number, as the paper prints Table 2.
+TEST(SpecSuiteFactory, Has23KernelsInTable2Order) {
+    const auto table = table2_benchmarks();
+    ASSERT_EQ(table.size(), 23u);
+    EXPECT_STREQ(table[0].name, "503.bwaves_r");
+    EXPECT_STREQ(table[13].name, "500.perlbench_r");
+    EXPECT_STREQ(table[22].name, "557.xz_r");
+    for (std::size_t i = 1; i < table.size(); ++i) {
+        if (i == 13) continue;  // the INT block restarts the numbering
+        EXPECT_LT(std::stoi(table[i - 1].name), std::stoi(table[i].name)) << table[i].name;
+    }
+}
+
+TEST(SpecSuiteFactory, NamesAreUnique) {
+    const auto table = table2_benchmarks();
+    std::set<std::string> names;
+    for (const SpecBenchmark& row : table) names.emplace(row.name);
+    EXPECT_EQ(names.size(), table.size());
+}
+
+TEST(SpecSuiteFactory, LooksUpRowsByName) {
+    EXPECT_EQ(&table2_benchmark("525.x264_r"), &table2_benchmarks()[18]);
+    EXPECT_THROW((void)table2_benchmark("999.nope_r"), ConfigError);
+}
+
+// Parameterized over all 23 rows.
+class SpecKernel : public ::testing::TestWithParam<int> {
+protected:
+    [[nodiscard]] const SpecBenchmark& row() const {
+        return table2_benchmarks()[static_cast<std::size_t>(GetParam())];
+    }
+};
+
+TEST_P(SpecKernel, CostModelIsPlausible) {
+    const SpecBenchmark& b = row();
+    EXPECT_GE(b.instructions_per_unit, 100'000u) << b.name;
+    EXPECT_LE(b.instructions_per_unit, 10'000'000u) << b.name;
+    EXPECT_GE(b.ipc, 0.5) << b.name;
+    EXPECT_LE(b.ipc, 4.0) << b.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(All23, SpecKernel, ::testing::Range(0, 23));
+
+TEST(SpecKernels, IpcSpreadCoversMemoryAndComputeBound) {
+    double lo = 10.0, hi = 0.0;
+    for (const SpecBenchmark& b : table2_benchmarks()) {
+        lo = std::min(lo, b.ipc);
+        hi = std::max(hi, b.ipc);
+    }
+    EXPECT_LT(lo, 1.0) << "a memory-bound benchmark (mcf family) exists";
+    EXPECT_GT(hi, 2.0) << "a compute-dense benchmark (x264 family) exists";
 }
 
 }  // namespace
