@@ -34,7 +34,7 @@ Run run_scenario(const sim::CpuProfile& profile, Setup&& setup) {
     auto keep_alive = setup(machine, kernel, runtime);
     auto enclave = runtime.create_enclave("tenant", 3);
 
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     cpupower.frequency_set(from_ghz(1.2));
     machine.advance_to(machine.rail_settle_time());
     kernel.msr().ioctl_wrmsr(0, 0, sim::kMsrOcMailbox,

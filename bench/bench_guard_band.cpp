@@ -39,7 +39,7 @@ int main() {
         auto module = std::make_shared<plugvolt::PollingModule>(map, polling);
         kernel.load_module(module);
 
-        os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+        os::Cpupower cpupower(machine);
         cpupower.frequency_set(profile.freq_max);
         machine.advance_to(machine.rail_settle_time());
 

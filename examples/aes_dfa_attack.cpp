@@ -26,7 +26,7 @@ struct CampaignResult {
 
 CampaignResult campaign(sim::Machine& machine, os::Kernel& kernel,
                         const crypto::AesKey& key, int budget) {
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     cpupower.frequency_set(machine.profile().freq_max);
     machine.advance_to(machine.rail_settle_time());
     const Millivolts park =

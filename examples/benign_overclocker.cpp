@@ -20,7 +20,7 @@ namespace {
 // low frequency, then a gaming session at max turbo with a modest
 // undervolt for thermals.  Returns how many of the requests landed.
 int power_user_session(sim::Machine& machine, os::Kernel& kernel) {
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     int granted = 0;
 
     // Battery saver: 1.2 GHz, -150 mV (safe: onset there is ~-296 mV).

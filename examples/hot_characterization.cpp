@@ -38,7 +38,7 @@ std::uint64_t faults_in_blind_spot(const sim::CpuProfile& profile,
     plugvolt::Protector protector(kernel, deployed_map);
     protector.deploy(plugvolt::DeploymentLevel::KernelModule);
 
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     cpupower.frequency_set(profile.freq_max);
     machine.advance_to(machine.rail_settle_time());
     machine.set_die_temperature(85.0);  // a loaded laptop on a warm desk

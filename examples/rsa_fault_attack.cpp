@@ -19,7 +19,7 @@ namespace {
 // key was factored.
 bool attack_signer(sim::Machine& machine, os::Kernel& kernel, const crypto::RsaKey& key,
                    Millivolts offset) {
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     cpupower.frequency_set(machine.profile().freq_max);
     machine.advance_to(machine.rail_settle_time());
 

@@ -47,7 +47,7 @@ std::uint64_t Plundervolt::probe(os::Kernel& kernel, Millivolts offset,
 
 AttackResult Plundervolt::run(os::Kernel& kernel) {
     sim::Machine& m = kernel.machine();
-    os::Cpupower cpupower(kernel.cpufreq(), m.core_count());
+    os::Cpupower cpupower(m);
     Rng rng(config_.rng_seed);
 
     AttackResult result;

@@ -18,7 +18,7 @@ V0ltpwn::V0ltpwn(sgx::SgxRuntime& runtime, V0ltpwnConfig config)
 
 AttackResult V0ltpwn::run(os::Kernel& kernel) {
     sim::Machine& m = kernel.machine();
-    os::Cpupower cpupower(kernel.cpufreq(), m.core_count());
+    os::Cpupower cpupower(m);
 
     AttackResult result;
     result.attack_name = std::string(name());

@@ -16,7 +16,7 @@ VoltJockey::VoltJockey(VoltJockeyConfig config,
 std::uint64_t VoltJockey::attempt(os::Kernel& kernel, Megahertz f_lo, Megahertz f_hi,
                                   Millivolts offset, AttackResult& result) {
     sim::Machine& m = kernel.machine();
-    os::Cpupower cpupower(kernel.cpufreq(), m.core_count());
+    os::Cpupower cpupower(m);
 
     // Park at the low frequency and settle the (locally safe) offset.
     cpupower.frequency_set(f_lo);
@@ -160,7 +160,7 @@ void VoltJockey::run_descending_rail(os::Kernel& kernel, AttackResult& result) {
         result.notes = "descending-rail variant needs an attacker characterization map";
         return;
     }
-    os::Cpupower cpupower(kernel.cpufreq(), m.core_count());
+    os::Cpupower cpupower(m);
     const Megahertz f_hi = config_.high_freq.value() > 0.0 ? config_.high_freq
                                                            : m.profile().freq_max;
     // The unsafe band at the target frequency, from the attacker's map.

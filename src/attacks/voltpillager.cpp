@@ -9,7 +9,7 @@ VoltPillager::VoltPillager(VoltPillagerConfig config) : config_(config) {}
 
 AttackResult VoltPillager::run(os::Kernel& kernel) {
     sim::Machine& m = kernel.machine();
-    os::Cpupower cpupower(kernel.cpufreq(), m.core_count());
+    os::Cpupower cpupower(m);
 
     AttackResult result;
     result.attack_name = std::string(name());

@@ -13,7 +13,7 @@ attack::AttackResult BenignUndervolt::run(os::Kernel& kernel) {
     result.started = kernel.machine().now();
 
     sim::Machine& machine = kernel.machine();
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     cpupower.frequency_set(config_.pin_freq);
     machine.advance_to(machine.rail_settle_time());
 

@@ -1,30 +1,24 @@
 #include "os/cpupower.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+
 #include "util/error.hpp"
 
 namespace pv::os {
 
-Cpupower::Cpupower(Cpufreq& cpufreq, unsigned cpu_count)
-    : cpufreq_(cpufreq), cpu_count_(cpu_count) {
-    if (cpu_count_ == 0) throw ConfigError("cpupower: zero cpus");
-}
-
 void Cpupower::frequency_set(Megahertz f) {
-    for (unsigned cpu = 0; cpu < cpu_count_; ++cpu) frequency_set(cpu, f);
+    for (unsigned cpu = 0; cpu < machine_.core_count(); ++cpu) frequency_set(cpu, f);
 }
 
 void Cpupower::frequency_set(unsigned cpu, Megahertz f) {
-    cpufreq_.set_governor(cpu, Governor::Userspace);
-    cpufreq_.set_userspace_frequency(cpu, f);
-}
-
-Cpupower::Info Cpupower::frequency_info(unsigned cpu) const {
-    return Info{
-        .governor = cpufreq_.governor(cpu),
-        .current = cpufreq_.current(cpu),
-        .hw_min = cpufreq_.policy_min(cpu),
-        .hw_max = cpufreq_.policy_max(cpu),
-    };
+    if (cpu >= machine_.core_count()) throw ConfigError("cpupower: cpu out of range");
+    if (!std::isfinite(f.value())) throw ConfigError("cpupower: frequency must be finite");
+    const auto& p = machine_.profile();
+    const Megahertz target = std::clamp(f, p.freq_min, p.freq_max);
+    const auto ratio = static_cast<std::uint64_t>(target.value() / 100.0 + 0.5) & 0xFF;
+    machine_.write_msr(cpu, sim::kMsrPerfCtl, ratio << 8);
 }
 
 }  // namespace pv::os

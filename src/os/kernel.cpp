@@ -8,7 +8,7 @@
 namespace pv::os {
 
 Kernel::Kernel(sim::Machine& machine)
-    : machine_(machine), msr_(machine), cpufreq_(machine) {
+    : machine_(machine), msr_(machine) {
     machine_.on_reset([this] { on_machine_reset(); });
 }
 
@@ -31,10 +31,6 @@ void Kernel::arm(KthreadId id, Picoseconds first_wake) {
         if (it == kthreads_.end() || !it->second->running) return;
         // Heap-pinned: stays valid even if the body grows the table.
         const Kthread& kt = *it->second;
-        // A timer firing on an idle core wakes it first (exit latency is
-        // charged inside wake_core).
-        if (std::as_const(machine_).core(kt.options.cpu).cstate() != sim::CState::C0)
-            machine_.wake_core(kt.options.cpu);
         machine_.add_steal(kt.options.cpu,
                            Cycles{machine_.profile().costs.kthread_wake_cycles});
         kt.body(*this);

@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "os/cpufreq.hpp"
 #include "os/msr_driver.hpp"
 #include "sim/machine.hpp"
 #include "util/flat_map.hpp"
@@ -46,7 +45,6 @@ public:
 
     [[nodiscard]] sim::Machine& machine() { return machine_; }
     [[nodiscard]] MsrDriver& msr() { return msr_; }
-    [[nodiscard]] Cpufreq& cpufreq() { return cpufreq_; }
 
     // --- kthreads ---------------------------------------------------------
     struct KthreadOptions {
@@ -95,7 +93,6 @@ private:
 
     sim::Machine& machine_;
     MsrDriver msr_;
-    Cpufreq cpufreq_;
     // Flat table of heap-pinned kthreads: the indirection matters — a
     // body that starts another kthread grows the table, and the entry of
     // the body CURRENTLY EXECUTING must not move while it runs.

@@ -13,7 +13,7 @@ namespace pv::plugvolt {
 
 Characterizer::Characterizer(os::Kernel& kernel, CharacterizerConfig config)
     : kernel_(kernel),
-      cpupower_(kernel.cpufreq(), kernel.machine().core_count()),
+      cpupower_(kernel.machine()),
       config_(config) {
     if (config_.sweep_floor >= Millivolts{0.0})
         throw ConfigError("sweep floor must be negative");

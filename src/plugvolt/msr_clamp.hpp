@@ -30,7 +30,6 @@ public:
     void uninstall();
 
     [[nodiscard]] bool installed() const { return clamp_token_.has_value(); }
-    [[nodiscard]] Millivolts limit() const { return limit_; }
 
     /// Writes whose offset was clamped to the limit.
     [[nodiscard]] std::uint64_t clamped_writes() const { return clamped_; }

@@ -34,7 +34,7 @@ MeasuredTurnaround measure_turnaround(os::Kernel& kernel, const PollingModule& m
                                       const SafeStateMap& map, Megahertz f,
                                       Millivolts unsafe_offset) {
     sim::Machine& m = kernel.machine();
-    os::Cpupower cpupower(kernel.cpufreq(), m.core_count());
+    os::Cpupower cpupower(m);
     cpupower.frequency_set(f);
 
     MeasuredTurnaround result;

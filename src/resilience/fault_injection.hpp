@@ -48,9 +48,6 @@ struct FaultPlan {
     std::uint64_t seed = 0xFA017;
     std::array<double, kFaultKindCount> rates{};
 
-    [[nodiscard]] double rate(FaultKind kind) const {
-        return rates[static_cast<std::size_t>(kind)];
-    }
     void set_rate(FaultKind kind, double r) { rates[static_cast<std::size_t>(kind)] = r; }
     /// True when every rate is zero (the plan injects nothing).
     [[nodiscard]] bool empty() const;

@@ -70,8 +70,6 @@ public:
     /// Attempts granted so far.
     [[nodiscard]] unsigned attempts() const { return attempt_; }
 
-    [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
-
 private:
     RetryPolicy policy_;
     std::uint64_t seed_;

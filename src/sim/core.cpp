@@ -4,7 +4,6 @@ namespace pv::sim {
 
 void Core::reset(Megahertz boot_freq) {
     freq_ = boot_freq;
-    cstate_ = CState::C0;
     instructions_ = 0;
     pending_steal_ = Picoseconds{};
     total_steal_ = Picoseconds{};

@@ -7,21 +7,8 @@
 
 namespace pv::sim {
 
-/// Idle/non-idle state of a core (paper Sec. 1: C-states vs P-states).
-enum class PowerState {
-    Active,  ///< executing (a P-state)
-    Idle,    ///< clock/power-gated (a C-state)
-};
-
-/// Concrete idle levels (a representative subset of the ACPI ladder).
-enum class CState {
-    C0,  ///< executing
-    C1,  ///< clock-gated halt: fast exit, still leaking
-    C6,  ///< power-gated: slow exit, core leakage off, rail unconstrained
-};
-
-/// One physical core: its current P-state frequency, idleness, retired
-/// work counters and the time stolen from it by kernel threads.
+/// One physical core: its current P-state frequency, retired work
+/// counters and the time stolen from it by kernel threads.
 class Core {
 public:
     explicit Core(unsigned id, Megahertz freq) : id_(id), freq_(freq) {}
@@ -29,13 +16,6 @@ public:
     [[nodiscard]] unsigned id() const { return id_; }
     [[nodiscard]] Megahertz frequency() const { return freq_; }
     void set_frequency(Megahertz f) { freq_ = f; }
-
-    [[nodiscard]] PowerState power_state() const {
-        return cstate_ == CState::C0 ? PowerState::Active : PowerState::Idle;
-    }
-
-    [[nodiscard]] CState cstate() const { return cstate_; }
-    void set_cstate(CState s) { cstate_ = s; }
 
     /// Instructions retired by workload execution on this core.
     [[nodiscard]] std::uint64_t instructions_retired() const { return instructions_; }
@@ -61,7 +41,6 @@ public:
 private:
     unsigned id_;
     Megahertz freq_;
-    CState cstate_ = CState::C0;
     std::uint64_t instructions_ = 0;
     Picoseconds pending_steal_{};
     Picoseconds total_steal_{};

@@ -45,15 +45,6 @@ struct AccessCosts {
     std::uint64_t kthread_wake_cycles;  ///< periodic kthread wakeup + context switch
 };
 
-/// Idle-state (C-state) behaviour.
-struct CstateParams {
-    Picoseconds c1_exit_latency = microseconds(1.0);
-    Picoseconds c6_exit_latency = microseconds(50.0);
-    /// Share of package leakage attributable to the cores (gated off in
-    /// C6); the rest is uncore and always leaks.
-    double core_leak_share = 0.6;
-};
-
 /// Voltage-regulator behaviour for OCM writes.
 struct RegulatorParams {
     Picoseconds write_latency;   ///< delay before the ramp starts
@@ -76,7 +67,6 @@ struct CpuProfile {
     RegulatorParams regulator;
     PowerParams power;
     ThermalParams thermal;
-    CstateParams cstates;
 
     /// The discrete frequency table (min..max at `freq_step` resolution),
     /// i.e. the set the paper's Algorithm 2 sweeps with 0.1 GHz steps.

@@ -167,12 +167,9 @@ Megahertz Machine::requested_frequency(unsigned id) const {
 
 void Machine::update_rail_target() {
     touch();
-    // C6 cores are power-gated and do not constrain the rail; C0 and C1
-    // (merely clock-gated) do.
+    // Every core's request constrains the rail.
     Megahertz want = profile_.freq_min;
-    for (const auto& c : cores_)
-        if (c.cstate() != CState::C6)
-            want = std::max(want, requested_freq_[c.id()]);
+    for (const auto& c : cores_) want = std::max(want, requested_freq_[c.id()]);
     const Millivolts target = vf_.nominal(want);
     if (base_rail_.target(VoltagePlane::Core) != target)
         base_rail_.write(VoltagePlane::Core, target, clock_);
@@ -192,9 +189,7 @@ void Machine::update_rail_target() {
 void Machine::apply_pending_raises() {
     touch();
     Megahertz want = profile_.freq_min;
-    for (const auto& c : cores_)
-        if (c.cstate() != CState::C6)
-            want = std::max(want, requested_freq_[c.id()]);
+    for (const auto& c : cores_) want = std::max(want, requested_freq_[c.id()]);
     // The switch is gated on the TOTAL rail (base + OCM offset) reaching
     // the commanded operating voltage for the new P-state.  Gating on the
     // base alone would raise frequency while a deep offset is still
@@ -208,37 +203,7 @@ void Machine::apply_pending_raises() {
         return;
     }
     for (auto& c : cores_)
-        if (c.cstate() != CState::C6 && requested_freq_[c.id()] > c.frequency())
-            c.set_frequency(requested_freq_[c.id()]);
-    maybe_crash();
-}
-
-void Machine::enter_cstate(unsigned id, CState state) {
-    Core& c = core(id);  // a write
-    if (state == CState::C0) {
-        wake_core(id);
-        return;
-    }
-    c.set_cstate(state);
-    // Dropping a constraint may let the rail sag (power saving).
-    update_rail_target();
-}
-
-void Machine::wake_core(unsigned id) {
-    Core& c = core(id);  // a write
-    if (c.cstate() == CState::C0) return;
-    const Picoseconds latency = c.cstate() == CState::C6
-                                    ? profile_.cstates.c6_exit_latency
-                                    : profile_.cstates.c1_exit_latency;
-    c.add_steal(latency);
-    c.set_cstate(CState::C0);
-    // The rail may have sagged while this core slept: come up at the
-    // fastest P-state the rail supports right now; the original request
-    // re-arms a voltage-first raise for the rest.
-    const Megahertz supported = vf_.max_supported(
-        base_rail_.offset_at(VoltagePlane::Core, clock_));
-    c.set_frequency(snap_to_table(std::min(requested_freq_[id], supported)));
-    update_rail_target();
+        if (requested_freq_[c.id()] > c.frequency()) c.set_frequency(requested_freq_[c.id()]);
     maybe_crash();
 }
 
@@ -252,9 +217,8 @@ Picoseconds Machine::rail_settle_time() const {
 }
 
 Megahertz Machine::max_active_frequency() const {
-    Megahertz best = profile_.freq_min;  // also the answer with no core active
-    for (const auto& c : cores_)
-        if (c.power_state() == PowerState::Active) best = std::max(best, c.frequency());
+    Megahertz best = profile_.freq_min;
+    for (const auto& c : cores_) best = std::max(best, c.frequency());
     return best;
 }
 
@@ -270,19 +234,10 @@ Millivolts Machine::voltage_at(Picoseconds t) const {
            regulator_.offset_at(VoltagePlane::Core, t);
 }
 
-double Machine::leakage_scale() const {
-    unsigned leaking = 0;
-    for (const auto& c : cores_)
-        if (c.cstate() != CState::C6) ++leaking;
-    const double core_share = profile_.cstates.core_leak_share;
-    return (1.0 - core_share) +
-           core_share * static_cast<double>(leaking) / static_cast<double>(cores_.size());
-}
-
 void Machine::integrate_power_to(Picoseconds t, Millivolts v_from, Millivolts v_to) {
     // Linear interpolation between the endpoint voltages; ramp kinks
     // inside the window introduce a negligible quadratic-term error.
-    power_.integrate_leakage(clock_, t, v_from, v_to, leakage_scale());
+    power_.integrate_leakage(clock_, t, v_from, v_to);
     heat_die_to(t);
 }
 
@@ -530,8 +485,6 @@ BatchResult Machine::run_batch(unsigned core_id, InstrClass c, std::uint64_t n_o
         r.finished = clock_;
         return r;
     }
-    if (cr.cstate() != CState::C0) wake_core(core_id);
-
     const VoltagePlane plane =
         c == InstrClass::Load ? VoltagePlane::Cache : VoltagePlane::Core;
     std::uint64_t remaining = n_ops;
@@ -612,16 +565,14 @@ OpRunResult Machine::execute_ops(unsigned core_id, std::span<const InstrClass> o
     while (r.ops_done < ops.size() && !r.faulted && !crashed_) {
         if (stretch_current(core_id, cpi)) {
             // Nothing a settled op reads has changed since the stretch
-            // began: the core is awake with no stolen time, the rails are
-            // settled.
+            // began: the core has no stolen time, the rails are settled.
             if (stepping_mode_ == SteppingMode::Sliced)
                 check_stretch(cr);
             else if (serve_stretch(cr, ops.subspan(r.ops_done), r))
                 continue;
         }
-        // One op on the general path, after wake-up and stolen time.  A
-        // settled op starts a stretch, which serves it on Batched machines.
-        if (cr.cstate() != CState::C0) wake_core(core_id);
+        // One op on the general path, after stolen time.  A settled op
+        // starts a stretch, which serves it on Batched machines.
         const Picoseconds steal = cr.drain_steal(Picoseconds{INT64_MAX});
         if (steal > Picoseconds{0}) advance(steal);
         if (crashed_) {
@@ -633,7 +584,7 @@ OpRunResult Machine::execute_ops(unsigned core_id, std::span<const InstrClass> o
         // kthread pinned to this core): the next op must drain it, so no
         // stretch.
         if (clock_ >= rail_settle_time() && (events_.empty() || events_.next_time() > end) &&
-            cr.cstate() == CState::C0 && cr.pending_steal() == Picoseconds{0}) {
+            cr.pending_steal() == Picoseconds{0}) {
             record_stretch(cr, core_id, cpi, end - clock_);
             if (stepping_mode_ == SteppingMode::Batched &&
                 serve_stretch(cr, ops.subspan(r.ops_done), r))
@@ -655,12 +606,7 @@ Machine::OperatingPoint Machine::operating_point(const Core& cr) const {
     const Millivolts base = base_rail_.offset_at(VoltagePlane::Core, clock_);
     op.v_core = base + regulator_.offset_at(VoltagePlane::Core, clock_);
     op.v_cache = base + regulator_.offset_at(VoltagePlane::Cache, clock_);
-    // One pass for max_active_frequency() and the leaking-core count.
-    op.f_max = profile_.freq_min;
-    for (const Core& k : cores_) {
-        if (k.power_state() == PowerState::Active) op.f_max = std::max(op.f_max, k.frequency());
-        if (k.cstate() != CState::C6) ++op.leaking;
-    }
+    op.f_max = max_active_frequency();
     const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
     op.key = {bits(op.v_core.value()), bits(op.v_cache.value()), bits(cr.frequency().value()),
               bits(op.f_max.value())};
@@ -677,15 +623,14 @@ void Machine::record_stretch(const Core& cr, unsigned core_id, double cpi, Picos
                 .dt_s = dt.seconds(),
                 .decay = thermal_.decay(dt.milliseconds()),
                 .retire_joules = power_.retire_joules(1, point.v_core),
-                .leak_joules = power_.leakage_over(clock_, clock_ + dt, point.v_core, point.v_core,
-                                                   leakage_scale())};
+                .leak_joules = power_.leakage_over(clock_, clock_ + dt, point.v_core, point.v_core)};
 }
 
 void Machine::check_stretch(const Core& cr) const {
     // Sliced-mode soundness check, read-only like validate_window: a
     // stretch the generation calls current must be what the op path
     // would derive from live state right now.
-    if (cr.cstate() != CState::C0 || cr.pending_steal() != Picoseconds{0} ||
+    if (cr.pending_steal() != Picoseconds{0} ||
         clock_ < rail_settle_time() || op_duration(cr, stretch_.cpi) != stretch_.dt ||
         operating_point(cr) != stretch_.point)
         throw SimError("settled-op stretch outlived a change to the machine state");
@@ -759,7 +704,7 @@ bool Machine::serve_stretch(Core& cr, std::span<const InstrClass> ops, OpRunResu
     }
     if (n == 0 || thermal_.last_update() != clock_) return false;
 
-    const auto& [v_core, v_cache, f_max, leaking, key] = stretch_.point;
+    const auto& [v_core, v_cache, f_max, key] = stretch_.point;
     const double dt_s = stretch_.dt_s;
     const double decay = stretch_.decay;
     const double retire_joules = stretch_.retire_joules;
@@ -899,7 +844,9 @@ std::uint64_t Machine::state_hash() const {
     h.mix(crash_reason_);
     for (const Core& c : cores_) {
         h.mix(c.frequency().value());
-        h.mix(static_cast<std::uint64_t>(c.cstate()));
+        // The slot that held the core's C-state: C0's 0, so recorded
+        // state fingerprints stay valid.
+        h.mix(std::uint64_t{0});
         h.mix(c.instructions_retired());
         h.mix(c.pending_steal().value());
         h.mix(c.total_steal().value());

@@ -178,19 +178,8 @@ public:
     /// the effective frequency while a raise is pending on the rail.
     [[nodiscard]] Megahertz requested_frequency(unsigned id) const;
 
-    /// Fastest effective frequency among active cores.
+    /// Fastest effective frequency among the cores.
     [[nodiscard]] Megahertz max_active_frequency() const;
-
-    // --- idle states ---------------------------------------------------
-    /// Put a core into an idle state.  C6 power-gates it: its leakage
-    /// stops and it no longer constrains the package rail.  Entering C0
-    /// is equivalent to wake_core().
-    void enter_cstate(unsigned id, CState state);
-
-    /// Wake a core to C0.  Exit latency is charged as stolen time, and a
-    /// core waking onto a sagged rail comes up at the highest P-state
-    /// the rail supports right now (its request re-arms the PCU raise).
-    void wake_core(unsigned id);
 
     /// Time when both rails (base P-state rail and OCM offset) settle
     /// and any pending frequency raise has switched.
@@ -411,7 +400,6 @@ private:
     };
     void maybe_crash();
     void crash_if_violated(Megahertz f, double slack_ps, PlanePoint core, PlanePoint cache);
-    [[nodiscard]] double leakage_scale() const;
     [[nodiscard]] Megahertz snap_to_table(Megahertz f) const;
     void apply_msr_semantics(unsigned core_id, std::uint32_t addr, std::uint64_t value);
     void update_rail_target();
@@ -422,14 +410,13 @@ private:
     void heat_die_to(Picoseconds t);
 
     // The operating point a settled op reads: both plane voltages,
-    // max_active_frequency(), the leaking-core count and the certificate
-    // key built from them and the op core's frequency.
+    // max_active_frequency() and the certificate key built from them and
+    // the op core's frequency.
     using CertificateKey = std::array<std::uint64_t, 4>;
     struct OperatingPoint {
         Millivolts v_core;
         Millivolts v_cache;
         Megahertz f_max;
-        std::uint64_t leaking = 0;
         CertificateKey key{};
         bool operator==(const OperatingPoint&) const = default;
     };
@@ -441,7 +428,7 @@ private:
     // clock's range.
     void check_work(double cpi, std::uint64_t n_ops) const;
 
-    // execute_ops' general op after wake-up and stolen time: returns
+    // execute_ops' general op after stolen time: returns
     // whether the op faulted and advances the clock to `end` (or to the
     // crash, whichever comes first) through advance_to.
     bool general_op(const Core& cr, InstrClass c, Picoseconds end);

@@ -45,28 +45,26 @@ public:
         return static_cast<double>(n) * params_.epi_nj_per_v2 * 1e-9 * volts * volts;
     }
 
-    /// Integrate leakage over [from, to] with the rail moving linearly
-    /// from `v_from` to `v_to` (exact for the quadratic integrand).
-    /// `scale` discounts power-gated cores (C6): 1.0 = whole package.
-    /// Returns the joules added.
+    /// Integrate whole-package leakage over [from, to] with the rail
+    /// moving linearly from `v_from` to `v_to` (exact for the quadratic
+    /// integrand).  Returns the joules added.
     double integrate_leakage(Picoseconds from, Picoseconds to, Millivolts v_from,
-                             Millivolts v_to, double scale = 1.0) {
-        const double joules = leakage_over(from, to, v_from, v_to, scale);
+                             Millivolts v_to) {
+        const double joules = leakage_over(from, to, v_from, v_to);
         leakage_j_ += joules;
         return joules;
     }
 
     /// The leakage integrate_leakage() with the same arguments adds.
     [[nodiscard]] double leakage_over(Picoseconds from, Picoseconds to, Millivolts v_from,
-                                      Millivolts v_to, double scale = 1.0) const {
+                                      Millivolts v_to) const {
         if (to < from) throw SimError("leakage integration backwards in time");
-        if (scale < 0.0 || scale > 1.0) throw SimError("leakage scale out of [0,1]");
         const double dt_s = (to - from).seconds();
         const double v0 = v_from.volts();
         const double v1 = v_to.volts();
         // Integral of (v0 + (v1-v0)t)^2 over t in [0,1] = (v0^2+v0*v1+v1^2)/3.
         const double mean_v2 = (v0 * v0 + v0 * v1 + v1 * v1) / 3.0;
-        return scale * params_.leak_mw_per_v2 * 1e-3 * mean_v2 * dt_s;
+        return params_.leak_mw_per_v2 * 1e-3 * mean_v2 * dt_s;
     }
 
     /// Store both accumulators: what a loop that added retire_joules()

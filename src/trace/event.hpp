@@ -2,8 +2,8 @@
 //
 // One fixed-size binary record per observable: MSR traffic, OCM mailbox
 // transactions, fault injections, poll iterations, safe-state rewrites,
-// campaign cell boundaries, thread-pool dispatches, spans and log
-// records.  Every event is timestamped from the SIMULATOR'S VIRTUAL
+// campaign cell boundaries, spans, environment faults and adaptive
+// probes.  Every event is timestamped from the SIMULATOR'S VIRTUAL
 // CLOCK (integer picoseconds), never from wall time — that is what makes
 // a trace a pure function of (config, seed) and therefore bit-identical
 // between a serial and a sharded run of the same workload.
@@ -13,8 +13,9 @@
 
 namespace pv::trace {
 
-/// Typed event kinds.  The numeric values are part of the CSV export
-/// format only through kind_name(); reordering is safe.
+/// Typed event kinds.  Exports name a kind only through kind_name(), but
+/// the numeric values are fingerprinted (the adaptive probe-stream
+/// goldens mix them), so they never move: 9 and 13 stay retired.
 enum class EventKind : std::uint8_t {
     MsrRead,           ///< driver-level rdmsr (fine level)
     MsrWrite,          ///< driver-level wrmsr (fine level)
@@ -25,12 +26,10 @@ enum class EventKind : std::uint8_t {
     FreqClamp,         ///< polling module dropped a core's P-state
     CampaignCellBegin, ///< campaign cell started (span begin)
     CampaignCellEnd,   ///< campaign cell finished (span end)
-    TaskDispatch,      ///< thread-pool task submitted
-    SpanBegin,         ///< ScopedSpan opened
+    SpanBegin = 10,    ///< ScopedSpan opened
     SpanEnd,           ///< ScopedSpan closed
     Instant,           ///< generic point event (crash, reboot, detection)
-    LogRecord,         ///< util::log line routed through the bridge
-    EnvFaultInjected,  ///< resilience::FaultInjector fired (EIO, stale read, ...)
+    EnvFaultInjected = 14,  ///< resilience::FaultInjector fired (EIO, stale read, ...)
     RetryBackoff,      ///< a bounded retry waited its deterministic backoff
     JournalCommit,     ///< sweep journal made one row durable
     ProbeSelected,     ///< adaptive sweep chose its next (f, v) probe

@@ -147,43 +147,21 @@ std::string MetricsSnapshot::to_json() const {
 }
 
 std::uint64_t& MetricsRegistry::counter(const std::string& name) {
-    if (gauges_.count(name) || histograms_.count(name))
+    if (gauges_.count(name))
         throw ConfigError("metric '" + name + "' already registered with another kind");
     return counters_[name];
 }
 
 double& MetricsRegistry::gauge(const std::string& name) {
-    if (counters_.count(name) || histograms_.count(name))
+    if (counters_.count(name))
         throw ConfigError("metric '" + name + "' already registered with another kind");
     return gauges_[name];
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upper_bounds) {
-    if (counters_.count(name) || gauges_.count(name))
-        throw ConfigError("metric '" + name + "' already registered with another kind");
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(name, Histogram(std::move(upper_bounds))).first;
-    } else if (it->second.bounds() != upper_bounds) {
-        throw ConfigError("metric '" + name + "' re-registered with different bounds");
-    }
-    return it->second;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricsSnapshot out;
     for (const auto& [name, count] : counters_) out.set_counter(name, count);
     for (const auto& [name, value] : gauges_) out.set_gauge(name, value);
-    for (const auto& [name, h] : histograms_) {
-        MetricValue v;
-        v.kind = MetricValue::Kind::Histogram;
-        v.count = h.count();
-        v.value = h.sum();
-        v.bounds = h.bounds();
-        v.buckets = h.buckets();
-        out.set(name, std::move(v));
-    }
     return out;
 }
 

@@ -88,17 +88,14 @@ private:
     Map values_;
 };
 
-/// Named registry of live instruments.  NOT thread-safe — one registry
+/// Named registry of live counters and gauges.  NOT thread-safe — one registry
 /// per logical unit of work, same single-writer rule as TraceRecorder.
 class MetricsRegistry {
 public:
     /// Find-or-create.  A counter/gauge name must not already be
-    /// registered as a different instrument kind (ConfigError).
+    /// registered as the other instrument kind (ConfigError).
     std::uint64_t& counter(const std::string& name);
     double& gauge(const std::string& name);
-    /// `upper_bounds` only applies on first creation; later lookups
-    /// with different bounds are a ConfigError.
-    Histogram& histogram(const std::string& name, std::vector<double> upper_bounds);
 
     void add(const std::string& name, std::uint64_t delta) { counter(name) += delta; }
     void set(const std::string& name, double value) { gauge(name) = value; }
@@ -108,7 +105,6 @@ public:
 private:
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
-    std::map<std::string, Histogram> histograms_;
 };
 
 /// Deterministic textual rendering of a double ("%.17g" — shortest is

@@ -17,11 +17,9 @@ const char* kind_name(EventKind kind) {
         case EventKind::FreqClamp: return "freq-clamp";
         case EventKind::CampaignCellBegin: return "campaign-cell-begin";
         case EventKind::CampaignCellEnd: return "campaign-cell-end";
-        case EventKind::TaskDispatch: return "task-dispatch";
         case EventKind::SpanBegin: return "span-begin";
         case EventKind::SpanEnd: return "span-end";
         case EventKind::Instant: return "instant";
-        case EventKind::LogRecord: return "log";
         case EventKind::EnvFaultInjected: return "env-fault";
         case EventKind::RetryBackoff: return "retry-backoff";
         case EventKind::JournalCommit: return "journal-commit";

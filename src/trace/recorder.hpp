@@ -55,12 +55,11 @@ public:
             next_ = (next_ + 1) % capacity_;
         }
         ++recorded_;
-        last_ts_ = ts_ps;
     }
 
     /// Copy a dynamic string into recorder-owned storage and return a
     /// pointer stable for the recorder's lifetime (deque never moves
-    /// settled elements).  For log records and other non-literal names.
+    /// settled elements).  For names that are not string literals.
     const char* intern(std::string_view s);
 
     [[nodiscard]] const std::string& track_name() const { return name_; }
@@ -68,10 +67,6 @@ public:
     [[nodiscard]] std::size_t size() const { return ring_.size(); }
     [[nodiscard]] std::uint64_t recorded_events() const { return recorded_; }
     [[nodiscard]] std::uint64_t dropped_events() const { return recorded_ - ring_.size(); }
-    /// Timestamp of the most recently recorded event (0 before any).
-    /// Clock-less emitters (the log bridge, pool dispatch) reuse it so
-    /// their instants land at the track's current virtual time.
-    [[nodiscard]] std::int64_t last_ts() const { return last_ts_; }
 
     /// Events oldest-first (unwraps the ring).
     [[nodiscard]] std::vector<Event> events() const;
@@ -85,7 +80,6 @@ private:
     std::vector<Event> ring_;
     std::size_t next_ = 0;         // overwrite cursor once the ring is full
     std::uint64_t recorded_ = 0;
-    std::int64_t last_ts_ = 0;
     std::deque<std::string> interned_;
 };
 

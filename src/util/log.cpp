@@ -13,7 +13,6 @@ namespace {
 // LogLevel here is a data race (caught by TSan).  Relaxed atomics are
 // enough — the level is a filter, not a synchronization point.
 std::atomic<LogLevel> g_level{LogLevel::Warn};
-std::atomic<LogTap> g_tap{nullptr};
 // pv-lint: allow(concurrency-guard) guards std::cerr, an external stream
 // with no annotatable field; MutexLock in log_line is the whole protocol
 Mutex g_sink_mutex;  // serializes emission: workers log concurrently
@@ -34,13 +33,8 @@ const char* level_tag(LogLevel level) {
 void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
-LogTap set_log_tap(LogTap tap) noexcept {
-    return g_tap.exchange(tap, std::memory_order_acq_rel);
-}
-
 void log_line(LogLevel level, const std::string& message) {
     if (level < log_level()) return;
-    if (LogTap tap = g_tap.load(std::memory_order_acquire)) tap(level, message);
     const MutexLock lock(g_sink_mutex);
     std::cerr << "[pv " << level_tag(level) << "] " << message << '\n';
 }

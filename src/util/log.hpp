@@ -24,16 +24,6 @@ void set_log_level(LogLevel level);
 /// Emit one line at `level` if it passes the filter.
 void log_line(LogLevel level, const std::string& message);
 
-/// Observation hook: a tap sees every message that passes the level
-/// filter, on the emitting thread, before the sink lock is taken (the
-/// tap must do its own synchronization or stay thread-confined — the
-/// trace bridge does the latter via thread-local recorders).  Plain
-/// function pointer so util keeps zero dependency on the trace layer.
-using LogTap = void (*)(LogLevel level, const std::string& message);
-
-/// Install `tap` (nullptr to remove); returns the previous tap.
-LogTap set_log_tap(LogTap tap) noexcept;
-
 namespace detail {
 template <typename... Args>
 void log_fmt(LogLevel level, const Args&... args) {

@@ -91,8 +91,6 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) {
     return static_cast<std::uint64_t>(draw);
 }
 
-Rng Rng::fork() { return Rng(next_u64()); }
-
 std::uint64_t Rng::state_fingerprint() const {
     // FNV-1a over the state words; kept dependency-free so util stays
     // below the check layer.

@@ -83,10 +83,6 @@ public:
     /// Sample from Poisson(lambda) via inversion (lambda <= ~30 expected).
     std::uint64_t poisson(double lambda);
 
-    /// Derive an independent child generator; used to give each
-    /// subsystem its own stream from one experiment seed.
-    Rng fork();
-
     /// Order-sensitive fingerprint of the full generator state (the four
     /// xoshiro words plus the Box–Muller cache).  Two generators with
     /// equal fingerprints produce identical streams forever — what the

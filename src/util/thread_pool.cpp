@@ -1,6 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
 namespace pv {
@@ -8,18 +7,7 @@ namespace {
 
 thread_local int t_worker_index = -1;
 
-std::atomic<ThreadPool::DispatchTap> g_dispatch_tap{nullptr};
-
 }  // namespace
-
-ThreadPool::DispatchTap ThreadPool::set_dispatch_tap(DispatchTap tap) noexcept {
-    return g_dispatch_tap.exchange(tap, std::memory_order_acq_rel);
-}
-
-void ThreadPool::notify_dispatch(std::uint64_t submitted, std::size_t queue_depth) {
-    if (DispatchTap tap = g_dispatch_tap.load(std::memory_order_acquire))
-        tap(submitted, queue_depth);
-}
 
 ThreadPool::ThreadPool(unsigned workers) {
     if (workers == 0) throw std::invalid_argument("ThreadPool needs at least one worker");
@@ -53,7 +41,6 @@ void ThreadPool::worker_main(unsigned index) {
         {
             MutexLock lock(mutex_);
             --active_;
-            ++stats_.completed;
         }
         idle_.notify_all();
     }
@@ -62,11 +49,6 @@ void ThreadPool::worker_main(unsigned index) {
 void ThreadPool::wait_idle() {
     MutexLock lock(mutex_);
     while (!queue_.empty() || active_ != 0) idle_.wait(mutex_);
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-    MutexLock lock(mutex_);
-    return stats_;
 }
 
 int ThreadPool::current_worker_index() { return t_worker_index; }

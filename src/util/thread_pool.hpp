@@ -13,8 +13,6 @@
 // the destructor runs is completed, then the threads join.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <queue>
@@ -41,23 +39,6 @@ public:
 
     [[nodiscard]] unsigned size() const { return static_cast<unsigned>(threads_.size()); }
 
-    /// Lifetime statistics, sampled under the queue lock.
-    struct Stats {
-        std::uint64_t submitted = 0;        ///< tasks ever accepted by submit()
-        std::uint64_t completed = 0;        ///< tasks that finished executing
-        std::size_t max_queue_depth = 0;    ///< high-water mark of waiting tasks
-    };
-
-    /// Observation hook fired on the SUBMITTING thread after a task is
-    /// queued: (tasks submitted so far, queue depth right after the
-    /// enqueue).  Plain function pointer so util stays independent of
-    /// the trace layer that typically installs it.
-    using DispatchTap = void (*)(std::uint64_t submitted, std::size_t queue_depth);
-
-    /// Install `tap` (nullptr to remove) for ALL pools; returns the
-    /// previous tap.
-    static DispatchTap set_dispatch_tap(DispatchTap tap) noexcept;
-
     /// Queue a task; the future resolves with its return value (or
     /// rethrows what it threw).  Throws std::runtime_error if the pool
     /// is shutting down.
@@ -66,23 +47,14 @@ public:
         using R = std::invoke_result_t<std::decay_t<F>&>;
         auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
         std::future<R> result = task->get_future();
-        std::uint64_t submitted;
-        std::size_t depth;
         {
             MutexLock lock(mutex_);
             if (stopping_) throw std::runtime_error("submit() on a stopped ThreadPool");
             queue_.emplace([task] { (*task)(); });
-            submitted = ++stats_.submitted;
-            depth = queue_.size();
-            if (depth > stats_.max_queue_depth) stats_.max_queue_depth = depth;
         }
         wake_.notify_one();
-        notify_dispatch(submitted, depth);
         return result;
     }
-
-    /// Snapshot of the pool's lifetime statistics.
-    [[nodiscard]] Stats stats() const PV_EXCLUDES(mutex_);
 
     /// Block until the queue is empty and no task is executing.
     void wait_idle() PV_EXCLUDES(mutex_);
@@ -99,7 +71,6 @@ public:
 
 private:
     void worker_main(unsigned index) PV_EXCLUDES(mutex_);
-    static void notify_dispatch(std::uint64_t submitted, std::size_t queue_depth);
 
     std::vector<std::thread> threads_;
     mutable Mutex mutex_;
@@ -108,7 +79,6 @@ private:
     CondVar idle_;
     unsigned active_ PV_GUARDED_BY(mutex_) = 0;
     bool stopping_ PV_GUARDED_BY(mutex_) = false;
-    Stats stats_ PV_GUARDED_BY(mutex_);
 };
 
 }  // namespace pv

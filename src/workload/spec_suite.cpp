@@ -79,7 +79,7 @@ double SpecSuite::measure_rate(const SpecBenchmark& benchmark, Megahertz freq,
     if (with_polling)
         kernel.load_module(std::make_shared<plugvolt::PollingModule>(map, polling));
 
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     cpupower.frequency_set(freq);
     const Picoseconds settle = machine.rail_settle_time();
     if (settle > machine.now()) machine.advance_to(settle);

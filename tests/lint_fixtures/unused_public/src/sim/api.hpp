@@ -7,6 +7,9 @@ struct Widget {
     int size() const;
     void only_tests();
     void only_pair();
+    int tally() const;
+    auto trailing() const -> int { return 0; }
+    void after_trailing();
 
 private:
     void hidden();

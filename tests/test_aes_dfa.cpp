@@ -140,7 +140,7 @@ TEST(AesDfa, EndToEndAgainstUndervoltedMachine) {
     // fault, and recover the key.
     sim::Machine machine(sim::cometlake_i7_10510u(), 777);
     os::Kernel kernel(machine);
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     cpupower.frequency_set(machine.profile().freq_max);
     machine.advance_to(machine.rail_settle_time());
     const Millivolts crash = machine.fault_model().crash_offset(machine.profile().freq_max);

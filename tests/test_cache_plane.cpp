@@ -93,7 +93,7 @@ TEST(CachePlane, PollingModuleRestoresTheOffendingPlane) {
     plugvolt::Protector protector(kernel, pv::test::comet_map());
     protector.deploy(plugvolt::DeploymentLevel::KernelModule);
 
-    os::Cpupower cpupower(kernel.cpufreq(), m.core_count());
+    os::Cpupower cpupower(m);
     cpupower.frequency_set(m.profile().freq_max);
     m.advance_to(m.rail_settle_time());
     kernel.msr().ioctl_wrmsr(0, 0, kMsrOcMailbox,

@@ -143,7 +143,7 @@ TEST(RsaCrt, FaultableSignerCorrectAtNominal) {
 TEST(RsaCrt, FaultableSignerFaultsUnderUndervolt) {
     sim::Machine machine(sim::cometlake_i7_10510u(), 19);
     os::Kernel kernel(machine);
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     cpupower.frequency_set(machine.profile().freq_max);
     machine.advance_to(machine.rail_settle_time());
     const Millivolts onset = machine.fault_model().onset_offset(
@@ -168,7 +168,7 @@ TEST(RsaCrt, SignVerifiedSuppressesFaultyReleases) {
     // plain sign(), the verified path never releases a bad signature.
     sim::Machine machine(sim::cometlake_i7_10510u(), 27);
     os::Kernel kernel(machine);
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     cpupower.frequency_set(machine.profile().freq_max);
     machine.advance_to(machine.rail_settle_time());
     const Millivolts onset = machine.fault_model().onset_offset(

@@ -155,7 +155,7 @@ TEST(Protector, EveryLevelStopsADeepUndervolt) {
         Protector protector(kernel, test::comet_map());
         protector.deploy(level);
 
-        os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+        os::Cpupower cpupower(machine);
         cpupower.frequency_set(machine.profile().freq_max);
         machine.advance_to(machine.rail_settle_time());
         kernel.msr().ioctl_wrmsr(0, 0, sim::kMsrOcMailbox,

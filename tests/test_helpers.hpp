@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <sstream>
+#include <string>
+
 #include "os/kernel.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/safe_state.hpp"
@@ -10,6 +14,23 @@
 #include "sim/machine.hpp"
 
 namespace pv::test {
+
+/// Redirects std::cerr (the log sink) into a buffer while in scope.  Swap
+/// it on the main thread, before workers start and after they join, so
+/// it is race-free while emission itself stays concurrent.
+class CerrCapture {
+public:
+    CerrCapture() : previous_(std::cerr.rdbuf(buffer_.rdbuf())) {}
+    ~CerrCapture() { std::cerr.rdbuf(previous_); }
+    CerrCapture(const CerrCapture&) = delete;
+    CerrCapture& operator=(const CerrCapture&) = delete;
+
+    [[nodiscard]] std::string str() const { return buffer_.str(); }
+
+private:
+    std::ostringstream buffer_;
+    std::streambuf* previous_;
+};
 
 /// The machine-plus-kernel pair nearly every integration test starts
 /// from.  Construction order matters (the kernel borrows the machine),

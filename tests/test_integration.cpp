@@ -51,7 +51,7 @@ TEST(Integration, BenignDvfsStillAvailableWhileProtected) {
     plugvolt::Protector protector(kernel, test::comet_map());
     protector.deploy(plugvolt::DeploymentLevel::KernelModule);
 
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     // Power user: low frequency + deep (but safe) undervolt.
     cpupower.frequency_set(from_ghz(0.8));
     kernel.msr().ioctl_wrmsr(0, 0, sim::kMsrOcMailbox,
@@ -76,7 +76,7 @@ TEST(Integration, BenignDvfsStillAvailableWhileProtected) {
 TEST(Integration, CrashRebootCycleLeavesConsistentState) {
     sim::Machine machine(sim::cometlake_i7_10510u(), 56);
     os::Kernel kernel(machine);
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
 
     for (int episode = 0; episode < 3; ++episode) {
         cpupower.frequency_set(machine.profile().freq_max);

@@ -7,16 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "trace/bridge.hpp"
-#include "trace/recorder.hpp"
-#include "util/thread_pool.hpp"
+#include "test_helpers.hpp"
 
 namespace pv {
 namespace {
@@ -31,24 +28,9 @@ private:
     LogLevel previous_;
 };
 
-/// Redirects std::cerr into a buffer; swap happens on the main thread
-/// before workers start and after they join, so it is race-free while
-/// emission itself stays concurrent.
-class CerrCapture {
-public:
-    CerrCapture() : previous_(std::cerr.rdbuf(buffer_.rdbuf())) {}
-    ~CerrCapture() { std::cerr.rdbuf(previous_); }
-
-    [[nodiscard]] std::string str() const { return buffer_.str(); }
-
-private:
-    std::ostringstream buffer_;
-    std::streambuf* previous_;
-};
-
 TEST(LogSink, LevelFilterIsRespected) {
     const LevelGuard guard;
-    CerrCapture capture;
+    test::CerrCapture capture;
     set_log_level(LogLevel::Off);
     log_error("filtered out");
     EXPECT_TRUE(capture.str().empty());
@@ -61,7 +43,7 @@ TEST(LogSink, ConcurrentEmissionWhileTheLevelFlips) {
     constexpr int kThreads = 4;
     constexpr int kLinesPerThread = 200;
     const LevelGuard guard;
-    const CerrCapture capture;
+    const test::CerrCapture capture;
     set_log_level(LogLevel::Warn);
 
     std::vector<std::thread> workers;
@@ -89,51 +71,6 @@ TEST(LogSink, ConcurrentEmissionWhileTheLevelFlips) {
         EXPECT_TRUE(line.ends_with(" end")) << "torn line: " << line;
     }
     EXPECT_LE(emitted, kThreads * kLinesPerThread);
-}
-
-TEST(LogSink, PoolWorkersLoggingThroughTheTraceBridgeAreRaceFree) {
-    // TSan regression for the log tap: with the trace bridges installed,
-    // every pool worker logs through the process-wide tap while bound to
-    // its OWN recorder.  The tap itself is an atomic load and each
-    // recorder is thread-confined, so this must be race-free — and every
-    // line a worker logged must land on that worker's track, nobody
-    // else's.
-    constexpr int kTasks = 32;
-    const LevelGuard guard;
-    const CerrCapture capture;
-    set_log_level(LogLevel::Info);
-    const trace::ScopedBridges bridges;
-
-    trace::TraceSession session;
-    std::vector<trace::TraceRecorder*> recorders;
-    recorders.reserve(kTasks);
-    for (int t = 0; t < kTasks; ++t)
-        recorders.push_back(&session.create_track("task-" + std::to_string(t),
-                                                  static_cast<std::uint64_t>(t)));
-
-    {
-        ThreadPool pool(4);
-        std::vector<std::future<void>> futures;
-        futures.reserve(kTasks);
-        for (int t = 0; t < kTasks; ++t) {
-            futures.push_back(pool.submit([t, &recorders] {
-                trace::ScopedRecorder bind(recorders[static_cast<std::size_t>(t)]);
-                for (int i = 0; i < 25; ++i) log_info("task-", t, " line ", i);
-            }));
-        }
-        for (auto& f : futures) f.get();
-    }
-
-    for (int t = 0; t < kTasks; ++t) {
-        const auto events = recorders[static_cast<std::size_t>(t)]->events();
-        ASSERT_EQ(events.size(), 25u) << "track " << t;
-        const std::string expected_prefix = "task-" + std::to_string(t) + " line ";
-        for (const trace::Event& e : events) {
-            EXPECT_EQ(e.kind, trace::EventKind::LogRecord);
-            EXPECT_TRUE(std::string_view(e.name).starts_with(expected_prefix))
-                << "cross-thread leak onto track " << t << ": " << e.name;
-        }
-    }
 }
 
 }  // namespace

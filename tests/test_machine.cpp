@@ -248,13 +248,12 @@ TEST(Machine, CoreIdBoundsChecked) {
 }
 
 TEST(Machine, BadCpiRejectedBeforeAnyStateChange) {
-    // A sleeping op core with stolen time pending: any wake-up, steal
-    // drain, RNG draw or energy retire before the check moves the hash.
+    // An op core with stolen time pending: any steal drain, RNG draw or
+    // energy retire before the check moves the hash.
     Machine m = make_machine();
     m.set_all_frequencies(from_ghz(2.0));
     m.advance_to(m.rail_settle_time());
     m.add_steal(1, Cycles{10'000});
-    m.enter_cstate(1, CState::C1);
     const std::uint64_t before = m.state_hash();
     const double inf = std::numeric_limits<double>::infinity();
     for (const double cpi : {-1.0, 0.0, -0.0, std::nan(""), inf, -inf}) {
@@ -276,7 +275,6 @@ TEST(Machine, OverflowingWorkRejectedBeforeAnyStateChange) {
     m.set_all_frequencies(from_ghz(2.0));
     m.advance_to(m.rail_settle_time());
     m.add_steal(1, Cycles{10'000});
-    m.enter_cstate(1, CState::C1);
     const std::uint64_t before = m.state_hash();
     const std::array<InstrClass, 3> run{InstrClass::Load, InstrClass::Imul, InstrClass::Alu};
     for (const double cpi : {1e300, 1e18, std::numeric_limits<double>::max()}) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -155,39 +156,37 @@ TEST_F(MsrAuditorTest, FlagsStalePerfStatusReadMidTransition) {
     EXPECT_TRUE(auditor.violations().empty());
 }
 
-std::vector<std::string>& logged_lines() {
-    static std::vector<std::string> lines;
-    return lines;
-}
-
 TEST_F(MsrAuditorTest, StaleReadTextIsBuiltOnDemandAndWhenLogged) {
     // Three reads on a slewing rail: each is recorded with its time and
     // the settle time, and its text reads as the auditor always wrote
     // it, whether asked for or logged.
     const std::string expected_text_prefix = "0x198 read mid-transition: rail settles at ";
-    logged_lines().clear();
     const LogLevel level = log_level();
     set_log_level(LogLevel::Warn);
-    const LogTap previous = set_log_tap(
-        [](LogLevel, const std::string& line) { logged_lines().push_back(line); });
     MsrAuditor auditor(kernel_, {.map = &map_});
-    test::msr_ok(kernel_.msr().try_wrmsr(
-        0, 0, sim::kMsrOcMailbox,
-        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core)));
-    const Picoseconds settle = machine_.rail_settle_time();
+    Picoseconds settle{};
     std::vector<Picoseconds> read_times;
-    for (int i = 0; i < 3; ++i) {
-        const std::uint64_t read =
-            test::msr_ok(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus)).value;
-        read_times.push_back(machine_.now());  // the read's cost is charged first
-        ASSERT_LT(read_times.back(), settle);
-        EXPECT_EQ(auditor.violations().back().value, read);
-        machine_.advance(microseconds(1.0));
+    std::vector<std::string> logged;
+    {
+        const test::CerrCapture capture;
+        test::msr_ok(kernel_.msr().try_wrmsr(
+            0, 0, sim::kMsrOcMailbox,
+            sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core)));
+        settle = machine_.rail_settle_time();
+        for (int i = 0; i < 3; ++i) {
+            const std::uint64_t read =
+                test::msr_ok(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus)).value;
+            read_times.push_back(machine_.now());  // the read's cost is charged first
+            ASSERT_LT(read_times.back(), settle);
+            EXPECT_EQ(auditor.violations().back().value, read);
+            machine_.advance(microseconds(1.0));
+        }
+        std::istringstream in(capture.str());
+        for (std::string line; std::getline(in, line);) logged.push_back(line);
     }
-    (void)set_log_tap(previous);
     set_log_level(level);
     ASSERT_EQ(auditor.violations().size(), 3u);
-    ASSERT_EQ(logged_lines().size(), 3u);
+    ASSERT_EQ(logged.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
         const AuditViolation& v = auditor.violations()[i];
         EXPECT_EQ(v.kind, AuditKind::StaleStatusRead);
@@ -198,10 +197,9 @@ TEST_F(MsrAuditorTest, StaleReadTextIsBuiltOnDemandAndWhenLogged) {
         const std::string text = expected_text_prefix + std::to_string(settle.value()) +
                                  " ps, now " + std::to_string(read_times[i].value()) + " ps";
         EXPECT_EQ(v.detail(), text);
-        EXPECT_NE(logged_lines()[i].find("msr-audit [stale-status-read] core 0 msr 0x198: " +
-                                         text),
+        EXPECT_NE(logged[i].find("msr-audit [stale-status-read] core 0 msr 0x198: " + text),
                   std::string::npos)
-            << logged_lines()[i];
+            << logged[i];
     }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "os/cpupower.hpp"
 #include "sim/cpu_profile.hpp"
 #include "sim/ocm.hpp"
@@ -132,81 +134,32 @@ TEST(MsrDriver, WritesGoThroughMachineSemantics) {
     EXPECT_NEAR(fx.machine.applied_offset(sim::VoltagePlane::Core).value(), -30.0, 1.0);
 }
 
-TEST(Cpufreq, GovernorsSetFrequency) {
-    Fixture fx;
-    Cpufreq& cf = fx.kernel.cpufreq();
-    cf.set_governor(0, Governor::Powersave);
-    EXPECT_DOUBLE_EQ(fx.machine.requested_frequency(0).value(),
-                     fx.machine.profile().freq_min.value());
-    cf.set_governor(0, Governor::Performance);
-    EXPECT_DOUBLE_EQ(fx.machine.requested_frequency(0).value(),
-                     fx.machine.profile().freq_max.value());
-}
-
-TEST(Cpufreq, UserspaceRequiresGovernor) {
-    Fixture fx;
-    Cpufreq& cf = fx.kernel.cpufreq();
-    EXPECT_THROW(cf.set_userspace_frequency(0, from_ghz(1.0)), ConfigError);
-    cf.set_governor(0, Governor::Userspace);
-    cf.set_userspace_frequency(0, from_ghz(1.0));
-    EXPECT_DOUBLE_EQ(fx.machine.requested_frequency(0).value(), 1000.0);
-}
-
-TEST(Cpufreq, PolicyLimitsClamp) {
-    Fixture fx;
-    Cpufreq& cf = fx.kernel.cpufreq();
-    cf.set_policy_limits(0, from_ghz(1.0), from_ghz(2.0));
-    cf.set_governor(0, Governor::Performance);
-    EXPECT_DOUBLE_EQ(fx.machine.requested_frequency(0).value(), 2000.0);
-    cf.set_governor(0, Governor::Userspace);
-    cf.set_userspace_frequency(0, from_ghz(4.9));
-    EXPECT_DOUBLE_EQ(fx.machine.requested_frequency(0).value(), 2000.0);
-    EXPECT_THROW(cf.set_policy_limits(0, from_ghz(3.0), from_ghz(2.0)), ConfigError);
-}
-
-TEST(Cpufreq, OndemandFollowsLoad) {
-    Fixture fx;
-    Cpufreq& cf = fx.kernel.cpufreq();
-    cf.set_governor(1, Governor::Ondemand);
-    cf.report_load(1, 0.95);
-    EXPECT_DOUBLE_EQ(fx.machine.requested_frequency(1).value(),
-                     fx.machine.profile().freq_max.value());
-    cf.report_load(1, 0.0);
-    EXPECT_DOUBLE_EQ(fx.machine.requested_frequency(1).value(),
-                     fx.machine.profile().freq_min.value());
-    cf.report_load(1, 0.4);
-    const double mid = fx.machine.requested_frequency(1).value();
-    EXPECT_GT(mid, fx.machine.profile().freq_min.value());
-    EXPECT_LT(mid, fx.machine.profile().freq_max.value());
-    EXPECT_THROW(cf.report_load(1, 1.5), ConfigError);
-}
-
-TEST(Cpufreq, NonOndemandIgnoresLoad) {
-    Fixture fx;
-    Cpufreq& cf = fx.kernel.cpufreq();
-    cf.set_governor(0, Governor::Performance);
-    cf.report_load(0, 0.0);
-    EXPECT_DOUBLE_EQ(fx.machine.requested_frequency(0).value(),
-                     fx.machine.profile().freq_max.value());
-}
-
 TEST(Cpupower, FrequencySetPinsAllCpus) {
     Fixture fx;
-    Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    Cpupower cpupower(fx.machine);
+    const auto requested = [&fx](unsigned c) { return fx.machine.requested_frequency(c).value(); };
     cpupower.frequency_set(from_ghz(1.2));
-    for (unsigned c = 0; c < fx.machine.core_count(); ++c) {
-        EXPECT_DOUBLE_EQ(fx.machine.requested_frequency(c).value(), 1200.0);
-        EXPECT_EQ(fx.kernel.cpufreq().governor(c), Governor::Userspace);
-    }
-    const auto info = cpupower.frequency_info(0);
-    EXPECT_EQ(info.governor, Governor::Userspace);
-    EXPECT_DOUBLE_EQ(info.hw_max.value(), fx.machine.profile().freq_max.value());
-}
+    for (unsigned c = 0; c < fx.machine.core_count(); ++c) EXPECT_DOUBLE_EQ(requested(c), 1200.0);
+    cpupower.frequency_set(2, from_ghz(2.0));
+    EXPECT_DOUBLE_EQ(requested(2), 2000.0);
+    EXPECT_DOUBLE_EQ(requested(1), 1200.0);
+    EXPECT_THROW(cpupower.frequency_set(fx.machine.core_count(), from_ghz(1.0)), ConfigError);
 
-TEST(Cpufreq, AvailableFrequenciesMatchProfileTable) {
-    Fixture fx;
-    EXPECT_EQ(fx.kernel.cpufreq().available_frequencies().size(),
-              fx.machine.profile().frequency_table().size());
+    // A non-finite frequency is rejected before any PERF_CTL write.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(cpupower.frequency_set(Megahertz{bad}), ConfigError) << bad;
+        EXPECT_THROW(cpupower.frequency_set(3, Megahertz{bad}), ConfigError) << bad;
+        for (unsigned c = 0; c < fx.machine.core_count(); ++c)
+            EXPECT_DOUBLE_EQ(requested(c), c == 2 ? 2000.0 : 1200.0) << bad;
+    }
+    // Finite values outside the profile's range clamp to it (Comet Lake:
+    // 0.4-4.9 GHz).
+    cpupower.frequency_set(Megahertz{-1.0});
+    for (unsigned c = 0; c < fx.machine.core_count(); ++c) EXPECT_DOUBLE_EQ(requested(c), 400.0);
+    cpupower.frequency_set(Megahertz{1e300});
+    for (unsigned c = 0; c < fx.machine.core_count(); ++c) EXPECT_DOUBLE_EQ(requested(c), 4900.0);
 }
 
 }  // namespace

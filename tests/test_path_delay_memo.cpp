@@ -114,7 +114,6 @@ bool direct_crash(const Machine& m) {
 /// Returns whether the op faulted.
 bool expect_op_matches_direct(Machine& m, Rng& shadow, InstrClass c, const std::string& where) {
     EXPECT_FALSE(m.crashed()) << where;
-    EXPECT_EQ(m.core(0).cstate(), CState::C0) << where;
     const VoltagePlane plane = c == InstrClass::Load ? VoltagePlane::Cache : VoltagePlane::Core;
     const double p = m.fault_model().fault_probability(
         m.core(0).frequency(), m.plane_voltage(plane), c, m.thermal().delay_scale());
@@ -155,11 +154,10 @@ TEST(PathDelayMemo, MachinePhysicsMatchesDirectFaultModelBitwise) {
 
     // Single ops around the fault band, with a write that bypasses
     // Machine between two of them: the regulator written or forced
-    // directly, or a core's C-state or frequency set on the Core.  The
-    // second op must see the new state, whichever path it takes.
+    // directly, or a core's frequency set on the Core.  The second op
+    // must see the new state, whichever path it takes.
     const char* kinds[] = {"regulator().force", "regulator().write",
-                           "regulator().write, settled", "core(i).set_cstate",
-                           "core(i).set_frequency"};
+                           "regulator().write, settled", "core(i).set_frequency"};
     unsigned ops_checked = 0;
     unsigned faulted_ops = 0;
     unsigned crashed_ops = 0;
@@ -183,7 +181,7 @@ TEST(PathDelayMemo, MachinePhysicsMatchesDirectFaultModelBitwise) {
         expect_op_matches_direct(m, shadow, any_class(), "first op");
         if (m.crashed()) continue;
 
-        const auto kind = static_cast<unsigned>(rng.uniform_below(5));
+        const auto kind = static_cast<unsigned>(rng.uniform_below(4));
         const auto plane = rng.uniform_below(2) == 0 ? VoltagePlane::Core : VoltagePlane::Cache;
         const auto other = static_cast<unsigned>(1 + rng.uniform_below(m.core_count() - 1));
         switch (kind) {
@@ -192,9 +190,6 @@ TEST(PathDelayMemo, MachinePhysicsMatchesDirectFaultModelBitwise) {
             case 2:
                 m.regulator().write(plane, band(), m.now());
                 m.advance_to(m.rail_settle_time());
-                break;
-            case 3:
-                m.core(other).set_cstate(rng.uniform_below(2) == 0 ? CState::C6 : CState::C1);
                 break;
             default:
                 m.core(rng.uniform_below(2) == 0 ? 0 : other)

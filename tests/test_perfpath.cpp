@@ -144,10 +144,10 @@ double temperature_for_scale(const sim::CpuProfile& p, double scale) {
 /// (DESIGN 5f): every class interleaved with each fault-reachable class
 /// parked at its onset (draws on both sides of the skip threshold), a
 /// core plane past the slack (no threshold at all), die heating by
-/// set_die_temperature across the certificate's delay-scale bound, a
-/// C0<->C6 flip of another core (leaking-core count), frequency changes
-/// of the op core and of another core, a crash on a heat jump and a
-/// crash the die's own heating drives inside a settled stretch.
+/// set_die_temperature across the certificate's delay-scale bound,
+/// frequency changes of the op core and of another core, a crash on a
+/// heat jump and a crash the die's own heating drives inside a settled
+/// stretch.
 /// Returns the state hash and fault count after every phase.
 std::vector<std::uint64_t> certificate_edges_history(sim::SteppingMode mode) {
     // A die with a 1 ms thermal time constant: its own heating crosses
@@ -185,14 +185,9 @@ std::vector<std::uint64_t> certificate_edges_history(sim::SteppingMode mode) {
     m.set_die_temperature(m.thermal().temperature_c() + 10.0);
     run_ops(6'000);
 
-    // Another core to C6 and back (the leaking count, a wake with exit
-    // latency), then frequency changes: the op core's lowered through
-    // PERF_CTL (the op's duration moves), then the other cores' set
-    // directly on the Core (max_active_frequency falls, the rail stays).
-    m.enter_cstate(2, sim::CState::C6);
-    run_ops(3'000);
-    m.wake_core(2);
-    run_ops(3'000);
+    // Frequency changes: the op core's lowered through PERF_CTL (the op's
+    // duration moves), then the other cores' set directly on the Core
+    // (max_active_frequency falls, the rail stays).
     m.set_core_frequency(1, from_ghz(2.4));
     run_ops(3'000);
     for (const unsigned id : {0u, 2u, 3u}) m.core(id).set_frequency(from_ghz(2.6));
@@ -327,23 +322,16 @@ TEST(PerfPath, StretchEndsOnDirectRegulatorWrites) {
 }
 
 TEST(PerfPath, StretchEndsOnDirectCoreWrites) {
-    // Core setters bypass Machine: another core's C-state (the leaking
-    // count and max_active_frequency) and frequency, the op core's
-    // frequency (the op's duration), stolen time and C-state.  Ops also
-    // move to another core and to another cpi.
+    // Core setters bypass Machine: another core's frequency
+    // (max_active_frequency), the op core's frequency (the op's duration)
+    // and stolen time.  Ops also move to another core and to another cpi.
     expect_stretch_histories_equal([](sim::Machine& m, auto& ops) {
-        ops(300);
-        m.core(2).set_cstate(sim::CState::C6);
-        ops(300);
-        m.core(2).set_cstate(sim::CState::C0);
         ops(300);
         m.core(1).set_frequency(from_ghz(2.4));
         ops(300);
         for (const unsigned id : {0u, 2u, 3u}) m.core(id).set_frequency(from_ghz(2.6));
         ops(300);
         m.core(1).add_steal(microseconds(1.0));
-        ops(300);
-        m.core(1).set_cstate(sim::CState::C1);
         ops(300);
         ops(300, /*core=*/3);
         ops(300, /*core=*/1, /*cpi=*/1.0);

@@ -40,7 +40,7 @@ TEST(PollingModule, PollsEveryCoreEveryInterval) {
 
 TEST(PollingModule, DetectsAndRestoresUnsafeCommand) {
     Fixture fx;
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     cpupower.frequency_set(fx.machine.profile().freq_max);
     fx.machine.advance_to(fx.machine.rail_settle_time());
 
@@ -63,7 +63,7 @@ TEST(PollingModule, DetectsAndRestoresUnsafeCommand) {
 
 TEST(PollingModule, RailNeverReachesUnsafeDepth) {
     Fixture fx;
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     const Megahertz fmax = fx.machine.profile().freq_max;
     cpupower.frequency_set(fmax);
     fx.machine.advance_to(fx.machine.rail_settle_time());
@@ -84,7 +84,7 @@ TEST(PollingModule, RailNeverReachesUnsafeDepth) {
 
 TEST(PollingModule, BenignSafeUndervoltLeftAlone) {
     Fixture fx;
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     cpupower.frequency_set(from_ghz(1.2));  // onset is ~-296 mV here
     fx.machine.advance_to(fx.machine.rail_settle_time());
 
@@ -102,7 +102,7 @@ TEST(PollingModule, RestoreZeroPolicy) {
     PollingConfig config;
     config.restore = RestorePolicy::RestoreZero;
     Fixture fx(config);
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     cpupower.frequency_set(fx.machine.profile().freq_max);
     fx.machine.advance_to(fx.machine.rail_settle_time());
     fx.kernel.msr().ioctl_wrmsr(0, 0, sim::kMsrOcMailbox,
@@ -118,7 +118,7 @@ TEST(PollingModule, MaximalSafePolicyClampsEvenAtLowFrequency) {
     PollingConfig config;
     config.restore = RestorePolicy::ClampToMaximalSafe;
     Fixture fx(config);
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     cpupower.frequency_set(from_ghz(1.2));
     fx.machine.advance_to(fx.machine.rail_settle_time());
     // -150 mV is safe at 1.2 GHz but beyond the maximal safe state:
@@ -136,7 +136,7 @@ TEST(PollingModule, MaximalSafePolicyClampsEvenAtLowFrequency) {
 
 TEST(PollingModule, CancelsDangerousFrequencyRaise) {
     Fixture fx;
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     cpupower.frequency_set(from_ghz(1.2));
     fx.machine.advance_to(fx.machine.rail_settle_time());
     // Park deep-but-safe for 1.2 GHz, then request max (VoltJockey shape).
@@ -162,7 +162,7 @@ TEST(PollingModule, SingleThreadLayoutAlsoWorks) {
     PollingConfig config;
     config.per_core_threads = false;
     Fixture fx(config);
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     cpupower.frequency_set(fx.machine.profile().freq_max);
     fx.machine.advance_to(fx.machine.rail_settle_time());
     fx.kernel.msr().ioctl_wrmsr(0, 0, sim::kMsrOcMailbox,
@@ -190,7 +190,7 @@ TEST(PollingModule, SurvivesRebootAndKeepsProtecting) {
     Fixture fx;
     fx.machine.crash("induced");
     fx.machine.reboot();
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     cpupower.frequency_set(fx.machine.profile().freq_max);
     fx.machine.advance_to(fx.machine.rail_settle_time());
     fx.kernel.msr().ioctl_wrmsr(0, 0, sim::kMsrOcMailbox,
@@ -203,7 +203,7 @@ TEST(PollingModule, SurvivesRebootAndKeepsProtecting) {
 
 TEST(PollingModule, MetricsTimestampDetection) {
     Fixture fx;
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     cpupower.frequency_set(fx.machine.profile().freq_max);
     fx.machine.advance_to(fx.machine.rail_settle_time());
     const Picoseconds injected = fx.machine.now();

@@ -80,7 +80,7 @@ TEST(MachinePower, UndervoltingSavesEnergy) {
     auto energy_for = [](Millivolts offset) {
         Machine m(cometlake_i7_10510u(), 3);
         os::Kernel k(m);
-        os::Cpupower cpupower(k.cpufreq(), m.core_count());
+        os::Cpupower cpupower(m);
         cpupower.frequency_set(from_ghz(1.2));
         m.advance_to(m.rail_settle_time());
         if (offset < Millivolts{0.0}) {

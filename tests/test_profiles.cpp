@@ -23,6 +23,18 @@ TEST(VfCurve, ClampsOutsideTable) {
     EXPECT_DOUBLE_EQ(curve.nominal(from_ghz(5.0)).value(), 900.0);
 }
 
+TEST(VfCurveInverse, MaxSupportedInvertsNominal) {
+    const VfCurve curve = cometlake_i7_10510u().vf_curve();
+    for (double ghz = 0.4; ghz <= 4.9 + 1e-9; ghz += 0.3) {
+        const Megahertz f = from_ghz(ghz);
+        EXPECT_NEAR(curve.max_supported(curve.nominal(f)).value(), f.value(), 1.0);
+    }
+    EXPECT_DOUBLE_EQ(curve.max_supported(Millivolts{2000.0}).value(),
+                     curve.max_freq().value());
+    EXPECT_DOUBLE_EQ(curve.max_supported(Millivolts{100.0}).value(),
+                     curve.min_freq().value());
+}
+
 TEST(VfCurve, MultiSegment) {
     const VfCurve curve({{from_ghz(1.0), Millivolts{700.0}},
                          {from_ghz(2.0), Millivolts{750.0}},

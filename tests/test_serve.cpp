@@ -6,10 +6,11 @@
 // and that one worker runs every engine without a thread pool.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "sim/cpu_profile.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pv::serve {
 namespace {
@@ -559,62 +559,74 @@ TEST(CampaignDaemon, ConfigHashGuardsTheStateDir) {
 // ---------------------------------------------------------------------
 // One worker means no pool
 
-std::atomic<std::uint64_t> g_pool_submissions{0};
+/// The process's live threads: one entry each under /proc/self/task.
+std::size_t live_threads() {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
 
-void count_submission(std::uint64_t, std::size_t) { ++g_pool_submissions; }
-
-/// Counts ThreadPool submissions (every pool, every thread) while in
-/// scope, through the dispatch tap; restores the previous tap on exit.
-class SubmissionCounter {
+/// The most threads alive at any progress call since construction,
+/// above the count at construction.  Every engine reports progress on
+/// its caller's thread while its pool, if it has one, is alive.
+class ExtraThreads {
 public:
-    SubmissionCounter() : previous_(ThreadPool::set_dispatch_tap(&count_submission)) {
-        g_pool_submissions = 0;
+    ExtraThreads() : base_(live_threads()) {}
+    void sample() {
+        const std::size_t now = live_threads();
+        if (now > base_) most_ = std::max(most_, now - base_);
     }
-    ~SubmissionCounter() { ThreadPool::set_dispatch_tap(previous_); }
-    SubmissionCounter(const SubmissionCounter&) = delete;
-    SubmissionCounter& operator=(const SubmissionCounter&) = delete;
-
-    [[nodiscard]] std::uint64_t count() const { return g_pool_submissions; }
+    [[nodiscard]] std::size_t most() const { return most_; }
 
 private:
-    ThreadPool::DispatchTap previous_;
+    std::size_t base_;
+    std::size_t most_ = 0;
 };
 
 TEST(OneWorker, SweepsFleetsAndDaemonJobsSubmitNoPoolTasks) {
-    const SubmissionCounter submissions;
     const sim::CpuProfile profile = sim::cometlake_i7_10510u();
 
     plugvolt::ParallelCharacterizerConfig sweep;
     sweep.cell.offset_step = Millivolts{10.0};
     sweep.mode = plugvolt::SweepMode::Bisection;
     sweep.workers = 1;
-    (void)plugvolt::ParallelCharacterizer(profile, sweep).characterize();
-    EXPECT_EQ(submissions.count(), 0u) << "one-worker sweep";
+    {
+        ExtraThreads extra;
+        (void)plugvolt::ParallelCharacterizer(profile, sweep).characterize(
+            [&extra](const auto&) { extra.sample(); });
+        EXPECT_EQ(extra.most(), 0u) << "one-worker sweep";
+    }
 
     fleet::FleetConfig fleet_config;
     fleet_config.units = 2;
     fleet_config.workers = 1;
     fleet_config.sweep = sweep;
-    (void)fleet::FleetOrchestrator(fleet::SiliconLot(profile, {}), fleet_config)
-        .characterize();
-    EXPECT_EQ(submissions.count(), 0u) << "one-worker fleet";
+    {
+        ExtraThreads extra;
+        (void)fleet::FleetOrchestrator(fleet::SiliconLot(profile, {}), fleet_config)
+            .characterize([&extra](std::uint64_t, const auto&) { extra.sample(); });
+        EXPECT_EQ(extra.most(), 0u) << "one-worker fleet";
+    }
 
     DaemonConfig config;
     config.state_dir = fresh_dir("one_worker");
     config.workers = 1;
     CampaignDaemon daemon(config);
+    ExtraThreads extra;
+    daemon.set_progress([&extra](const JobRecord&, std::uint64_t) { extra.sample(); });
     const std::vector<std::uint64_t> ids = {daemon.submit(characterize_spec()),
                                             daemon.submit(campaign_spec()),
                                             daemon.submit(fleet_spec())};
     daemon.run_until_idle();
     for (const std::uint64_t id : ids)
         EXPECT_EQ(daemon.job(id)->state, JobState::Completed) << "job " << id;
-    EXPECT_EQ(submissions.count(), 0u) << "one-worker daemon jobs";
+    EXPECT_EQ(extra.most(), 0u) << "one-worker daemon jobs";
 
-    // The tap is live: two workers do go through a pool.
+    // The probe is live: a two-worker sweep runs on a pool's two threads.
     sweep.workers = 2;
-    (void)plugvolt::ParallelCharacterizer(profile, sweep).characterize();
-    EXPECT_GT(submissions.count(), 0u) << "two-worker sweep";
+    ExtraThreads pooled;
+    (void)plugvolt::ParallelCharacterizer(profile, sweep).characterize(
+        [&pooled](const auto&) { pooled.sample(); });
+    EXPECT_EQ(pooled.most(), 2u) << "two-worker sweep";
 }
 
 }  // namespace

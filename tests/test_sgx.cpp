@@ -81,7 +81,7 @@ TEST(Enclave, RunsCleanAtNominalVoltage) {
 
 TEST(Enclave, UndervoltFaultsEnclaveComputation) {
     Fixture fx;
-    os::Cpupower cpupower(fx.kernel.cpufreq(), fx.machine.core_count());
+    os::Cpupower cpupower(fx.machine);
     cpupower.frequency_set(fx.machine.profile().freq_max);
     fx.machine.advance_to(fx.machine.rail_settle_time());
     const Millivolts onset = fx.machine.fault_model().onset_offset(

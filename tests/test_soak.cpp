@@ -24,7 +24,7 @@ struct StormOutcome {
 // outside the paper's threat model; weaponizable faults are not).
 StormOutcome run_storm(sim::Machine& machine, os::Kernel& kernel, std::uint64_t seed,
                        bool reboot_on_crash) {
-    os::Cpupower cpupower(kernel.cpufreq(), machine.core_count());
+    os::Cpupower cpupower(machine);
     Rng rng(seed * 0x9E3779B97F4A7C15ULL + 1);
     const auto table = machine.profile().frequency_table();
     StormOutcome outcome;

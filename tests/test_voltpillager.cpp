@@ -84,7 +84,7 @@ TEST(VoltPillager, WatchdogDoesNotFireOnBenignCommands) {
     plugvolt::Protector protector(kernel, test::comet_map());
     protector.deploy(plugvolt::DeploymentLevel::KernelModule);
 
-    os::Cpupower cpupower(kernel.cpufreq(), m.core_count());
+    os::Cpupower cpupower(m);
     // Benign life: frequency changes and safe undervolts through the
     // mailbox; the residual check must stay silent (blanking covers the
     // legitimate settling transients).

@@ -11,9 +11,9 @@
 //     includable from anywhere (it is how rule msr-constant stays
 //     satisfiable).
 // The trace subsystem is additionally reachable only through its tap
-// headers (trace.hpp, metrics.hpp, event.hpp); recorder/bridge/export
-// internals stay private — the util layer below trace is bridged through
-// function-pointer taps (trace/bridge.cpp), never an include.
+// headers (trace.hpp, metrics.hpp, event.hpp); recorder/export internals
+// stay private.  The util layer sits below trace and knows nothing of
+// it: no include, no hook.
 #include "pvlint.hpp"
 
 #include <map>

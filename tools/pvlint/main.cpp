@@ -2,7 +2,8 @@
 //
 //   pvlint --root <repo> [options]
 //
-// Exit codes: 0 clean, 1 blocking findings, 2 usage/environment error.
+// Exit codes: 0 clean, 1 blocking findings (or, with --unused-public, a
+// stale baseline entry), 2 usage/environment error.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -20,8 +21,8 @@ int usage(std::ostream& out, int code) {
            "  --json FILE            write the machine-readable report\n"
            "  --write-baseline FILE  accept every current finding into FILE and exit 0\n"
            "  --show-suppressed      also print waived/baselined findings\n"
-           "  --unused-public        print the unused-public report instead (always exits 0;\n"
-           "                         kept names: ROOT/tools/pvlint/unused_public.txt)\n"
+           "  --unused-public        print the unused-public report instead (exits 1 on a\n"
+           "                         stale kept name: ROOT/tools/pvlint/unused_public.txt)\n"
            "  --list-rules           print every rule id and exit\n";
     return code;
 }
@@ -81,18 +82,12 @@ int main(int argc, char** argv) {
     }
 
     if (unused_public) {
-        std::map<std::string, std::string> kept;
-        const auto kept_path = config.root / "tools" / "pvlint" / "unused_public.txt";
-        if (!no_baseline && std::filesystem::exists(kept_path)) {
-            try {
-                kept = pvlint::load_unused_public_baseline(kept_path);
-            } catch (const std::runtime_error& e) {
-                std::cerr << "pvlint: " << e.what() << '\n';
-                return 2;
-            }
+        try {
+            return pvlint::run_unused_public(config.root, no_baseline, std::cout);
+        } catch (const std::runtime_error& e) {
+            std::cerr << "pvlint: " << e.what() << '\n';
+            return 2;
         }
-        pvlint::write_unused_public(pvlint::find_unused_public(config.root), kept, std::cout);
-        return 0;
     }
 
     pvlint::Report report = pvlint::run(config);

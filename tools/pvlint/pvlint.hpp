@@ -43,13 +43,15 @@
 //   code();  // pv-lint: allow(rule-id[,rule-id...]) why this is sound
 // A waiver on a comment-only line applies to the next line instead.
 //
-// The --unused-public report (info-only, never blocking): each public
-// function or type declared in src/**/*.hpp whose name no file outside
-// the header's own .hpp/.cpp pair and tests/ mentions.  It matches
-// tokens, not symbols, so a common name used anywhere hides a dead
-// declaration, and a name reached only through a macro shows up.  Its
-// baseline, tools/pvlint/unused_public.txt, holds the names kept on
-// purpose, each with its reason.
+// The --unused-public report: each public function or type declared in
+// src/**/*.hpp whose name no file outside the header's own .hpp/.cpp
+// pair and tests/ mentions; a member function counts as mentioned only
+// as `.name`, `->name` or `Type::name`.  It matches tokens, not symbols,
+// so a common name used anywhere hides a dead declaration, and a name
+// reached only through a macro shows up.  Its baseline,
+// tools/pvlint/unused_public.txt, holds the names kept on purpose, each
+// with its reason.  New names are info-only; a stale baseline entry (a
+// kept name now used, or gone) fails the run.
 //
 // Baseline: a committed file of "file:line:rule" keys (see
 // tools/pvlint/baseline.txt) accepted without inline waivers — the
@@ -162,10 +164,16 @@ struct UnusedName {
 [[nodiscard]] std::map<std::string, std::string> load_unused_public_baseline(
     const std::filesystem::path& path);
 /// Every listed name (tagged [tests] when a test names it, with its
-/// reason when kept), every baseline entry
-/// that no longer lists, and a summary line.
-void write_unused_public(const std::vector<UnusedName>& names,
-                         const std::map<std::string, std::string>& baseline, std::ostream& out);
+/// reason when kept), every baseline entry that no longer lists, and a
+/// summary line.  Returns the number of stale baseline entries.
+int write_unused_public(const std::vector<UnusedName>& names,
+                        const std::map<std::string, std::string>& baseline, std::ostream& out);
+/// The whole --unused-public run: the report over `root` against
+/// ROOT/tools/pvlint/unused_public.txt (unless `no_baseline`).  Returns
+/// the exit status: 1 when a baseline entry is stale, else 0.  Throws
+/// std::runtime_error on a baseline entry without a reason.
+[[nodiscard]] int run_unused_public(const std::filesystem::path& root, bool no_baseline,
+                                    std::ostream& out);
 
 void write_text(const Report& report, std::ostream& out, bool show_suppressed = false);
 void write_json(const Report& report, std::ostream& out);

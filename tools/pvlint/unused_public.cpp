@@ -3,9 +3,12 @@
 // A declared name counts as used when its identifier appears in the
 // comment- and string-blanked code of any file under src, bench,
 // examples, perfbench or tools other than the header's own .hpp/.cpp
-// pair; tests/ never counts.  Declarations are read with a small scope
-// tracker: statements at namespace scope and at public class scope are
-// read, function bodies, initializers and enum bodies are skipped.
+// pair; tests/ never counts.  A member function's identifier counts only
+// where it names a member: after '.', '->' or '::' (a local variable
+// spelled like a member is no use of it).  Declarations are read with a
+// small scope tracker: statements at namespace scope and at public class
+// scope are read, function bodies, initializers and enum bodies are
+// skipped.
 #include "pvlint.hpp"
 
 #include <algorithm>
@@ -99,6 +102,7 @@ struct Statement {
     bool is_friend = false;
     bool assigns = false;          ///< an '=' before any declared name
     bool is_class = false;         ///< "class" (private by default)
+    bool trailing_return = false;  ///< "-> T" after the function's parameters
     const Token* type = nullptr;   ///< class/struct/union/enum name
     const Token* alias = nullptr;  ///< using NAME = ...
     const Token* function = nullptr;
@@ -107,6 +111,7 @@ struct Statement {
 Statement read_statement(const std::vector<Token>& tokens, std::size_t from, std::size_t to) {
     Statement st;
     int braces = 0, brackets = 0, parens = 0, angles = 0;
+    bool naming_type = false;  // after class/struct/union, before its name
     for (std::size_t k = from; k < to; ++k) {
         const Token& s = tokens[k];
         const Token* prev = k > from ? &tokens[k - 1] : nullptr;
@@ -124,14 +129,24 @@ Statement read_statement(const std::vector<Token>& tokens, std::size_t from, std
         if (s.text == ">" && angles > 0) --angles;
         if (brackets > 0 || parens > 0 || angles > 0) continue;
         if (s.text == "=") st.assigns = true;
+        if (s.text == "-" && next != nullptr && next->text == ">" && st.function != nullptr)
+            st.trailing_return = true;
         if (!s.ident || st.assigns || st.function != nullptr) continue;
         if (s.text == "namespace") st.is_namespace = true;
         if (s.text == "enum") st.is_enum = true;
         if (s.text == "friend") st.is_friend = true;
+        // The type's name is the first identifier after the keyword that
+        // is not a macro (class PV_CAPABILITY("mutex") Mutex).
+        if (naming_type && !is_macro(s.text)) {
+            st.type = &s;
+            naming_type = false;
+            continue;
+        }
         if ((s.text == "class" || s.text == "struct" || s.text == "union") &&
-            st.type == nullptr && next != nullptr && next->ident) {
+            st.type == nullptr && !naming_type) {
             st.is_class = s.text == "class" && !st.is_enum;
-            st.type = next;
+            naming_type = true;
+            continue;
         }
         if (s.text == "using" && next != nullptr && next->ident && k + 2 < to &&
             tokens[k + 2].text == "=")
@@ -143,9 +158,16 @@ Statement read_statement(const std::vector<Token>& tokens, std::size_t from, std
     return st;
 }
 
-/// The public functions and types a header declares, as (line, name), in
-/// order of first declaration.
-std::vector<std::pair<int, std::string>> declared_names(const std::vector<Token>& tokens) {
+/// One public function or type a header declares.
+struct Declared {
+    int line = 0;
+    std::string name;
+    bool member = false;  ///< a function declared in a class body
+};
+
+/// The public functions and types a header declares, in order of first
+/// declaration.
+std::vector<Declared> declared_names(const std::vector<Token>& tokens) {
     struct Scope {
         bool declares = false;   ///< a namespace or class body
         bool visible = false;    ///< its declarations are public API
@@ -153,14 +175,15 @@ std::vector<std::pair<int, std::string>> declared_names(const std::vector<Token>
         bool continues = false;  ///< an initializer: its statement goes on after it
     };
     std::vector<Scope> scopes{{true, true, false, false}};
-    std::vector<std::pair<int, std::string>> names;
-    const auto collect = [&names](const Statement& st) {
+    std::vector<Declared> names;
+    const auto collect = [&names, &scopes](const Statement& st) {
         if (st.is_friend) return;
         for (const Token* t : {st.type, st.alias, st.is_namespace ? nullptr : st.function}) {
             if (t == nullptr) continue;
             const bool seen = std::any_of(names.begin(), names.end(),
-                                          [t](const auto& n) { return n.second == t->text; });
-            if (!seen) names.emplace_back(t->line, t->text);
+                                          [t](const Declared& n) { return n.name == t->text; });
+            if (!seen)
+                names.push_back({t->line, t->text, t == st.function && scopes.back().is_class});
         }
     };
 
@@ -204,7 +227,8 @@ std::vector<std::pair<int, std::string>> declared_names(const std::vector<Token>
             scopes.push_back({true, scope.visible && !st.is_class, true, false});
             start = i + 1;
         } else {
-            const bool continues = i > start && !one_of(tokens[i - 1].text, kBodyOpeners);
+            const bool continues =
+                i > start && !one_of(tokens[i - 1].text, kBodyOpeners) && !st.trailing_return;
             if (!continues && scope.visible) collect(st);
             scopes.push_back({false, false, false, continues});
         }
@@ -224,11 +248,21 @@ bool skipped(const std::string& rel) {
 
 std::string stem_of(const std::string& rel) { return rel.substr(0, rel.rfind('.')); }
 
+/// Whether tokens[k] names a member: it follows '.', '->' or '::'.
+bool names_member(const std::vector<Token>& tokens, std::size_t k) {
+    if (k == 0) return false;
+    const std::string& prev = tokens[k - 1].text;
+    if (prev == ".") return true;
+    return k >= 2 && ((prev == ">" && tokens[k - 2].text == "-") ||
+                      (prev == ":" && tokens[k - 2].text == ":"));
+}
+
 }  // namespace
 
 std::vector<UnusedName> find_unused_public(const fs::path& root) {
-    // name -> stems of the files that use it
+    // name -> stems of the files that use it: anywhere, and as a member
     std::map<std::string, std::set<std::string>> users;
+    std::map<std::string, std::set<std::string>> member_users;
     std::vector<std::pair<std::string, std::vector<Token>>> headers;
     for (const char* dir : kUserDirs) {
         if (!fs::exists(root / dir)) continue;
@@ -239,8 +273,12 @@ std::vector<UnusedName> find_unused_public(const fs::path& root) {
             if (skipped(rel)) continue;
             const SourceFile file = load_source(entry.path(), rel);
             const std::string user = rel.starts_with("tests/") ? "tests/" : stem_of(rel);
-            for (const Token& t : tokenize(file.code, true))
-                if (t.ident) users[t.text].insert(user);
+            const std::vector<Token> tokens = tokenize(file.code, true);
+            for (std::size_t k = 0; k < tokens.size(); ++k) {
+                if (!tokens[k].ident) continue;
+                users[tokens[k].text].insert(user);
+                if (names_member(tokens, k)) member_users[tokens[k].text].insert(user);
+            }
             if (rel.starts_with("src/") && ext == ".hpp")
                 headers.emplace_back(rel, tokenize(file.code, false));
         }
@@ -249,12 +287,12 @@ std::vector<UnusedName> find_unused_public(const fs::path& root) {
     std::vector<UnusedName> unused;
     for (const auto& [rel, tokens] : headers) {
         const std::string stem = stem_of(rel);
-        for (const auto& [line, name] : declared_names(tokens)) {
-            const std::set<std::string>& stems = users[name];
+        for (const Declared& d : declared_names(tokens)) {
+            const std::set<std::string>& stems = (d.member ? member_users : users)[d.name];
             if (std::all_of(stems.begin(), stems.end(), [&stem](const std::string& s) {
                     return s == stem || s == "tests/";
                 }))
-                unused.push_back({rel, line, name, stems.count("tests/") != 0});
+                unused.push_back({rel, d.line, d.name, stems.count("tests/") != 0});
         }
     }
     std::sort(unused.begin(), unused.end(), [](const UnusedName& a, const UnusedName& b) {
@@ -281,9 +319,8 @@ std::map<std::string, std::string> load_unused_public_baseline(const fs::path& p
     return kept;
 }
 
-void write_unused_public(const std::vector<UnusedName>& names,
-                         const std::map<std::string, std::string>& baseline,
-                         std::ostream& out) {
+int write_unused_public(const std::vector<UnusedName>& names,
+                        const std::map<std::string, std::string>& baseline, std::ostream& out) {
     std::set<std::string> listed;
     int kept = 0;
     for (const UnusedName& n : names) {
@@ -306,6 +343,14 @@ void write_unused_public(const std::vector<UnusedName>& names,
     out << "pv-lint --unused-public: " << names.size() << " names (" << kept << " kept, "
         << static_cast<int>(names.size()) - kept << " new, " << stale
         << " stale baseline entries)\n";
+    return stale;
+}
+
+int run_unused_public(const fs::path& root, bool no_baseline, std::ostream& out) {
+    std::map<std::string, std::string> kept;
+    const fs::path kept_path = root / "tools" / "pvlint" / "unused_public.txt";
+    if (!no_baseline && fs::exists(kept_path)) kept = load_unused_public_baseline(kept_path);
+    return write_unused_public(find_unused_public(root), kept, out) == 0 ? 0 : 1;
 }
 
 }  // namespace pvlint
