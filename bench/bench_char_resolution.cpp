@@ -47,7 +47,8 @@ int main() {
                        std::to_string(cost.cells_evaluated), std::to_string(cost.crash_probes),
                        err.count() ? Table::num(err.mean(), 2) : "-",
                        err.count() ? Table::num(err.max(), 2) : "-",
-                       Table::num(map.maximal_safe_offset().value(), 0)});
+                       Table::num(
+                           map.maximal_safe_offset(plugvolt::kDefaultGuardBand).value(), 0)});
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("Reading: onset error is bounded by the offset step (plus sampling\n"

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "os/kernel.hpp"
+#include "plugvolt/limit_table.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "sim/cpu_profile.hpp"
@@ -159,8 +160,9 @@ inline void print_characterization(const sim::CpuProfile& profile,
                        strip});
     }
     std::printf("%s\n", table.render().c_str());
-    std::printf("maximal safe state (Sec. 5, 15 mV guard): %.0f mV\n\n",
-                map.maximal_safe_offset().value());
+    std::printf("maximal safe state (Sec. 5, %.0f mV guard): %.0f mV\n\n",
+                plugvolt::kDefaultGuardBand.value(),
+                map.maximal_safe_offset(plugvolt::kDefaultGuardBand).value());
 }
 
 }  // namespace pv::bench

@@ -114,6 +114,6 @@ int main() {
                 "~20%% voltage slice into a ~35%% energy saving.  PlugVolt's safe-limit\n"
                 "policy preserves it in full; the maximal-safe clamp preserves the slice\n"
                 "down to %.0f mV; access control forfeits all of it.\n",
-                map.maximal_safe_offset().value());
+                map.maximal_safe_offset(plugvolt::kDefaultGuardBand).value());
     return 0;
 }

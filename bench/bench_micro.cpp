@@ -10,6 +10,7 @@
 #include "infer/adaptive_planner.hpp"
 #include "plugvolt/acquisition.hpp"
 #include "plugvolt/boundary_posterior.hpp"
+#include "plugvolt/limit_table.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/polling_module.hpp"
 #include "plugvolt/safe_state.hpp"
@@ -59,9 +60,26 @@ void BM_SafeStateClassify(benchmark::State& state) {
 }
 BENCHMARK(BM_SafeStateClassify);
 
+void BM_LimitTableLookup(benchmark::State& state) {
+    // What a poll pays to judge its reads: one table entry per ratio
+    // byte, over the same frequencies and offset as BM_SafeStateClassify.
+    const plugvolt::LimitTable table(comet_map(), plugvolt::kDefaultGuardBand,
+                                     plugvolt::RestorePolicy::ClampToSafeLimit);
+    const Millivolts commanded =
+        sim::decode_offset(sim::encode_offset(Millivolts{-150.0}, sim::VoltagePlane::Core))
+            ->offset;
+    std::uint8_t ratio = 4;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(table.detects(ratio, commanded));
+        ratio = ratio >= 49 ? 4 : ratio + 1;
+    }
+}
+BENCHMARK(BM_LimitTableLookup);
+
 void BM_MaximalSafeOffset(benchmark::State& state) {
     const auto& map = comet_map();
-    for (auto _ : state) benchmark::DoNotOptimize(map.maximal_safe_offset());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(map.maximal_safe_offset(plugvolt::kDefaultGuardBand));
 }
 BENCHMARK(BM_MaximalSafeOffset);
 
@@ -72,7 +90,8 @@ void BM_MaxSafeFrequency(benchmark::State& state) {
     const auto& map = comet_map();
     double mv = 0.0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(map.max_safe_frequency(Millivolts{mv}));
+        benchmark::DoNotOptimize(
+            map.max_safe_frequency(Millivolts{mv}, plugvolt::kDefaultGuardBand));
         mv = mv <= -290.0 ? 0.0 : mv - 10.0;
     }
 }

@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "plugvolt/limit_table.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 
 using namespace pv;
@@ -117,7 +118,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.render().c_str());
 
     std::printf("maximal safe state: legacy-free check -> engine %.0f mV\n",
-                serial.map.maximal_safe_offset().value());
+                serial.map.maximal_safe_offset(plugvolt::kDefaultGuardBand).value());
     std::printf("map equality: sharded %s, bisection %s\n\n",
                 sharded_equal ? "OK" : "FAILED", bisect_equal ? "OK" : "FAILED");
 

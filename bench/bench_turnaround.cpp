@@ -27,9 +27,9 @@ int main() {
                     "regulator latency (us)", "regulator ramp (us)",
                     "total mean/worst (us)"});
     for (const double ghz : {1.2, 2.4, 4.9}) {
-        const auto b = plugvolt::estimate_turnaround(profile, polling, from_ghz(ghz),
-                                                     Millivolts{-200.0},
-                                                     map.safe_limit(from_ghz(ghz)));
+        const auto b = plugvolt::estimate_turnaround(
+            profile, polling, from_ghz(ghz), Millivolts{-200.0},
+            map.safe_limit(from_ghz(ghz), plugvolt::kDefaultGuardBand));
         analytic.add_row({Table::num(ghz, 1),
                           Table::num(b.detection_mean.microseconds(), 1) + " / " +
                               Table::num(b.detection_worst.microseconds(), 1),
@@ -81,7 +81,7 @@ int main() {
 
     // --- Vendor-level deployments -------------------------------------------
     std::printf("Vendor-level deployments (maximal safe state %.0f mV):\n",
-                map.maximal_safe_offset().value());
+                map.maximal_safe_offset(plugvolt::kDefaultGuardBand).value());
     for (const auto level :
          {plugvolt::DeploymentLevel::Microcode, plugvolt::DeploymentLevel::HardwareMsr}) {
         sim::Machine machine(profile, 900);

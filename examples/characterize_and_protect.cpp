@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
                 columns,
                 static_cast<unsigned long long>(characterizer.stats().cells_evaluated),
                 static_cast<unsigned long long>(characterizer.stats().crash_probes));
-    std::printf("maximal safe state: %.0f mV\n\n", map.maximal_safe_offset().value());
+    std::printf("maximal safe state: %.0f mV\n\n",
+                map.maximal_safe_offset(plugvolt::kDefaultGuardBand).value());
 
     std::ofstream(out_path) << map.to_csv();
     std::printf("map saved to %s (%zu rows)\n\n", out_path.c_str(), map.rows().size());

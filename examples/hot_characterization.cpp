@@ -67,7 +67,8 @@ int main() {
                 fmax.gigahertz(), cold.safe_limit(fmax, Millivolts{0.0}).value(),
                 hot.safe_limit(fmax, Millivolts{0.0}).value(), gap_mv);
     std::printf("maximal safe state: cold map %.0f mV   hot map %.0f mV\n\n",
-                cold.maximal_safe_offset().value(), hot.maximal_safe_offset().value());
+                cold.maximal_safe_offset(plugvolt::kDefaultGuardBand).value(),
+                hot.maximal_safe_offset(plugvolt::kDefaultGuardBand).value());
 
     // The blind spot: tolerated by the cold map's module (outside its
     // guard band), but already inside the hot silicon's fault band.

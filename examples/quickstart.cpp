@@ -36,7 +36,7 @@ int main() {
                 map.rows().size(),
                 static_cast<unsigned long long>(characterizer.stats().crash_probes));
     std::printf("maximal safe state: %.0f mV undervolt is safe at EVERY frequency\n",
-                map.maximal_safe_offset().value());
+                map.maximal_safe_offset(plugvolt::kDefaultGuardBand).value());
 
     // 3. Protect.  DeploymentLevel::Microcode / HardwareMsr model the
     //    vendor-level variants from Sec. 5 of the paper.

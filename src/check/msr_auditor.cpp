@@ -28,7 +28,12 @@ std::string AuditViolation::detail() const {
 
 MsrAuditor::MsrAuditor(os::Kernel& kernel, MsrAuditorConfig config)
     : kernel_(kernel), config_(std::move(config)) {
-    if (config_.map != nullptr) config_.offset_floor = config_.map->sweep_floor();
+    if (config_.map != nullptr) {
+        config_.offset_floor = config_.map->sweep_floor();
+        // The raw class reads neither guard nor policy; this policy's
+        // table builds without a per-row bisection.
+        table_.emplace(*config_.map, Millivolts{0.0}, plugvolt::RestorePolicy::ClampToMaximalSafe);
+    }
     os::MsrObserver* previous = kernel_.msr().set_observer(this);
     PV_ASSERT(previous == nullptr, "MsrDriver already has an observer attached");
     // Register the machine-level hook at attach time so it runs before
@@ -102,13 +107,18 @@ void MsrAuditor::audit_mailbox_write(unsigned core_id, std::uint64_t value, bool
     // map; GPU/uncore/AIO offsets are outside its domain.
     const bool fault_plane =
         req->plane == sim::VoltagePlane::Core || req->plane == sim::VoltagePlane::Cache;
-    if (config_.map == nullptr || !fault_plane) return;
+    if (!table_ || !fault_plane) return;
+    // The machine snaps every frequency to its profile's table, 100 MHz
+    // steps in every shipped profile: a 0x198 ratio byte, the table's
+    // index.
     const Megahertz f = kernel_.machine().max_active_frequency();
-    if (config_.map->is_unsafe(f, req->offset) && !kernel_.module_loaded(config_.guard_module)) {
+    const auto ratio = static_cast<std::uint8_t>(static_cast<unsigned>(f.value() / 100.0 + 0.5));
+    PV_DCHECK(static_cast<double>(ratio) * 100.0 == f.value(), "off-grid frequency " << f.value());
+    const plugvolt::StateClass cls = table_->classify(ratio, req->offset);
+    if (cls != plugvolt::StateClass::Safe && !kernel_.module_loaded(config_.guard_module)) {
         record(AuditKind::UnsafeWrite, core_id, sim::kMsrOcMailbox, value,
                "offset " + std::to_string(req->offset.value()) + " mV at " +
-                   std::to_string(f.value()) + " MHz classifies " +
-                   plugvolt::to_string(config_.map->classify(f, req->offset)) +
+                   std::to_string(f.value()) + " MHz classifies " + plugvolt::to_string(cls) +
                    " with no '" + config_.guard_module + "' guard loaded");
     }
 }

@@ -27,11 +27,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "os/kernel.hpp"
-#include "plugvolt/safe_state.hpp"
+#include "plugvolt/limit_table.hpp"
 #include "util/units.hpp"
 
 namespace pv::check {
@@ -64,8 +65,9 @@ struct AuditViolation {
 };
 
 struct MsrAuditorConfig {
-    /// Reference safe-state map for UnsafeWrite classification; when
-    /// null only encoding/range/out-of-band/staleness checks run.
+    /// Reference safe-state map for UnsafeWrite classification (read
+    /// through a LimitTable built at construction); when null only
+    /// encoding/range/out-of-band/staleness checks run.
     const plugvolt::SafeStateMap* map = nullptr;
     /// Deepest offset considered in-range.  Defaults to the map's sweep
     /// floor when a map is given, else the paper's -300 mV.
@@ -111,6 +113,8 @@ private:
 
     os::Kernel& kernel_;
     MsrAuditorConfig config_;
+    /// config_.map compiled; only its raw (unguarded) class is read.
+    std::optional<plugvolt::LimitTable> table_;
     std::vector<AuditViolation> violations_;
     std::size_t hook_token_ = 0;
     std::uint64_t audited_ = 0;

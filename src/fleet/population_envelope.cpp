@@ -31,6 +31,7 @@ double median_sorted(const std::vector<double>& sorted) {
 }  // namespace
 
 PopulationEnvelope::PopulationEnvelope(EnvelopeConfig config) : config_(config) {
+    plugvolt::require_guard_band(config_.guard);
     if (!(config_.outlier_threshold > 0.0))
         throw ConfigError("outlier_threshold must be positive");
     if (!(config_.mad_floor_mv >= 0.0))

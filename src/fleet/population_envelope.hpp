@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "plugvolt/limit_table.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "util/flat_map.hpp"
 #include "util/units.hpp"
@@ -36,8 +37,9 @@
 namespace pv::fleet {
 
 struct EnvelopeConfig {
-    /// Safety margin handed to SafeStateMap::maximal_safe_offset.
-    Millivolts guard{15.0};
+    /// Safety margin handed to SafeStateMap::maximal_safe_offset (finite
+    /// and non-negative, ConfigError otherwise).
+    Millivolts guard = plugvolt::kDefaultGuardBand;
     /// A unit is an outlier when |m_u - median| exceeds this multiple of
     /// the lot's median absolute deviation.
     double outlier_threshold = 4.0;

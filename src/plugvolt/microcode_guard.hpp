@@ -17,7 +17,7 @@ namespace pv::plugvolt {
 /// Installable microcode patch guarding MSR 0x150.
 class MicrocodeGuard {
 public:
-    /// `maximal_safe` comes from SafeStateMap::maximal_safe_offset().
+    /// `maximal_safe` comes from LimitTable::maximal_safe().
     MicrocodeGuard(sim::Machine& machine, Millivolts maximal_safe);
     ~MicrocodeGuard();
 

@@ -18,7 +18,7 @@ namespace pv::plugvolt {
 /// The hardware gatekeeper register.
 class MsrClamp {
 public:
-    /// Fuses `limit` (from SafeStateMap::maximal_safe_offset()) into
+    /// Fuses `limit` (from LimitTable::maximal_safe()) into
     /// MSR_VOLTAGE_OFFSET_LIMIT.  `locked` freezes it until reboot.
     MsrClamp(sim::Machine& machine, Millivolts limit, bool locked = true);
     ~MsrClamp();

@@ -12,7 +12,8 @@ const char* to_string(DeploymentLevel level) {
 }
 
 Protector::Protector(os::Kernel& kernel, SafeStateMap map)
-    : kernel_(kernel), map_(std::move(map)) {}
+    : kernel_(kernel),
+      table_(std::move(map), kDefaultGuardBand, RestorePolicy::ClampToMaximalSafe) {}
 
 Protector::~Protector() { undeploy(); }
 
@@ -26,17 +27,16 @@ void Protector::deploy(DeploymentLevel level, PollingConfig config) {
                 config.watch_measured_rail = true;
                 config.nominal_rail = kernel_.machine().profile().vf_curve();
             }
-            module_ = std::make_shared<PollingModule>(map_, config);
+            module_ = std::make_shared<PollingModule>(table_.map(), config);
             kernel_.load_module(module_);
             break;
         case DeploymentLevel::Microcode:
-            microcode_ = std::make_unique<MicrocodeGuard>(kernel_.machine(),
-                                                          map_.maximal_safe_offset());
+            microcode_ =
+                std::make_unique<MicrocodeGuard>(kernel_.machine(), table_.maximal_safe());
             microcode_->install();
             break;
         case DeploymentLevel::HardwareMsr:
-            clamp_ = std::make_unique<MsrClamp>(kernel_.machine(),
-                                                map_.maximal_safe_offset());
+            clamp_ = std::make_unique<MsrClamp>(kernel_.machine(), table_.maximal_safe());
             clamp_->install();
             break;
     }

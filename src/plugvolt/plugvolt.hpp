@@ -18,6 +18,7 @@
 
 #include <memory>
 
+#include "plugvolt/limit_table.hpp"
 #include "plugvolt/microcode_guard.hpp"
 #include "plugvolt/msr_clamp.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
@@ -36,7 +37,10 @@ enum class DeploymentLevel {
 
 [[nodiscard]] const char* to_string(DeploymentLevel level);
 
-/// One-stop deployment facade over the three mechanisms.
+/// One-stop deployment facade over the three mechanisms.  The microcode
+/// and hardware levels enforce the maximal safe state of one LimitTable
+/// built at kDefaultGuardBand; the kernel module builds its own from the
+/// PollingConfig it is deployed with.
 class Protector {
 public:
     Protector(os::Kernel& kernel, SafeStateMap map);
@@ -54,14 +58,14 @@ public:
 
     [[nodiscard]] bool deployed() const { return level_.has_value(); }
     [[nodiscard]] std::optional<DeploymentLevel> level() const { return level_; }
-    [[nodiscard]] const SafeStateMap& map() const { return map_; }
+    [[nodiscard]] const SafeStateMap& map() const { return table_.map(); }
 
     /// Live module when deployed at KernelModule level, else nullptr.
     [[nodiscard]] const PollingModule* polling_module() const { return module_.get(); }
 
 private:
     os::Kernel& kernel_;
-    SafeStateMap map_;
+    LimitTable table_;
     std::optional<DeploymentLevel> level_;
     std::shared_ptr<PollingModule> module_;
     std::unique_ptr<MicrocodeGuard> microcode_;

@@ -1,8 +1,8 @@
 #include "plugvolt/polling_module.hpp"
 
-
 #include <algorithm>
 #include <cmath>
+
 #include "sim/ocm.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
@@ -12,17 +12,15 @@
 namespace pv::plugvolt {
 
 PollingModule::PollingModule(SafeStateMap map, PollingConfig config)
-    : map_(std::move(map)),
+    : table_(std::move(map), config.guard_band, config.restore),
       config_(std::move(config)),
       poll_gap_us_({1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 5000.0}),
       unsafe_dwell_us_({0.1, 1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 500.0}) {
     if (config_.interval <= Picoseconds{0})
         throw ConfigError("polling interval must be positive");
-    if (map_.rows().empty()) throw ConfigError("polling module needs a characterized map");
     if (config_.watch_measured_rail && !config_.nominal_rail)
         throw ConfigError("rail watchdog needs the fused VF table");
     config_.driver_retry.validate();
-    maximal_safe_ = map_.maximal_safe_offset(config_.guard_band);
 }
 
 void PollingModule::stall(os::Kernel& kernel, unsigned cpu, Picoseconds delay) {
@@ -86,7 +84,7 @@ void PollingModule::fail_closed(os::Kernel& kernel, unsigned poller_cpu,
     // safe state (safe at EVERY frequency) instead of skipping the poll
     // — the defense never dwells blind and unclamped beyond the read
     // retry budget.
-    const std::uint64_t raw = sim::encode_offset(maximal_safe_, sim::VoltagePlane::Core);
+    const std::uint64_t raw = sim::encode_offset(table_.maximal_safe(), sim::VoltagePlane::Core);
     bool applied = false;
     if (write_msr(kernel, poller_cpu, target_cpu, sim::kMsrOcMailbox, raw, &applied) &&
         applied) {
@@ -95,7 +93,7 @@ void PollingModule::fail_closed(os::Kernel& kernel, unsigned poller_cpu,
                        kernel.machine().now().value(), raw, target_cpu);
     }
     log_debug("plugvolt: poll of cpu ", target_cpu,
-              " lost its status reads; fail-closed clamp to ", maximal_safe_.value(),
+              " lost its status reads; fail-closed clamp to ", table_.maximal_safe().value(),
               " mV");
 }
 
@@ -150,10 +148,11 @@ void PollingModule::poll_cpu(os::Kernel& kernel, unsigned poller_cpu, unsigned t
         return;
     }
     const std::uint64_t perf = *perf_read;
-    const Megahertz effective{static_cast<double>((perf >> 8) & 0xFF) * 100.0};
-    const std::uint64_t ctl = *ctl_read;
-    const Megahertz requested{static_cast<double>((ctl >> 8) & 0xFF) * 100.0};
-    const Megahertz freq = std::max(effective, requested);
+    const auto effective_ratio = static_cast<std::uint8_t>((perf >> 8) & 0xFF);
+    const auto ratio =
+        std::max(effective_ratio, static_cast<std::uint8_t>((*ctl_read >> 8) & 0xFF));
+    const Megahertz effective{static_cast<double>(effective_ratio) * 100.0};
+    const Megahertz freq{static_cast<double>(ratio) * 100.0};
     const std::uint64_t ocm = *ocm_read;
     const auto req = sim::decode_offset(ocm);
     const Millivolts commanded = req ? req->offset : Millivolts{0.0};
@@ -190,26 +189,14 @@ void PollingModule::poll_cpu(os::Kernel& kernel, unsigned poller_cpu, unsigned t
                                target_cpu);
                 // The mailbox cannot out-write a bus interposer; the
                 // frequency lever is the one the attacker cannot reach.
-                clamp_frequencies(
-                    kernel, poller_cpu,
-                    map_.max_safe_frequency(measured_offset, config_.guard_band));
+                clamp_frequencies(kernel, poller_cpu, table_.frequency_limit(measured_offset));
             }
         }
     }
 
-    // Algo. 3 line 6: membership test against the unsafe state set.
-    // The guard band is applied at DETECTION time: states within guard of
-    // the measured onset still carry residual (sub-characterization-
-    // sensitivity) fault probability that a patient attacker could farm,
-    // so they count as unsafe too.  The maximal-safe policy tightens the
-    // test to a frequency-independent bound.
-    // (1 mV of hysteresis keeps the module's own restore target — exactly
-    // guard_band above the onset — from re-triggering detection forever.)
-    const Millivolts probe = commanded - config_.guard_band + Millivolts{1.0};
-    const bool unsafe = config_.restore == RestorePolicy::ClampToMaximalSafe
-                            ? commanded < maximal_safe_
-                            : map_.is_unsafe(freq, probe);
-    if (!unsafe) return;
+    // Algo. 3 line 6: membership test against the unsafe state set (the
+    // guard band and hysteresis are the table's).
+    if (!table_.detects(ratio, commanded)) return;
 
     ++metrics_.detections;
     metrics_.last_detection = kernel.machine().now();
@@ -232,20 +219,12 @@ void PollingModule::poll_cpu(os::Kernel& kernel, unsigned poller_cpu, unsigned t
     //     the highest frequency safe for the commanded offset;
     //  2. voltage (slow: wrmsr latency + regulator ramp): restore the
     //     offset per the configured policy.
-    const Megahertz f_safe =
-        std::min(effective, map_.max_safe_frequency(commanded, config_.guard_band));
+    const Megahertz f_safe = std::min(effective, table_.frequency_limit(commanded));
     // on_each_cpu: the rail is package-wide, so a pending raise on ANY
     // core keeps the package target high -- cancel them all.
     if (freq > f_safe) clamp_frequencies(kernel, poller_cpu, f_safe);
 
-    Millivolts safe{0.0};
-    switch (config_.restore) {
-        case RestorePolicy::RestoreZero: safe = Millivolts{0.0}; break;
-        case RestorePolicy::ClampToSafeLimit:
-            safe = map_.safe_limit(freq, config_.guard_band);
-            break;
-        case RestorePolicy::ClampToMaximalSafe: safe = maximal_safe_; break;
-    }
+    const Millivolts safe = table_.restore_target(ratio);
     const std::uint64_t raw = sim::encode_offset(safe, plane);
     bool applied = false;
     if (write_msr(kernel, poller_cpu, target_cpu, sim::kMsrOcMailbox, raw, &applied) &&

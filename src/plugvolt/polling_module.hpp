@@ -1,13 +1,15 @@
 // PlugVolt — the polling countermeasure kernel module (Sec. 4.3, Algo. 3).
 //
 // A kernel module whose kthread(s) poll MSR 0x198 (frequency + measured
-// voltage) and MSR 0x150 (commanded offset) on every core, classify the
-// (frequency, offset) pair against the characterized safe-state map, and
-// on detecting an unsafe state rewrite 0x150 to force the system back
-// into a safe state.  Two restore policies:
+// voltage) and MSR 0x150 (commanded offset) on every core, look the
+// (ratio byte, offset) pair up in a LimitTable compiled from the
+// characterized safe-state map, and on detecting an unsafe state rewrite
+// 0x150 to force the system back into a safe state.  The restore policy
+// (limit_table.hpp) picks the offset written back:
 //   - ClampToSafeLimit (default): write the deepest still-safe offset for
 //     the current frequency — benign undervolting keeps working, the
 //     paper's headline advantage over access-control defenses;
+//   - ClampToMaximalSafe: hold the Sec. 5 maximal safe state;
 //   - RestoreZero: write offset 0 (most conservative).
 //
 // Two threading layouts, both measured by the ablation bench:
@@ -18,37 +20,24 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include <optional>
-
 #include "os/kernel.hpp"
-#include "plugvolt/safe_state.hpp"
+#include "plugvolt/limit_table.hpp"
 #include "resilience/retry.hpp"
 #include "sim/vf_curve.hpp"
 #include "trace/metrics.hpp"
 
 namespace pv::plugvolt {
 
-/// How the module forces the system back into a safe state.
-///
-/// ClampToSafeLimit keeps the deepest per-frequency safe offset (the most
-/// DVFS-friendly choice and the paper's kernel-module behaviour); it has
-/// a theoretical residual race against an adversary who parks a deep,
-/// currently-safe offset and then steps frequency by exactly one bin
-/// (see the attack-matrix ablation).  ClampToMaximalSafe enforces the
-/// Sec. 5 maximal safe state on the *commanded* offset at all times,
-/// which provably closes that race at the cost of shallower benign
-/// undervolts.  RestoreZero is the most conservative.
-enum class RestorePolicy { ClampToSafeLimit, ClampToMaximalSafe, RestoreZero };
-
 /// Module configuration.
 struct PollingConfig {
     Picoseconds interval = microseconds(50.0);
     bool per_core_threads = true;
     RestorePolicy restore = RestorePolicy::ClampToSafeLimit;
-    /// Safety margin applied when clamping to the safe limit.
-    Millivolts guard_band{15.0};
+    /// Safety margin the module's LimitTable applies.
+    Millivolts guard_band = kDefaultGuardBand;
 
     /// Rail watchdog (defense-in-depth beyond the paper): compare the
     /// MEASURED voltage (0x198 bits 47:32) against what the mailbox
@@ -100,7 +89,7 @@ public:
     void exit(os::Kernel& kernel) override;
 
     [[nodiscard]] const PollingMetrics& metrics() const { return metrics_; }
-    [[nodiscard]] const SafeStateMap& map() const { return map_; }
+    [[nodiscard]] const SafeStateMap& map() const { return table_.map(); }
     [[nodiscard]] const PollingConfig& config() const { return config_; }
 
     /// Counters plus latency histograms ("poll_gap_us": observed gap
@@ -138,11 +127,10 @@ private:
     /// clamps the commanded offset to the maximal safe state.
     void fail_closed(os::Kernel& kernel, unsigned poller_cpu, unsigned target_cpu);
 
-    SafeStateMap map_;
+    LimitTable table_;
     Millivolts last_commanded_{};   // rail-watch blanking state
     Picoseconds blank_until_{};
     PollingConfig config_;
-    Millivolts maximal_safe_{};
     PollingMetrics metrics_;
     trace::Histogram poll_gap_us_;
     trace::Histogram unsafe_dwell_us_;

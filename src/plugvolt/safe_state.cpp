@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <iterator>
 #include <system_error>
 #include <utility>
 
@@ -69,6 +68,14 @@ void SafeStateMap::add(FreqCharacterization row) {
 
 const FreqCharacterization& SafeStateMap::nearest_row(Megahertz f) const {
     if (rows_.empty()) throw ConfigError("safe-state map is empty");
+    return nearest_row(f, std::partition_point(rows_.data(), rows_.data() + rows_.size(),
+                                               [f](const FreqCharacterization& row) {
+                                                   return row.freq < f;
+                                               }));
+}
+
+const FreqCharacterization& SafeStateMap::nearest_row(Megahertz f,
+                                                      const FreqCharacterization* above) const {
     // The first row with the least computed |f - freq|, as a linear scan
     // finds it.  Rows are finite and strictly increasing, so that distance
     // never rises over the rows below f and never falls over the rows
@@ -78,14 +85,14 @@ const FreqCharacterization& SafeStateMap::nearest_row(Megahertz f) const {
     const auto dist = [f](const FreqCharacterization& row) {
         return std::abs(f.value() - row.freq.value());
     };
-    const auto above = std::partition_point(
-        rows_.begin(), rows_.end(), [f](const FreqCharacterization& row) { return row.freq < f; });
-    if (above == rows_.begin()) return rows_.front();
-    const auto below = std::prev(above);
+    const FreqCharacterization* first = rows_.data();
+    if (above == first) return *first;
+    const FreqCharacterization* below = above - 1;
     const double d_below = dist(*below);
-    if (above != rows_.end() && dist(*above) < d_below) return *above;
+    if (above != first + rows_.size() && dist(*above) < d_below) return *above;
     // The rows below f that tie `below` run up to it; the first wins.
-    return *std::partition_point(rows_.begin(), below, [&](const FreqCharacterization& row) {
+    if (below == first || dist(below[-1]) > d_below) return *below;
+    return *std::partition_point(first, below, [&](const FreqCharacterization& row) {
         return dist(row) > d_below;
     });
 }

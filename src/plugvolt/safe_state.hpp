@@ -62,18 +62,19 @@ public:
     /// characterized frequency column.  Throws ConfigError on an empty map.
     [[nodiscard]] StateClass classify(Megahertz f, Millivolts offset) const;
 
-    /// Convenience: Unsafe or Crash (what the polling module reacts to).
+    /// Convenience: Unsafe or Crash.
     [[nodiscard]] bool is_unsafe(Megahertz f, Millivolts offset) const;
 
     /// Deepest offset still safe at frequency `f`, with `guard` of margin
     /// (the value the polling module writes back on detection, keeping as
-    /// much benign undervolt as possible).
-    [[nodiscard]] Millivolts safe_limit(Megahertz f, Millivolts guard = Millivolts{15.0}) const;
+    /// much benign undervolt as possible; the daemon serves it for any
+    /// requested frequency).
+    [[nodiscard]] Millivolts safe_limit(Megahertz f, Millivolts guard) const;
 
     /// Sec. 5 maximal safe state: the deepest offset safe at EVERY
     /// characterized frequency, with `guard` of margin.  Never deeper
     /// than the sweep floor.
-    [[nodiscard]] Millivolts maximal_safe_offset(Millivolts guard = Millivolts{15.0}) const;
+    [[nodiscard]] Millivolts maximal_safe_offset(Millivolts guard) const;
 
     /// Highest characterized frequency at which `offset` (deepened by
     /// `guard`) is still safe; falls back to the lowest characterized
@@ -81,8 +82,7 @@ public:
     /// polling module pulls on detection: dropping frequency is always
     /// the safe direction and takes effect immediately, unlike the slow
     /// voltage restore.
-    [[nodiscard]] Megahertz max_safe_frequency(Millivolts offset,
-                                               Millivolts guard = Millivolts{15.0}) const;
+    [[nodiscard]] Megahertz max_safe_frequency(Millivolts offset, Millivolts guard) const;
 
     /// CSV round trip (header: freq_mhz,onset_mv,crash_mv,fault_free).
     [[nodiscard]] std::string to_csv() const;
@@ -101,6 +101,13 @@ public:
                                                Millivolts sweep_floor);
 
 private:
+    /// LimitTable compiles these row-level expressions, so its entries
+    /// equal the queries above by construction.
+    friend class LimitTable;
+
+    /// nearest_row given `above`, the first row not below `f`.
+    [[nodiscard]] const FreqCharacterization& nearest_row(
+        Megahertz f, const FreqCharacterization* above) const;
     [[nodiscard]] StateClass classify_row(const FreqCharacterization& row,
                                           Millivolts offset) const;
 

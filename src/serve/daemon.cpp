@@ -101,6 +101,7 @@ CampaignDaemon::CampaignDaemon(DaemonConfig config)
     : config_(std::move(config)),
       config_hash_((config_.job_retry.validate(),
                     config_.fault_plan ? config_.fault_plan->validate() : void(),
+                    plugvolt::require_guard_band(config_.guard),
                     daemon_config_hash(config_))),
       wal_(open_wal(config_, config_hash_)) {
     if (config_.max_queue_depth == 0)

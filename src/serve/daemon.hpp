@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "fleet/population_envelope.hpp"
+#include "plugvolt/limit_table.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/frames.hpp"
@@ -75,8 +76,9 @@ struct DaemonConfig {
     /// Job-level retry (engine-level retries are the jobs' own):
     /// max_attempts executions per job, virtual backoff in between.
     resilience::RetryPolicy job_retry{};
-    /// Serving guard band handed to SafeStateMap::safe_limit.
-    Millivolts guard{15.0};
+    /// Serving guard band handed to SafeStateMap::safe_limit (finite and
+    /// non-negative, ConfigError otherwise).
+    Millivolts guard = plugvolt::kDefaultGuardBand;
     /// Worker threads forwarded to the engines (result-neutral).
     unsigned workers = 1;
     /// Environment fault plan forwarded to every job's engine (MSR-level

@@ -39,8 +39,8 @@ enum class EventKind : std::uint8_t {
 /// Stable human-readable tag for an event kind.
 [[nodiscard]] const char* kind_name(EventKind kind);
 
-/// One trace record.  `name` points at static storage or at a string
-/// interned by the owning recorder; it is never owned by the event.
+/// One trace record.  `name` points at static storage (a string
+/// literal); it is never owned by the event.
 /// `a` and `b` are kind-specific payloads (MSR address/value, offset
 /// bit patterns, core ids, ...).
 struct Event {

@@ -36,11 +36,6 @@ TraceRecorder::TraceRecorder(std::string track_name, std::uint64_t track_id,
     ring_.reserve(std::min<std::size_t>(capacity_, 1024));  // grow lazily up to capacity
 }
 
-const char* TraceRecorder::intern(std::string_view s) {
-    interned_.emplace_back(s);
-    return interned_.back().c_str();
-}
-
 std::vector<Event> TraceRecorder::events() const {
     std::vector<Event> out;
     out.reserve(ring_.size());

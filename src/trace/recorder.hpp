@@ -17,10 +17,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "trace/event.hpp"
@@ -43,8 +41,8 @@ public:
     TraceRecorder(const TraceRecorder&) = delete;
     TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-    /// Append one event.  `name` must outlive the recorder (string
-    /// literal or intern()ed).
+    /// Append one event.  `name` must outlive the recorder (a string
+    /// literal).
     void record(EventKind kind, const char* name, std::int64_t ts_ps, std::uint64_t a = 0,
                 std::uint64_t b = 0) {
         Event e{ts_ps, a, b, name, kind};
@@ -56,11 +54,6 @@ public:
         }
         ++recorded_;
     }
-
-    /// Copy a dynamic string into recorder-owned storage and return a
-    /// pointer stable for the recorder's lifetime (deque never moves
-    /// settled elements).  For names that are not string literals.
-    const char* intern(std::string_view s);
 
     [[nodiscard]] const std::string& track_name() const { return name_; }
     [[nodiscard]] std::uint64_t track_id() const { return id_; }
@@ -80,7 +73,6 @@ private:
     std::vector<Event> ring_;
     std::size_t next_ = 0;         // overwrite cursor once the ring is full
     std::uint64_t recorded_ = 0;
-    std::deque<std::string> interned_;
 };
 
 namespace detail {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plugvolt/limit_table.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -163,7 +164,8 @@ TEST(Characterizer, PerClassMapsOrderByPathLength) {
     const Megahertz fmax = sim::cometlake_i7_10510u().freq_max;
     EXPECT_LT(fpmul.safe_limit(fmax, Millivolts{0.0}),
               imul.safe_limit(fmax, Millivolts{0.0}));
-    EXPECT_LT(fpmul.maximal_safe_offset(), imul.maximal_safe_offset());
+    EXPECT_LT(fpmul.maximal_safe_offset(kDefaultGuardBand),
+              imul.maximal_safe_offset(kDefaultGuardBand));
 }
 
 TEST(Characterizer, PreheatedSweepMeasuresShallowerOnsets) {
@@ -180,7 +182,8 @@ TEST(Characterizer, PreheatedSweepMeasuresShallowerOnsets) {
     // its maximal safe state is the conservative one to deploy.
     EXPECT_GT(hot.safe_limit(fmax, Millivolts{0.0}),
               cold.safe_limit(fmax, Millivolts{0.0}) + Millivolts{10.0});
-    EXPECT_GT(hot.maximal_safe_offset(), cold.maximal_safe_offset());
+    EXPECT_GT(hot.maximal_safe_offset(kDefaultGuardBand),
+              cold.maximal_safe_offset(kDefaultGuardBand));
 }
 
 TEST(Characterizer, ProgressCallbackFiresPerColumn) {

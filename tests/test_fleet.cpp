@@ -380,6 +380,17 @@ TEST(PopulationEnvelope, RowsAndCsvSummarizeTheFleetSpread) {
     EXPECT_NE(csv.find("fault_free_units"), std::string::npos);
 }
 
+TEST(PopulationEnvelope, RefusesAGuardThatDisablesTheClamp) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -20.0}) {
+        EnvelopeConfig config;
+        config.guard = Millivolts{bad};
+        EXPECT_THROW(PopulationEnvelope{config}, ConfigError) << bad;
+    }
+    EnvelopeConfig zero;
+    zero.guard = Millivolts{0.0};
+    EXPECT_NO_THROW(PopulationEnvelope{zero});
+}
+
 TEST(PopulationEnvelope, RejectsInvalidFoldsAndQueries) {
     PopulationEnvelope env;
     EXPECT_THROW((void)env.clamp_at_yield(1.0), ConfigError);

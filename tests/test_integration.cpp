@@ -125,8 +125,9 @@ TEST(Integration, MapsDifferAcrossGenerations) {
     EXPECT_NE(kaby.to_csv(), comet.to_csv());
     // Comet Lake's 4.9 GHz turbo leaves the least headroom at the top,
     // so its maximal safe state is the SHALLOWEST of the three.
-    EXPECT_GT(comet.maximal_safe_offset(), sky.maximal_safe_offset());
-    EXPECT_GT(comet.maximal_safe_offset(), kaby.maximal_safe_offset());
+    const Millivolts guard = plugvolt::kDefaultGuardBand;
+    EXPECT_GT(comet.maximal_safe_offset(guard), sky.maximal_safe_offset(guard));
+    EXPECT_GT(comet.maximal_safe_offset(guard), kaby.maximal_safe_offset(guard));
 }
 
 }  // namespace

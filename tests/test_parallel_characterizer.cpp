@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "plugvolt/limit_table.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -215,8 +216,8 @@ TEST(ParallelCharacterizer, AgreesWithLegacySerialCharacterizer) {
         EXPECT_NEAR(a.onset.value(), b.onset.value(), 10.0) << a.freq.value() << " MHz";
         EXPECT_NEAR(a.crash.value(), b.crash.value(), 10.0) << a.freq.value() << " MHz";
     }
-    EXPECT_NEAR(legacy.maximal_safe_offset().value(), engine.maximal_safe_offset().value(),
-                10.0);
+    EXPECT_NEAR(legacy.maximal_safe_offset(kDefaultGuardBand).value(),
+                engine.maximal_safe_offset(kDefaultGuardBand).value(), 10.0);
 }
 
 TEST(ParallelCharacterizer, ProgressArrivesInFrequencyOrder) {
@@ -238,7 +239,8 @@ TEST(ParallelCharacterizer, HonorsDiePreheat) {
     hot_config.cell.die_preheat_c = 85.0;
     const SafeStateMap cold = sweep(profile, cold_config);
     const SafeStateMap hot = sweep(profile, hot_config);
-    EXPECT_GT(hot.maximal_safe_offset(), cold.maximal_safe_offset());
+    EXPECT_GT(hot.maximal_safe_offset(kDefaultGuardBand),
+              cold.maximal_safe_offset(kDefaultGuardBand));
 }
 
 // The Adaptive engine's probe memo, driven by a planner that jumps

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "os/cpupower.hpp"
@@ -28,6 +29,20 @@ TEST(PollingModule, RejectsBadConfig) {
     EXPECT_THROW(PollingModule(test::comet_map(), config), ConfigError);
     SafeStateMap empty("x", Millivolts{-300.0});
     EXPECT_THROW(PollingModule(empty, PollingConfig{}), ConfigError);
+}
+
+TEST(PollingModule, RefusesAGuardBandThatDisablesDetection) {
+    // A NaN guard classifies every faulting row Safe and a negative one
+    // moves detection below the onset: either lets an attacker parked
+    // 10 mV past the 4.9 GHz onset go undetected.  Guard 0 stays valid.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -20.0}) {
+        PollingConfig config;
+        config.guard_band = Millivolts{bad};
+        EXPECT_THROW(PollingModule(test::comet_map(), config), ConfigError) << bad;
+    }
+    PollingConfig zero;
+    zero.guard_band = Millivolts{0.0};
+    EXPECT_NO_THROW(PollingModule(test::comet_map(), zero));
 }
 
 TEST(PollingModule, PollsEveryCoreEveryInterval) {

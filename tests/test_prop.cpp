@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "check/state_hasher.hpp"
+#include "plugvolt/limit_table.hpp"
 #include "plugvolt/safe_state.hpp"
 #include "prop/prop.hpp"
 #include "sim/cpu_profile.hpp"
@@ -127,7 +128,7 @@ TEST(PropSafeStateMap, MembershipMonotoneInOffsetDepth) {
 
 TEST(PropSafeStateMap, MaximalSafeStateIsLowerBoundEverywhere) {
     const plugvolt::SafeStateMap& map = cometlake_map();
-    const Millivolts maximal = map.maximal_safe_offset();
+    const Millivolts maximal = map.maximal_safe_offset(plugvolt::kDefaultGuardBand);
     const prop::FrequencyDomain freqs{400.0, 4900.0, 25.0};
     PROP_CHECK(
         0x5AFE0002, 500,
@@ -136,7 +137,8 @@ TEST(PropSafeStateMap, MaximalSafeStateIsLowerBoundEverywhere) {
             // frequency, and never allows deeper than the per-frequency
             // safe limit.
             if (map.classify(f, maximal) != plugvolt::StateClass::Safe) return false;
-            if (maximal.value() < map.safe_limit(f).value()) return false;
+            if (maximal.value() < map.safe_limit(f, plugvolt::kDefaultGuardBand).value())
+                return false;
             // Zero offset (nominal voltage) is Safe everywhere.
             return map.classify(f, Millivolts{0.0}) == plugvolt::StateClass::Safe;
         },

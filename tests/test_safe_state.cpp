@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "plugvolt/limit_table.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -323,8 +324,8 @@ TEST(SafeStateMap, ValidatesConstruction) {
 TEST(SafeStateMap, EmptyMapQueriesThrow) {
     const SafeStateMap map("t", Millivolts{-300.0});
     EXPECT_THROW((void)map.classify(from_ghz(1.0), Millivolts{-10.0}), ConfigError);
-    EXPECT_THROW((void)map.maximal_safe_offset(), ConfigError);
-    EXPECT_THROW((void)map.max_safe_frequency(Millivolts{-10.0}), ConfigError);
+    EXPECT_THROW((void)map.maximal_safe_offset(kDefaultGuardBand), ConfigError);
+    EXPECT_THROW((void)map.max_safe_frequency(Millivolts{-10.0}, kDefaultGuardBand), ConfigError);
 }
 
 TEST(SafeStateMap, StateClassNames) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -318,6 +319,15 @@ TEST(CampaignDaemon, RejectsInvalidSpecs) {
     bad = fleet_spec(0);
     EXPECT_THROW(daemon.submit(bad), ConfigError);
     EXPECT_EQ(daemon.queue_depth(), 0u);
+}
+
+TEST(CampaignDaemon, RefusesAGuardThatDisablesServing) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -20.0}) {
+        DaemonConfig config;
+        config.state_dir = fresh_dir("daemon_bad_guard");
+        config.guard = Millivolts{bad};
+        EXPECT_THROW(CampaignDaemon{config}, ConfigError) << bad;
+    }
 }
 
 TEST(CampaignDaemon, AdmissionControlRejectsDeterministically) {

@@ -62,15 +62,6 @@ TEST(TraceRecorder, ZeroCapacityThrows) {
     EXPECT_THROW(TraceRecorder("bad", 0, 0), ConfigError);
 }
 
-TEST(TraceRecorder, InternedNamesAreStable) {
-    TraceRecorder rec("i", 0);
-    std::string dynamic = "dynamic-name";
-    const char* interned = rec.intern(dynamic);
-    dynamic = "clobbered";
-    for (int i = 0; i < 100; ++i) (void)rec.intern("filler-" + std::to_string(i));
-    EXPECT_STREQ(interned, "dynamic-name");
-}
-
 TEST(ScopedRecorderBinding, BindsRestoresAndPassesThroughNull) {
     EXPECT_EQ(current_recorder(), nullptr);
     TraceRecorder outer("outer", 0), inner("inner", 1);
@@ -161,7 +152,7 @@ TEST(TraceSessionExport, TracksSortByIdAndExportDeterministically) {
 TEST(TraceSessionExport, CsvRoundTripsThroughTheCsvParser) {
     TraceSession session;
     TraceRecorder& t = session.create_track("has,comma \"quoted\"", 0);
-    t.record(EventKind::MsrWrite, t.intern("line\nbreak"), 5, 0x150, 0xDEAD);
+    t.record(EventKind::MsrWrite, "line\nbreak", 5, 0x150, 0xDEAD);
     const CsvDocument doc = csv_parse(session.to_csv());
     ASSERT_EQ(doc.rows.size(), 1u);
     EXPECT_EQ(doc.header[0], "track_id");
